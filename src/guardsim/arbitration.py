@@ -29,7 +29,6 @@ from .errors import (
     UnknownCase,
 )
 from .ledger import Address, Ledger
-from .risk import collection_floor
 from .token import TokenContract, TokenState
 from .units import fmt_units
 
@@ -113,7 +112,6 @@ class ArbitrationSystem:
         freeze_ticks: int,
         escrow: Address,
         fee_sink: Address,
-        view_factory,
     ):
         self.ledger = ledger
         self.contract = contract
@@ -122,7 +120,6 @@ class ArbitrationSystem:
         self.freeze_ticks = freeze_ticks
         self.escrow = escrow
         self.fee_sink = fee_sink
-        self._view_factory = view_factory
         self.cases: dict[int, ArbitrationCase] = {}
         self._open_case_by_token: dict[int, int] = {}
         self._next_case_id = 1
@@ -133,7 +130,7 @@ class ArbitrationSystem:
         """max(deposit_min, rate * estimated value); the estimate is the larger
         of the token's last sale price and the collection floor."""
         token = self.contract.token(token_id)
-        floor = collection_floor(self._view_factory()) or 0
+        floor = self.contract.collection_floor() or 0
         estimate = max(token.last_sale_price or 0, floor)
         scaled = self.jury_config.deposit_rate * estimate
         return max(self.jury_config.deposit_min, scaled.numerator // scaled.denominator)

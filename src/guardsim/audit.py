@@ -9,6 +9,7 @@ identity.
 
 from __future__ import annotations
 
+from .config import JuryConfig
 from .ledger import EventRecord
 from .units import to_units
 
@@ -35,6 +36,7 @@ def audit_events(events: list[EventRecord]) -> list[str]:
     honor_count = 0
     reward_minted_total = 0
     juror_reward_each: int | None = None
+    gas_fee = JuryConfig().gas_fee  # replaced by the genesis config
 
     def check_balance(seq: int, addr: str, recorded: str) -> None:
         if balances.get(addr, 0) != to_units(recorded):
@@ -43,7 +45,9 @@ def audit_events(events: list[EventRecord]) -> list[str]:
     previous: EventRecord | None = None
     for ev in events:
         p = ev.payload
-        if ev.kind == "AccountCreated":
+        if ev.kind == "Genesis":
+            gas_fee = to_units(p["config"]["gas_fee"])
+        elif ev.kind == "AccountCreated":
             amount = to_units(p["balance"])
             balances[p["address"]] = amount
             minted += amount
@@ -74,9 +78,11 @@ def audit_events(events: list[EventRecord]) -> list[str]:
             if p["verdict"] == "FOR_REPORTER" and p["tally_reporter"] < p["quorum"]:
                 violations.append(f"seq {ev.seq}: FOR_REPORTER verdict with only {p['tally_reporter']} votes")
             if p["verdict"] == "FOR_HOLDER" and not p["auto"]:
-                net = to_units(p["refund"]) - to_units(p["deposit"]) - to_units(p["gas_charged"])
-                if net >= 0:
-                    violations.append(f"seq {ev.seq}: FOR_HOLDER closure did not cost the reporter anything")
+                # the reporter forfeits the deposit and pays the gas fee, capped by its balance
+                gas = to_units(p["gas_charged"])
+                owed = min(gas_fee, to_units(p["reporter_balance"]) + gas)
+                if to_units(p["refund"]) or gas != owed:
+                    violations.append(f"seq {ev.seq}: FOR_HOLDER closure did not charge the reporter")
 
         # token state machine checks
         if ev.kind in _OWNERSHIP_KINDS:
@@ -105,17 +111,22 @@ def audit_events(events: list[EventRecord]) -> list[str]:
                 token_state[token_id] = p["new_state"]
                 token_owner[token_id] = p["to"]
 
+        # a dispatch and its effect event are adjacent, in both directions
         action = _DISPATCHED_KINDS.get(ev.kind)
-        if action is not None:
-            ok = (
-                previous is not None
-                and previous.kind == "OracleDispatch"
-                and previous.payload.get("action") == action
-                and previous.payload.get("token_id") == ev.payload.get("token_id")
-            )
-            if not ok:
-                violations.append(f"seq {ev.seq}: {ev.kind} event without an immediately preceding dispatch")
+        dispatched = previous is not None and previous.kind == "OracleDispatch"
+        paired = (
+            dispatched
+            and previous.payload.get("action") == action
+            and previous.payload.get("token_id") == p.get("token_id")
+        )
+        if action is not None and not paired:
+            violations.append(f"seq {ev.seq}: {ev.kind} event without an immediately preceding dispatch")
+        if dispatched and not paired:
+            violations.append(f"seq {previous.seq}: OracleDispatch without its effect event immediately after")
         previous = ev
+
+    if previous is not None and previous.kind == "OracleDispatch":
+        violations.append(f"seq {previous.seq}: OracleDispatch without its effect event immediately after")
 
     if sum(balances.values()) != minted:
         violations.append("conservation: account balances do not equal total minted value")

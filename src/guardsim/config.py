@@ -80,6 +80,22 @@ _KEYS = {
 }
 
 
+# Keys that must be >= 0: the PBFT fault bound f (jury n = 3f + 1), tick
+# counts, the turnover threshold, value amounts and fractions. The audit's
+# economics checks assume these ranges.
+_NON_NEGATIVE = {
+    "freeze_ticks",
+    "beta_underprice",
+    "turnover_threshold",
+    "window_ticks",
+    "jury_f",
+    "juror_reward",
+    "gas_fee",
+    "deposit_rate",
+    "deposit_min",
+}
+
+
 def apply_override(config: SimConfig, key: str, value: str) -> SimConfig:
     """Return a copy of ``config`` with one flat key replaced."""
     try:
@@ -90,6 +106,8 @@ def apply_override(config: SimConfig, key: str, value: str) -> SimConfig:
         parsed = parse(value)
     except (ValueError, RejectedInput) as exc:
         raise RejectedInput(f"bad value for {key}: {value!r} ({exc})") from None
+    if key in _NON_NEGATIVE and parsed < 0:
+        raise RejectedInput(f"bad value for {key}: {value!r} (must be >= 0)")
     if section is None:
         return replace(config, **{field: parsed})
     return replace(config, **{section: replace(getattr(config, section), **{field: parsed})})

@@ -32,11 +32,10 @@ class RiskRequest:
 
 
 class OracleBridge:
-    def __init__(self, ledger: Ledger, contract, engine: RiskEngine, view_factory):
+    def __init__(self, ledger: Ledger, contract, engine: RiskEngine):
         self.ledger = ledger
         self.contract = contract
         self.engine = engine
-        self._view_factory = view_factory
         self._arbitration = None
         self.requests: dict[int, RiskRequest] = {}
         self._next_request_id = 1
@@ -60,7 +59,7 @@ class OracleBridge:
                 "time": intent.time,
             },
         )
-        verdict = self.engine.evaluate(intent, self._view_factory())
+        verdict = self.engine.evaluate(intent, self.contract)
         self.fulfill(request_id, verdict)
         return request_id, verdict
 
@@ -90,9 +89,14 @@ class OracleBridge:
                 self._arbitration.open_auto_case(intent.token_id, reporter=intent.from_addr)
 
     def privileged_dispatch(self, action: str, *, origin: str, token_id: int, **kwargs) -> None:
-        """Route one protected contract call; any other origin is rejected."""
+        """Route one protected contract call; any other origin is rejected.
+
+        The call's precondition is checked before the dispatch is logged, so
+        every logged dispatch is immediately followed by its effect event.
+        """
         if origin not in _ALLOWED_DISPATCH or action not in _ALLOWED_DISPATCH[origin]:
             raise NotOracle(f"{origin!r} may not dispatch {action!r}")
+        self.contract.check_dispatch(action, token_id, kwargs.get("to"))
         payload = {"action": action, "origin": origin, "token_id": token_id}
         for key, value in kwargs.items():
             payload[key] = value

@@ -24,11 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .config import RiskConfig
 from .ledger import Address
 from .units import UNIT, fmt_fraction, fmt_units, parse_fraction
+
+if TYPE_CHECKING:
+    from .token import TokenContract
 
 SAFE = "safe"
 MAY_LOST = "may_lost"
@@ -117,44 +120,29 @@ class RiskVerdict:
     features: FeatureVector
 
 
-class ChainView(Protocol):
-    """Read-only snapshot surface the feature extractor consumes."""
-
-    @property
-    def now(self) -> int: ...
-
-    def token(self, token_id: int): ...
-
-    def tokens(self) -> Iterable: ...
-
-    def account(self, address: Address): ...
-
-    def tokens_owned_by(self, address: Address) -> Iterable: ...
-
-
 # -- feature extraction ------------------------------------------------------
+#
+# ``chain`` is the chain snapshot, read through the token contract: ``now``,
+# ``token(id)``, ``account(address)``, ``collection_floor()`` and
+# ``portfolio_value(address)``. The last two are indexes the contract keeps up
+# to date, so no feature reads more than the token and the two accounts.
 
 
-def collection_floor(view: ChainView) -> int | None:
+def collection_floor(chain: TokenContract) -> int | None:
     """Lowest nonzero last-sale price across the collection, or None if nothing sold."""
-    floor: int | None = None
-    for token in view.tokens():
-        last_sale = token.last_sale_price
-        if last_sale and (floor is None or last_sale < floor):
-            floor = last_sale
-    return floor
+    return chain.collection_floor()
 
 
-def credit_score(address: Address, view: ChainView, config: RiskConfig) -> float:
+def credit_score(address: Address, chain: TokenContract, config: RiskConfig) -> float:
     """Wealth-and-age credit heuristic with a heavy penalty for flagged accounts.
 
     score = w_portfolio * log2(1 + portfolio value)
           + w_age * log2(1 + account age in ticks)
           - w_flag * 100 if explorer-flagged
     """
-    account = view.account(address)
-    portfolio_units = sum(token.last_sale_price or 0 for token in view.tokens_owned_by(address))
-    age = view.now - account.created_at
+    account = chain.account(address)
+    portfolio_units = chain.portfolio_value(address)
+    age = chain.now - account.created_at
     score = config.credit_w_portfolio * math.log2(1 + portfolio_units / UNIT)
     score += config.credit_w_age * math.log2(1 + age)
     if account.explorer_flagged:
@@ -162,19 +150,19 @@ def credit_score(address: Address, view: ChainView, config: RiskConfig) -> float
     return score
 
 
-def extract_features(intent: TransferIntent, view: ChainView, config: RiskConfig) -> FeatureVector:
-    token = view.token(intent.token_id)
-    floor = collection_floor(view)
+def extract_features(intent: TransferIntent, chain: TokenContract, config: RiskConfig) -> FeatureVector:
+    token = chain.token(intent.token_id)
+    floor = collection_floor(chain)
     ratio = Fraction(intent.price, floor) if intent.price > 0 and floor else None
     window = config.window_ticks
     turnover = 0
     for entry in reversed(token.provenance):
-        if view.now - entry.time >= window:
+        if chain.now - entry.time >= window:
             break
         turnover += 1
-    prior_abnormal = any(view.now - t < window for t in reversed(token.abnormal_times))
-    sender_acct = view.account(intent.from_addr)
-    recipient_acct = view.account(intent.to_addr)
+    prior_abnormal = any(chain.now - t < window for t in reversed(token.abnormal_times))
+    sender_acct = chain.account(intent.from_addr)
+    recipient_acct = chain.account(intent.to_addr)
     return FeatureVector(
         sender=intent.from_addr,
         recipient=intent.to_addr,
@@ -182,8 +170,8 @@ def extract_features(intent: TransferIntent, view: ChainView, config: RiskConfig
         floor=floor,
         price_ratio=ratio,
         turnover_count=turnover,
-        sender_credit=credit_score(intent.from_addr, view, config),
-        recipient_credit=credit_score(intent.to_addr, view, config),
+        sender_credit=credit_score(intent.from_addr, chain, config),
+        recipient_credit=credit_score(intent.to_addr, chain, config),
         sender_flagged=sender_acct.explorer_flagged,
         recipient_flagged=recipient_acct.explorer_flagged,
         token_state=str(token.state.value),
@@ -246,11 +234,6 @@ def classify_payload(features_payload: dict, config: RiskConfig) -> tuple[str, l
 Scorer = Callable[[FeatureVector], float]
 
 
-def zero_scorer(_features: FeatureVector) -> float:
-    """Default stand-in for the learned model: scores everything 0."""
-    return 0.0
-
-
 @dataclass
 class TableScorer:
     """Deterministic scenario scorer keyed by (sender, recipient); '*' wildcards."""
@@ -275,13 +258,13 @@ class TableScorer:
 class RiskEngine:
     """Bundles config, the pluggable scorer and the phishing-operator list."""
 
-    def __init__(self, config: RiskConfig, scorer: Scorer | None = None):
+    def __init__(self, config: RiskConfig, scorer: Scorer):
         self.config = config
-        self.scorer: Scorer = scorer or zero_scorer
+        self.scorer = scorer
         self._phishing_operators: set[Address] = set()
 
-    def evaluate(self, intent: TransferIntent, view: ChainView) -> RiskVerdict:
-        features = extract_features(intent, view, self.config)
+    def evaluate(self, intent: TransferIntent, chain: TokenContract) -> RiskVerdict:
+        features = extract_features(intent, chain, self.config)
         features.model_score = self.scorer(features)
         hits = rule_hits(features, self.config)
         return RiskVerdict(classify(hits, features.model_score, self.config), hits, features)

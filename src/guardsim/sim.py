@@ -8,42 +8,13 @@ every log self-describing for replay.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .access_control import AccessControl
 from .arbitration import ArbitrationSystem
 from .config import SimConfig, config_payload
-from .ledger import Account, Address, Ledger
+from .ledger import Address, Ledger
 from .oracle import OracleBridge
 from .risk import RiskEngine, TableScorer
-from .token import TokenContract, TokenRecord
-
-
-class SimView:
-    """Read-only snapshot surface over live simulation state.
-
-    Handed to the risk engine synchronously on the single mutation thread, so
-    borrowing the live structures is safe; nothing here mutates.
-    """
-
-    def __init__(self, sim: "Simulation"):
-        self._sim = sim
-
-    @property
-    def now(self) -> int:
-        return self._sim.ledger.time
-
-    def token(self, token_id: int) -> TokenRecord:
-        return self._sim.contract.token(token_id)
-
-    def tokens(self) -> Iterator[TokenRecord]:
-        return iter(self._sim.contract.tokens.values())
-
-    def account(self, address: Address) -> Account:
-        return self._sim.ledger.account(address)
-
-    def tokens_owned_by(self, address: Address) -> list[TokenRecord]:
-        return [t for t in self._sim.contract.tokens.values() if t.owner == address]
+from .token import TokenContract
 
 
 class Simulation:
@@ -57,9 +28,9 @@ class Simulation:
         self.escrow = self.ledger.create_account(0)
 
         self.scorer = TableScorer()
-        self.engine = RiskEngine(self.config.risk, scorer=self.scorer)
+        self.engine = RiskEngine(self.config.risk, self.scorer)
         self.contract = TokenContract(self.ledger, self.treasury, self.config.freeze_ticks)
-        self.bridge = OracleBridge(self.ledger, self.contract, self.engine, self.view)
+        self.bridge = OracleBridge(self.ledger, self.contract, self.engine)
         self.contract.bind_bridge(self.bridge)
         self.contract.set_operator_screen(self._operator_blocked)
         self.access = AccessControl(self.ledger, self.contract, self.bridge, seed)
@@ -71,7 +42,6 @@ class Simulation:
             self.config.freeze_ticks,
             self.escrow,
             self.fee_sink,
-            self.view,
         )
         self.bridge.attach_arbitration(self.arbitration)
 
@@ -86,9 +56,6 @@ class Simulation:
                 "escrow": self.escrow,
             },
         )
-
-    def view(self) -> SimView:
-        return SimView(self)
 
     def _operator_blocked(self, operator: Address) -> bool:
         if self.engine.is_phishing_operator(operator):

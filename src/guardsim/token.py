@@ -7,10 +7,17 @@ State rules enforced here:
   - LOCKED/RECLAIMED transitions happen only through the oracle bridge.
   - RECLAIMED tokens belong to the treasury and leave that state only through
     a verdict return.
+
+The contract also serves the chain reads the risk engine and arbitration need
+(time, tokens, accounts, the collection floor and per-owner portfolio values).
+The floor and the portfolios are indexes kept exact at the only places that
+change a token's owner or last sale price, so each read costs O(1) or
+amortized O(log T) instead of a scan over all T tokens.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,7 +35,7 @@ from .errors import (
     RejectedInput,
     UnknownToken,
 )
-from .ledger import Address, Ledger
+from .ledger import Account, Address, Ledger
 from .risk import RiskVerdict, SAFE, TransferIntent
 from .units import fmt_units
 
@@ -83,6 +90,10 @@ class TokenContract:
         self.freeze_ticks = freeze_ticks
         self.tokens: dict[int, TokenRecord] = {}
         self.operator_approvals: dict[tuple[Address, Address], bool] = {}
+        # indexes over every token's owner and last sale price; see _move
+        self._portfolio: dict[Address, int] = {}  # owner -> sum of its tokens' last sale prices
+        self._price_count: dict[int, int] = {}  # nonzero last sale price -> tokens at that price
+        self._price_heap: list[int] = []  # min-heap over _price_count; stale entries dropped lazily
         self._bridge = None
         # sim wiring installs the phishing screen (explorer flag + engine blacklist)
         self._operator_screen = lambda _addr: False
@@ -94,6 +105,24 @@ class TokenContract:
         self._operator_screen = screen
 
     # -- reads ---------------------------------------------------------------
+
+    @property
+    def now(self) -> int:
+        return self.ledger.time
+
+    def account(self, address: Address) -> Account:
+        return self.ledger.account(address)
+
+    def portfolio_value(self, address: Address) -> int:
+        """Exact sum of the last sale prices of the tokens ``address`` owns."""
+        return self._portfolio.get(address, 0)
+
+    def collection_floor(self) -> int | None:
+        """Lowest nonzero last sale price across the collection, or None if nothing sold."""
+        heap, count = self._price_heap, self._price_count
+        while heap and heap[0] not in count:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
     def token(self, token_id: int) -> TokenRecord:
         try:
@@ -181,14 +210,12 @@ class TokenContract:
         intent = TransferIntent(caller, from_addr, to_addr, token_id, price, self.ledger.time)
         request_id, verdict = self._bridge.request_risk_check(intent)
         if verdict.status == SAFE:
-            token.owner = to_addr
+            self._move(token, to_addr, price)
             token.state = TokenState.LOCKED
             token.approved = None
             token.frozen_until = None
             entry = ProvenanceEntry(from_addr, to_addr, price, self.ledger.time)
             token.provenance.append(entry)
-            if price > 0:
-                token.last_sale_price = price
             self.ledger.append_event(
                 "SafeTransfer" if safe_variant else "Transfer",
                 {
@@ -216,11 +243,58 @@ class TokenContract:
         if by is None or by is not self._bridge:
             raise NotOracle("token state transitions require the oracle bridge")
 
+    def check_dispatch(self, action: str, token_id: int, to: Address | None = None) -> TokenRecord:
+        """Raise what the bridge-only ``action`` on ``token_id`` would raise; mutates nothing.
+
+        The bridge runs this before it logs a dispatch, so a dispatch that is
+        logged always takes effect. Each effect below runs it again first.
+        """
+        token = self.token(token_id)
+        state = token.state
+        if action in ("lock", "unlock") and state is TokenState.RECLAIMED:
+            raise ReclaimedImmutable(str(token_id))
+        if action == "unlock" and state is not TokenState.LOCKED:
+            raise NotLocked(str(token_id))
+        if action == "freeze" and state is not TokenState.OK:
+            raise InvalidTokenState("freeze applies to OK tokens only")
+        if action == "reclaim" and state is TokenState.RECLAIMED:
+            raise AlreadyReclaimed(str(token_id))
+        if action == "return":
+            if state is not TokenState.RECLAIMED:
+                raise NotInArbitration(str(token_id))
+            self.ledger.account(to)
+        return token
+
+    def _move(self, token: TokenRecord, owner: Address, sale_price: int = 0) -> None:
+        """Give ``token`` to ``owner`` and record a nonzero ``sale_price`` as its last
+        sale, keeping the portfolio and floor indexes exact.
+
+        Every change of owner or last sale price goes through here. Mint needs
+        no call: a new token has no sale price, so it adds nothing to either index.
+        """
+        old = token.last_sale_price or 0
+        new = sale_price or old
+        portfolio = self._portfolio
+        if old:
+            portfolio[token.owner] -= old
+        if new:
+            portfolio[owner] = portfolio.get(owner, 0) + new
+        if new != old:
+            count = self._price_count
+            if old:
+                count[old] -= 1
+                if not count[old]:
+                    del count[old]
+            if new not in count:
+                count[new] = 0
+                heapq.heappush(self._price_heap, new)
+            count[new] += 1
+            token.last_sale_price = new
+        token.owner = owner
+
     def oracle_lock(self, token_id: int, *, by=None) -> None:
         self._require_bridge(by)
-        token = self.token(token_id)
-        if token.state is TokenState.RECLAIMED:
-            raise ReclaimedImmutable(str(token_id))
+        token = self.check_dispatch("lock", token_id)
         previous = token.state
         token.state = TokenState.LOCKED
         token.frozen_until = None
@@ -228,35 +302,27 @@ class TokenContract:
 
     def oracle_unlock(self, token_id: int, *, by=None) -> None:
         self._require_bridge(by)
-        token = self.token(token_id)
-        if token.state is TokenState.RECLAIMED:
-            raise ReclaimedImmutable(str(token_id))
-        if token.state is not TokenState.LOCKED:
-            raise NotLocked(str(token_id))
+        token = self.check_dispatch("unlock", token_id)
         token.state = TokenState.OK
         self.ledger.append_event("Unlocked", {"token_id": token_id})
 
     def oracle_freeze(self, token_id: int, until: int, *, by=None) -> None:
         self._require_bridge(by)
-        token = self.token(token_id)
-        if token.state is not TokenState.OK:
-            raise InvalidTokenState("freeze applies to OK tokens only")
+        token = self.check_dispatch("freeze", token_id)
         token.frozen_until = until
         self.ledger.append_event("Frozen", {"token_id": token_id, "until": until})
 
     def oracle_unfreeze(self, token_id: int, *, by=None) -> None:
         self._require_bridge(by)
-        token = self.token(token_id)
+        token = self.check_dispatch("unfreeze", token_id)
         token.frozen_until = None
         self.ledger.append_event("Unfrozen", {"token_id": token_id})
 
     def oracle_reclaim(self, token_id: int, *, by=None) -> None:
         self._require_bridge(by)
-        token = self.token(token_id)
-        if token.state is TokenState.RECLAIMED:
-            raise AlreadyReclaimed(str(token_id))
+        token = self.check_dispatch("reclaim", token_id)
         token.pre_reclaim_owner = token.owner
-        token.owner = self.treasury
+        self._move(token, self.treasury)
         token.state = TokenState.RECLAIMED
         token.approved = None
         token.frozen_until = None
@@ -264,11 +330,8 @@ class TokenContract:
 
     def verdict_return(self, token_id: int, to_addr: Address, *, by=None) -> None:
         self._require_bridge(by)
-        token = self.token(token_id)
-        if token.state is not TokenState.RECLAIMED:
-            raise NotInArbitration(str(token_id))
-        self.ledger.account(to_addr)
-        token.owner = to_addr
+        token = self.check_dispatch("return", token_id, to_addr)
+        self._move(token, to_addr)
         token.state = TokenState.LOCKED
         token.approved = None
         token.frozen_until = None

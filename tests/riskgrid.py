@@ -1,4 +1,4 @@
-"""Shared helpers: stub chain views and the brute-force rule-text oracle.
+"""Shared helpers: a full-scan stub chain view and the brute-force rule-text oracle.
 
 The oracle transcribes the documented filter rules directly from raw grid
 parameters, independent of the feature-extraction path it is checking.
@@ -14,6 +14,11 @@ from guardsim.units import to_units
 
 @dataclass
 class StubView:
+    """Chain reads over plain dicts, with the floor and portfolio as full scans.
+
+    The scans are the reference the token contract's indexes are tested against.
+    """
+
     now: int
     tokens_by_id: dict = field(default_factory=dict)
     accounts_by_addr: dict = field(default_factory=dict)
@@ -21,14 +26,17 @@ class StubView:
     def token(self, token_id):
         return self.tokens_by_id[token_id]
 
-    def tokens(self):
-        return iter(self.tokens_by_id.values())
-
     def account(self, address):
         return self.accounts_by_addr[address]
 
-    def tokens_owned_by(self, address):
-        return [t for t in self.tokens_by_id.values() if t.owner == address]
+    def collection_floor(self):
+        """Lowest nonzero last sale price, or None: one pass over every token."""
+        prices = [t.last_sale_price for t in self.tokens_by_id.values() if t.last_sale_price]
+        return min(prices, default=None)
+
+    def portfolio_value(self, address):
+        """Sum of the last sale prices of the tokens ``address`` owns: one pass over every token."""
+        return sum(t.last_sale_price or 0 for t in self.tokens_by_id.values() if t.owner == address)
 
 
 GRID_NOW = 200_000

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from guardsim.config import SimConfig, load_config
-from guardsim.errors import ReplayError
+from guardsim.config import SimConfig, apply_override, load_config
+from guardsim.errors import RejectedInput, ReplayError
 from guardsim.runner import replay_log, report_from_log, run_scenario, write_log
 from guardsim.scenario import load_scenario, parse_scenario
 from guardsim.token import TokenState
@@ -194,6 +194,29 @@ def test_config_file_and_scenario_overrides(tmp_path):
     sim, _ = run_scenario(scenario, base_config=config)
     assert sim.config.freeze_ticks == 50  # scenario override wins over file
     assert sim.config.jury.tolerated_faulty == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("jury_f", "-1"),
+        ("freeze_ticks", "-1"),
+        ("window_ticks", "-86400"),
+        ("turnover_threshold", "-3"),
+        ("juror_reward", "-0.01"),
+        ("gas_fee", "-0.001"),
+        ("deposit_min", "-1"),
+        ("deposit_rate", "-1/20"),
+        ("beta_underprice", "-1/2"),
+    ],
+)
+def test_out_of_range_config_value_is_rejected_at_load(key, value, tmp_path):
+    with pytest.raises(RejectedInput, match=f"bad value for {key}"):
+        apply_override(SimConfig(), key, value)
+    config_file = tmp_path / "sim.conf"
+    config_file.write_text(f"{key} = {value}\n")
+    with pytest.raises(RejectedInput):
+        load_config(config_file)
 
 
 def test_genesis_logs_effective_config():

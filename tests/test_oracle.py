@@ -37,7 +37,7 @@ def test_verdict_equals_offline_evaluate_on_snapshot(sim):
     # recompute on the same snapshot the bridge consumed (state before effects
     # differs from after only through this token, which may_lost leaves put)
     intent = TransferIntent(alice, alice, bob, 1, to_units(4), sim.ledger.time)
-    expected = sim.engine.evaluate(intent, sim.view())
+    expected = sim.engine.evaluate(intent, sim.contract)
     outcome = _transfer(sim, alice, bob, 1, 4)
     assert outcome.verdict.status == expected.status == MAY_LOST
     assert outcome.verdict.features.to_payload() == expected.features.to_payload()

@@ -1,0 +1,61 @@
+"""Minimized regression scenarios under ``tests/regressions``, one per defect found."""
+
+from dataclasses import replace
+from pathlib import Path
+
+from guardsim.audit import audit_events
+from guardsim.runner import run_scenario
+from guardsim.scenario import load_scenario
+from guardsim.units import fmt_units, to_units
+
+REGRESSIONS = Path(__file__).resolve().parent / "regressions"
+CANNED = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _run(path):
+    return run_scenario(load_scenario(path))
+
+
+def test_refused_dispatch_leaves_no_dispatch_event():
+    sim, report = _run(REGRESSIONS / "dangling_dispatch.tps")
+    events = sim.ledger.events
+    assert [ev.payload["error"] for ev in events if ev.kind == "StepRejected"] == ["ReclaimedImmutable"]
+    assert not any(ev.kind == "OracleDispatch" and ev.payload["action"] == "lock" for ev in events)
+    assert events[-2].kind == "Step" and events[-1].kind == "StepRejected"
+    assert report.ok
+
+
+def test_audit_flags_a_dispatch_without_its_effect():
+    sim, _report = _run(REGRESSIONS / "dangling_dispatch.tps")
+    events = list(sim.ledger.events)
+    rejected = events[-1]
+    dangling = replace(rejected, kind="OracleDispatch", payload={"action": "lock", "origin": "dac", "token_id": 1})
+    spliced = events[:-1] + [dangling, rejected]
+    assert any("OracleDispatch without its effect" in v for v in audit_events(spliced))
+    assert any("OracleDispatch without its effect" in v for v in audit_events(events + [dangling]))
+
+
+def test_for_holder_closure_is_clean_under_zero_economics():
+    sim, report = _run(REGRESSIONS / "zero_economics.tps")
+    closed = next(ev for ev in sim.ledger.events if ev.kind == "CaseClosed")
+    assert closed.payload["verdict"] == "FOR_HOLDER" and not closed.payload["auto"]
+    assert to_units(closed.payload["deposit"]) == to_units(closed.payload["gas_charged"]) == 0
+    assert report.ok, report.violations
+
+
+def _tamper_closure(events, **changes):
+    return [
+        replace(ev, payload={**ev.payload, **changes}) if ev.kind == "CaseClosed" else ev for ev in events
+    ]
+
+
+def test_audit_still_flags_an_uncharged_reporter():
+    for path, changes in (
+        (REGRESSIONS / "zero_economics.tps", {"gas_charged": fmt_units(1)}),  # gas above the configured 0
+        (CANNED / "malicious_report.tps", {"gas_charged": fmt_units(0)}),  # gas waived
+        (CANNED / "malicious_report.tps", {"refund": "0.400000000000000000"}),  # deposit refunded
+    ):
+        sim, report = _run(path)
+        assert report.ok
+        violations = audit_events(_tamper_closure(sim.ledger.events, **changes))
+        assert any("did not charge the reporter" in v for v in violations), (path.name, changes)

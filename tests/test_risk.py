@@ -55,16 +55,15 @@ def test_floor_tracks_new_lowest_sale_vs_brute_force(sim):
         sim.contract.mint(alice, token_id)
         sim.contract.transfer_from(alice, alice, bob if token_id % 2 else carol, token_id, to_units(price))
 
-    def brute_force_floor(view):
+    def brute_force_floor(tokens):
         last_sales = []
-        for token in view.tokens():
+        for token in tokens.values():
             sale = next((e.price for e in reversed(token.provenance) if e.price > 0), None)
             if sale:
                 last_sales.append(sale)
         return min(last_sales, default=None)
 
-    view = sim.view()
-    assert collection_floor(view) == brute_force_floor(view) == to_units(5)
+    assert collection_floor(sim.contract) == brute_force_floor(sim.contract.tokens) == to_units(5)
 
 
 # -- credit score -------------------------------------------------------------
@@ -94,11 +93,10 @@ def test_credit_on_live_chain_matches_raw_state_recompute(sim):
     sim.contract.mint(alice, 1)
     sim.contract.transfer_from(alice, alice, bob, 1, to_units(15))
     sim.ledger.advance_time(5000)
-    view = sim.view()
     portfolio = sum(t.last_sale_price or 0 for t in sim.contract.tokens.values() if t.owner == bob)
     age = sim.ledger.time - sim.ledger.account(bob).created_at
     expected = 10.0 * math.log2(1 + portfolio / UNIT) + 2.0 * math.log2(1 + age)
-    assert credit_score(bob, view, CFG) == expected
+    assert credit_score(bob, sim.contract, CFG) == expected
 
 
 # -- feature extraction ---------------------------------------------------------
@@ -121,9 +119,8 @@ def test_turnover_counts_window_entries_brute_force(sim):
         sim.contract.transfer_from(holders[i], holders[i], holders[i + 1], 1, 0)
         sim.bridge.privileged_dispatch("unlock", origin="dac", token_id=1)  # undo lock-on-receipt
         sim.ledger.advance_time(10)
-    view = sim.view()
     intent = TransferIntent(bob, bob, carol, 1, to_units(9), sim.ledger.time)
-    features = extract_features(intent, view, CFG)
+    features = extract_features(intent, sim.contract, CFG)
     brute = sum(1 for e in sim.contract.token(1).provenance if sim.ledger.time - e.time < CFG.window_ticks)
     assert features.turnover_count == brute == 4
     assert any(h.rule_id == "R2_HIGH_TURNOVER" for h in rule_hits(features, CFG))
@@ -135,12 +132,11 @@ def test_prior_abnormal_set_by_may_lost_and_ages_out(sim):
     sim.contract.mint(alice, 2)
     sim.contract.transfer_from(alice, alice, bob, 2, to_units(10))
     sim.contract.transfer_from(alice, alice, carol, 1, to_units(4))  # may_lost
-    view = sim.view()
     intent = TransferIntent(alice, alice, carol, 1, to_units(10), sim.ledger.time)
-    assert extract_features(intent, view, CFG).prior_abnormal is True
+    assert extract_features(intent, sim.contract, CFG).prior_abnormal is True
     sim.ledger.advance_time(CFG.window_ticks + 1)
     intent = TransferIntent(alice, alice, carol, 1, to_units(10), sim.ledger.time)
-    assert extract_features(intent, sim.view(), CFG).prior_abnormal is False
+    assert extract_features(intent, sim.contract, CFG).prior_abnormal is False
 
 
 # -- verdict mapping -------------------------------------------------------------
