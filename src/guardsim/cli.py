@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 invariant/conservation/replay failure, 2 usage or
-parse errors.
+Exit codes: 0 success, 1 invariant/conservation/replay failure, 2 usage,
+parse or config errors and files that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import SimConfig, config_from_payload, load_config
-from .errors import ParseError, ReplayError, SimError
+from .errors import ParseError, RejectedInput, ReplayError, SimError
 from .fuzz import Fuzzer
 from .risk import classify_payload
 from .runner import read_log, replay_log, report_from_log, run_scenario, scenario_from_events, write_log
@@ -22,14 +22,15 @@ from .units import fmt_units
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"no such scenario: {args.scenario}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    base = load_config(args.config) if args.config else SimConfig()
-    sim, report = run_scenario(scenario, seed=args.seed, base_config=base)
+    try:
+        base = load_config(args.config) if args.config else SimConfig()
+        sim, report = run_scenario(scenario, seed=args.seed, base_config=base)
+    except RejectedInput as exc:  # a bad config value, from the file or a CONFIG line
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out) if args.out else Path(args.scenario).with_suffix(".log.jsonl")
     write_log(sim, out)
     print(report.to_text())
@@ -125,7 +126,11 @@ def cmd_explain(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    fuzzer = Fuzzer(seed=args.seed, ops_per_run=args.ops_per_run)
+    try:
+        fuzzer = Fuzzer(seed=args.seed, ops_per_run=args.ops_per_run)
+    except RejectedInput as exc:
+        print(f"fuzz error: {exc}", file=sys.stderr)
+        return 2
     result = fuzzer.run(args.iters)
     print(f"fuzz: {result.ops} operations across {result.sequences} sequences")
     if result.ok:
@@ -181,7 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

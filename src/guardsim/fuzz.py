@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 
 from .audit import audit_events
-from .errors import SimError
-from .runner import RunContext, execute_step
+from .errors import RejectedInput
+from .runner import RunContext, run_step
 from .scenario import parse_scenario
 from .sim import Simulation
 
@@ -65,6 +65,8 @@ def _header_lines(state: SequenceState) -> list[str]:
 
 class Fuzzer:
     def __init__(self, seed: int = 0, ops_per_run: int = 400, users: int = 6, jurors: int = 6, max_tokens: int = 24):
+        if ops_per_run < 1:
+            raise RejectedInput(f"ops per run must be >= 1, got {ops_per_run}")
         self.seed = seed
         self.ops_per_run = ops_per_run
         self.user_names = [f"u{i}" for i in range(users)]
@@ -98,7 +100,7 @@ class Fuzzer:
             for _ in range(ops):
                 command = self._next_command(rng, state, sim, ctx)
                 lines.append(command)
-                violation = self._execute_one(sim, ctx, command, len(lines) - 1)
+                violation = self._execute_one(ctx, command, len(lines) - 1)
                 if violation is not None:
                     break
         if violation is None:
@@ -109,20 +111,14 @@ class Fuzzer:
         sim = Simulation(seq_seed, name=f"fuzz-{seq_seed}")
         ctx = RunContext(sim)
         for index, command in enumerate(lines):
-            violation = self._execute_one(sim, ctx, command, index)
+            violation = self._execute_one(ctx, command, index)
             if violation is not None:
                 return sim, ctx, violation
         return sim, ctx, None
 
-    def _execute_one(self, sim: Simulation, ctx: RunContext, command: str, index: int) -> str | None:
-        step = parse_scenario(command).steps[0]
-        sim.ledger.append_event("Step", {"index": index, "command": step.raw})
-        before = len(sim.ledger.events)
-        try:
-            execute_step(ctx, step)
-        except SimError as exc:
-            sim.ledger.append_event("StepRejected", {"index": index, "error": exc.code, "detail": str(exc)})
-        for ev in sim.ledger.events[before:]:
+    def _execute_one(self, ctx: RunContext, command: str, index: int) -> str | None:
+        events, _rejected = run_step(ctx, index, parse_scenario(command).steps[0])
+        for ev in events:
             if ev.kind in ("Transfer", "SafeTransfer"):
                 if ev.payload["guard_state"] != "OK" or ev.payload["guard_frozen"]:
                     return f"step {index}: transfer completed despite guard state {ev.payload['guard_state']}"

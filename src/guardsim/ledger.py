@@ -3,7 +3,9 @@
 Accounts, value balances, logical time and contract events all funnel through
 one append-only log. The log's canonical line-delimited JSON form is the unit
 of truth for replay: two runs agree if and only if their serialized logs are
-byte-identical, which `log_digest` condenses to a single hash.
+byte-identical, which `log_digest` condenses to a single hash. The ledger
+renders each event to its canonical line once, when its log bytes are first
+asked for, and keeps those bytes for the digest, log files and replay checks.
 
 Canonical serialization rules:
   - object keys sorted, compact separators, ASCII only;
@@ -87,6 +89,8 @@ class Ledger:
         self.minted_total = 0
         self._next_seq = 1
         self._creation_counter = 0
+        self._log = b""  # canonical bytes of events[:_rendered]
+        self._rendered = 0
 
     # -- event log ---------------------------------------------------------
 
@@ -102,8 +106,15 @@ class Ledger:
             raise RejectedInput("seq must be >= 0")
         return [ev for ev in self.events if ev.seq > seq]
 
+    def serialized(self) -> bytes:
+        """The log's canonical bytes; renders only the events appended since the last call."""
+        if self._rendered < len(self.events):
+            self._log += serialize_events(self.events[self._rendered :])
+            self._rendered = len(self.events)
+        return self._log
+
     def log_digest(self) -> bytes:
-        return digest_events(self.events)
+        return hashlib.sha256(self.serialized()).digest()
 
     # -- accounts and value ------------------------------------------------
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 from .arbitration import FOR_HOLDER, FOR_REPORTER
 from .audit import audit_events
 from .config import SimConfig, apply_override, config_from_payload
-from .errors import RejectedInput, ReplayError, SimError, UnknownName
-from .ledger import EventRecord, serialize_events
+from .errors import ParseError, RejectedInput, ReplayError, SimError, UnknownName
+from .ledger import EventRecord
 from .scenario import Scenario, Step, parse_scenario
 from .sim import Simulation
 from .access_control import UnlockAttestation
@@ -165,16 +166,27 @@ def run_scenario(
     ctx = RunContext(sim)
     rejected = 0
     for index, step in enumerate(scenario.steps):
-        sim.ledger.append_event("Step", {"index": index, "command": step.raw})
-        before = len(sim.ledger.events)
-        try:
-            execute_step(ctx, step)
-        except SimError as exc:
-            rejected += 1
-            sim.ledger.append_event("StepRejected", {"index": index, "error": exc.code, "detail": str(exc)})
+        events, step_rejected = run_step(ctx, index, step)
+        rejected += step_rejected
         if on_step is not None:
-            on_step(ctx, step, sim.ledger.events[before:])
+            on_step(ctx, step, events)
     return sim, build_report(ctx, rejected)
+
+
+def run_step(ctx: RunContext, index: int, step: Step) -> tuple[list[EventRecord], bool]:
+    """Log ``step`` as a Step event and execute it; a failure is logged as StepRejected.
+
+    Returns the events logged after the Step event and whether the step was rejected.
+    """
+    ledger = ctx.sim.ledger
+    ledger.append_event("Step", {"index": index, "command": step.raw})
+    before = len(ledger.events)
+    try:
+        execute_step(ctx, step)
+    except SimError as exc:
+        ledger.append_event("StepRejected", {"index": index, "error": exc.code, "detail": str(exc)})
+        return ledger.events[before:], True
+    return ledger.events[before:], False
 
 
 def build_report(ctx: RunContext, steps_rejected: int = 0) -> RunReport:
@@ -207,12 +219,15 @@ def build_report(ctx: RunContext, steps_rejected: int = 0) -> RunReport:
 
 
 def write_log(sim: Simulation, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_events(sim.ledger.events))
+    Path(path).write_bytes(sim.ledger.serialized())
 
 
 def read_log(path: str | Path) -> list[EventRecord]:
+    return parse_log(Path(path).read_bytes())
+
+
+def parse_log(data: bytes) -> list[EventRecord]:
     events: list[EventRecord] = []
-    data = Path(path).read_bytes()
     for line_no, line in enumerate(data.split(b"\n"), start=1):
         if not line:
             continue
@@ -231,11 +246,14 @@ def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig
         raise ReplayError("log has no genesis event")
     config = config_from_payload(genesis.payload["config"])
     commands = sorted(
-        (ev.payload["index"], ev.payload["command"]) for ev in events if ev.kind == "Step"
+        (ev.payload["index"], ev.payload["command"], ev.seq) for ev in events if ev.kind == "Step"
     )
     scenario = Scenario(name=genesis.payload["name"], seed=genesis.payload["seed"])
-    for _index, command in commands:
-        parsed = parse_scenario(command)
+    for _index, command, seq in commands:
+        try:
+            parsed = parse_scenario(command)
+        except ParseError as exc:
+            raise ReplayError(f"seq {seq}: bad Step command {command!r} ({exc.reason})") from None
         scenario.steps.extend(parsed.steps)
     return scenario, config
 
@@ -247,33 +265,47 @@ class ReplayOutcome:
     detail: str = ""
 
 
-def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
-    """Re-execute a log's command stream and compare serialized events byte-wise.
+def _first_divergence(recorded: bytes, sim: Simulation) -> int | None:
+    """1-based seq of the first recorded line that differs from the re-executed log, or None.
 
-    The recorded file bytes are compared line by line against the regenerated
-    canonical lines, so any surviving single-byte difference names its seq.
+    Equal bytes pass at once; only on a mismatch are both sides split into
+    lines, and blank recorded lines are ignored.
     """
-    original = read_log(path)
-    scenario, config = scenario_from_events(original)
+    regenerated = sim.ledger.serialized()
+    if recorded == regenerated:
+        return None
+    have = [line for line in recorded.split(b"\n") if line]
+    want = regenerated.split(b"\n")[:-1]
+    for seq, (have_line, want_line) in enumerate(zip_longest(have, want), start=1):
+        if have_line != want_line:
+            return seq
+    return None
+
+
+def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
+    """Re-execute a log's command stream and compare the recorded bytes with the canonical log.
+
+    Any surviving single-byte difference names its seq.
+    """
+    data = Path(path).read_bytes()
+    scenario, config = scenario_from_events(parse_log(data))
     sim, _report = run_scenario(scenario, seed=scenario.seed, base_config=config)
-    regenerated = [ev.to_line() for ev in sim.ledger.events]
-    recorded = [line.decode("ascii", "replace") for line in Path(path).read_bytes().split(b"\n") if line]
-    for index in range(max(len(recorded), len(regenerated))):
-        have = recorded[index] if index < len(recorded) else None
-        want = regenerated[index] if index < len(regenerated) else None
-        if have != want:
-            return ReplayOutcome(False, index + 1, "event diverges from deterministic re-execution"), sim
+    seq = _first_divergence(data, sim)
+    if seq is not None:
+        return ReplayOutcome(False, seq, "event diverges from deterministic re-execution"), sim
     return ReplayOutcome(True), sim
 
 
 def report_from_log(path: str | Path) -> RunReport:
     """Rebuild the report by re-executing the log; audits run on the recorded events."""
-    original = read_log(path)
+    data = Path(path).read_bytes()
+    original = parse_log(data)
     scenario, config = scenario_from_events(original)
     sim, report = run_scenario(scenario, seed=scenario.seed, base_config=config)
     recorded_violations = audit_events(original)
     extra = [v for v in recorded_violations if v not in report.violations]
     report.violations.extend(extra)
-    if serialize_events(original) != serialize_events(sim.ledger.events):
-        report.violations.append("recorded log diverges from deterministic re-execution")
+    seq = _first_divergence(data, sim)
+    if seq is not None:
+        report.violations.append(f"recorded log diverges from deterministic re-execution at seq {seq}")
     return report

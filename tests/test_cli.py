@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from guardsim.cli import main
+from guardsim.fuzz import Fuzzer
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -103,3 +104,46 @@ def test_run_respects_config_file(tmp_path, capsys):
     genesis = json.loads(log.read_text().splitlines()[3])
     assert genesis["kind"] == "Genesis"
     assert genesis["payload"]["config"]["freeze_ticks"] == "9"
+
+
+def test_fuzz_non_positive_ops_per_run_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(Fuzzer, "run", lambda *_args: pytest.fail("Fuzzer.run must not be reached"))
+    assert main(["fuzz", "--iters", "10", "--ops-per-run", "0"]) == 2
+    assert "ops per run" in capsys.readouterr().err
+
+
+def test_missing_files_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.jsonl")
+    for command in ("replay", "report", "state", "case", "explain"):
+        argv = [command, missing] + ([] if command in ("replay", "report") else ["1"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command} error:") and err.count("\n") == 1
+    conf = str(tmp_path / "nonexistent.conf")
+    assert main(["run", str(SCENARIOS / "clean_sale.tps"), "--out", str(tmp_path / "x.jsonl"), "--config", conf]) == 2
+    assert "nonexistent.conf" in capsys.readouterr().err
+
+
+def test_run_bad_config_value_exit_2(tmp_path, capsys):
+    conf = tmp_path / "sim.conf"
+    conf.write_text("jury_f = -1\n")
+    log = str(tmp_path / "out.jsonl")
+    assert main(["run", str(SCENARIOS / "clean_sale.tps"), "--out", log, "--config", str(conf)]) == 2
+    scenario = tmp_path / "bad_config.tps"
+    scenario.write_text("CONFIG window_ticks -5\nACCOUNT a 1\n")
+    assert main(["run", str(scenario), "--out", log]) == 2
+    assert capsys.readouterr().err.count("config error: bad value") == 2
+
+
+def test_unparseable_step_command_exit_2(replevin_log, capsys):
+    lines = replevin_log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if b'"kind":"Step"' in line)
+    body = json.loads(lines[target])
+    body["payload"]["command"] = "BOGUS a 1"
+    lines[target] = json.dumps(body, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    bogus = replevin_log.with_name("bogus.jsonl")
+    bogus.write_bytes(b"".join(lines))
+    assert main(["replay", str(bogus)]) == 2
+    assert main(["report", str(bogus)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"seq {target + 1}: bad Step command 'BOGUS a 1'") == 2

@@ -1,3 +1,6 @@
+import pytest
+
+from guardsim.errors import RejectedInput
 from guardsim.fuzz import Fuzzer
 from guardsim.scenario import parse_scenario
 from guardsim.token import GuardResult, TokenContract
@@ -29,3 +32,10 @@ def test_fuzzer_catches_a_seeded_guard_bug_and_minimizes(monkeypatch):
     assert any(v in ("TRANSFER", "SAFE_TRANSFER") for v in verbs)
     # greedy minimization should have stripped the irrelevant op tail
     assert len(minimized.steps) < 300
+
+
+@pytest.mark.parametrize("ops_per_run", [0, -1])
+def test_fuzzer_rejects_a_non_positive_sequence_length(ops_per_run):
+    # Fuzzer.run would never finish with such a length, so only the constructor is exercised
+    with pytest.raises(RejectedInput):
+        Fuzzer(seed=1, ops_per_run=ops_per_run)

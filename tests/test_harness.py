@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,8 +6,11 @@ import pytest
 
 from guardsim.config import SimConfig, apply_override, load_config
 from guardsim.errors import RejectedInput, ReplayError
-from guardsim.runner import replay_log, report_from_log, run_scenario, write_log
+from guardsim.fuzz import Fuzzer
+from guardsim.ledger import EventRecord, serialize_events
+from guardsim.runner import RunContext, replay_log, report_from_log, run_scenario, run_step, write_log
 from guardsim.scenario import load_scenario, parse_scenario
+from guardsim.sim import Simulation
 from guardsim.token import TokenState
 from guardsim.units import to_units
 
@@ -235,3 +239,83 @@ def test_error_steps_do_not_abort_run():
     assert report.steps_total == 5
     assert report.steps_rejected == 2
     assert sim.ledger.time == 5
+
+
+def test_write_log_matches_a_fresh_rendering_between_steps(tmp_path):
+    sim = Simulation(3, name="interleaved")
+    ctx = RunContext(sim)
+    log = tmp_path / "interleaved.jsonl"
+    commands = ["ACCOUNT a 5", "ACCOUNT b 0", "ADVANCE 86400", "MINT a 1", "TRANSFER a a b 1 2", "MINT b 1"]
+    for index, command in enumerate(commands):
+        run_step(ctx, index, parse_scenario(command).steps[0])
+        if index % 3 == 0:
+            write_log(sim, log)
+            assert log.read_bytes() == serialize_events(sim.ledger.events)
+        elif index % 3 == 1:
+            assert sim.ledger.serialized() == serialize_events(sim.ledger.events)
+        else:
+            assert sim.ledger.log_digest().hex() == hashlib.sha256(serialize_events(sim.ledger.events)).hexdigest()
+    write_log(sim, log)
+    assert log.read_bytes() == serialize_events(sim.ledger.events)
+
+
+def _count_renders(monkeypatch) -> list[int]:
+    calls = [0]
+    original = EventRecord.to_line
+
+    def counting(record):
+        calls[0] += 1
+        return original(record)
+
+    monkeypatch.setattr(EventRecord, "to_line", counting)
+    return calls
+
+
+def test_each_execution_renders_each_event_once(tmp_path, monkeypatch):
+    calls = _count_renders(monkeypatch)
+    sim, _report = run_canned("replevin")
+    log = tmp_path / "replevin.jsonl"
+    write_log(sim, log)
+    outcome, _resim = replay_log(log)
+    assert outcome.passed
+    assert report_from_log(log).ok
+    # one rendering each for the run, the replay and the report; the write reuses the run's
+    assert calls[0] == 3 * len(sim.ledger.events)
+
+
+def test_fuzzing_renders_no_line(monkeypatch):
+    calls = _count_renders(monkeypatch)
+    assert Fuzzer(0).run(400).ok
+    assert calls[0] == 0
+
+
+def test_non_canonical_line_fails_replay_and_report(tmp_path):
+    sim, _report = run_canned("hot_sale")
+    log = tmp_path / "hot_sale.jsonl"
+    write_log(sim, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if b"RiskFulfilled" in line)
+    body = json.loads(lines[target])
+    # the same JSON value, with a space after each colon
+    lines[target] = json.dumps(body, sort_keys=True, separators=(",", ": ")).encode() + b"\n"
+    assert json.loads(lines[target]) == body
+    log.write_bytes(b"".join(lines))
+    outcome, _ = replay_log(log)
+    assert not outcome.passed
+    assert outcome.divergence_seq == target + 1
+    rebuilt = report_from_log(log)
+    assert not rebuilt.ok
+    assert f"recorded log diverges from deterministic re-execution at seq {target + 1}" in rebuilt.violations
+
+
+def test_blank_lines_in_a_log_are_ignored(tmp_path):
+    sim, report = run_canned("replevin")
+    log = tmp_path / "replevin.jsonl"
+    write_log(sim, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"\n" + b"\n".join(lines[:5]) + b"\n\n" + b"".join(lines[5:]) + b"\n")
+    outcome, _ = replay_log(log)
+    assert outcome.passed, outcome
+    rebuilt = report_from_log(log)
+    assert rebuilt.ok, rebuilt.violations
+    assert rebuilt.digest == report.digest

@@ -180,3 +180,18 @@ def test_conservation_across_mixed_operations():
     ledger.mint_value(a, to_units("0.01"), reason="juror_reward")
     assert ledger.conservation_holds()
     assert digest_events(ledger.events) == ledger.log_digest()
+
+
+def test_serialized_renders_new_events_on_demand():
+    ledger = Ledger(seed=5)
+    assert ledger.serialized() == b""
+    a = ledger.create_account(to_units(5))
+    assert ledger.serialized() == serialize_events(ledger.events)
+    b = ledger.create_account(0)
+    ledger.advance_time(7)
+    assert ledger.log_digest() == digest_events(ledger.events)
+    ledger.transfer_value(a, b, to_units(2))
+    assert ledger.serialized() == serialize_events(ledger.events)
+    assert ledger.serialized() == serialize_events(ledger.events)  # a repeated call adds nothing
+    ledger.mint_value(b, to_units(1), reason="juror_reward")
+    assert ledger.log_digest() == hashlib.sha256(serialize_events(ledger.events)).digest()
