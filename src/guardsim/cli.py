@@ -10,11 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import SimConfig, config_from_payload, load_config
+from .config import SimConfig, load_config
 from .errors import ParseError, RejectedInput, ReplayError, SimError
 from .fuzz import Fuzzer
 from .risk import classify_payload
-from .runner import read_log, replay_log, report_from_log, run_scenario, scenario_from_events, write_log
+from .runner import genesis_config, read_log, replay_log, report_from_log, rerun, run_scenario, write_log
 from .scenario import load_scenario
 from .units import fmt_units
 
@@ -63,10 +63,7 @@ def cmd_report(args) -> int:
 
 def cmd_state(args) -> int:
     try:
-        events = read_log(args.log)
-        scenario, config = scenario_from_events(events)
-        sim, _report = run_scenario(scenario, seed=scenario.seed, base_config=config)
-        print(sim.contract.state_line(args.token_id))
+        print(rerun(read_log(args.log)).contract.state_line(args.token_id))
     except (ReplayError, SimError) as exc:
         print(f"state error: {exc}", file=sys.stderr)
         return 2
@@ -75,10 +72,7 @@ def cmd_state(args) -> int:
 
 def cmd_case(args) -> int:
     try:
-        events = read_log(args.log)
-        scenario, config = scenario_from_events(events)
-        sim, _report = run_scenario(scenario, seed=scenario.seed, base_config=config)
-        case = sim.arbitration.case(args.case_id)
+        case = rerun(read_log(args.log)).arbitration.case(args.case_id)
     except (ReplayError, SimError) as exc:
         print(f"case error: {exc}", file=sys.stderr)
         return 2
@@ -98,16 +92,17 @@ def cmd_case(args) -> int:
 def cmd_explain(args) -> int:
     try:
         events = read_log(args.log)
+        genesis = next((ev for ev in events if ev.kind == "Genesis"), None)
+        match = next(
+            (ev for ev in events if ev.kind == "RiskFulfilled" and ev.payload["request_id"] == args.request_id),
+            None,
+        )
+        if genesis is None or match is None:
+            print(f"no fulfilled risk request {args.request_id} in {args.log}", file=sys.stderr)
+            return 2
+        config = genesis_config(genesis)
     except ReplayError as exc:
         print(f"explain error: {exc}", file=sys.stderr)
-        return 2
-    genesis = next((ev for ev in events if ev.kind == "Genesis"), None)
-    match = next(
-        (ev for ev in events if ev.kind == "RiskFulfilled" and ev.payload["request_id"] == args.request_id),
-        None,
-    )
-    if genesis is None or match is None:
-        print(f"no fulfilled risk request {args.request_id} in {args.log}", file=sys.stderr)
         return 2
     payload = match.payload
     print(f"request={args.request_id} status={payload['status']}")
@@ -118,7 +113,6 @@ def cmd_explain(args) -> int:
             print(f"  hit {hit['rule']} ({hit['severity']}): {hit['detail']}")
     else:
         print("  hits: none")
-    config = config_from_payload(genesis.payload["config"])
     status, rules = classify_payload(payload["features"], config.risk)
     agrees = status == payload["status"] and rules == [h["rule"] for h in payload["hits"]]
     print(f"  offline recompute: {status} ({'agrees' if agrees else 'DIVERGES'})")

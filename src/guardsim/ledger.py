@@ -6,6 +6,11 @@ of truth for replay: two runs agree if and only if their serialized logs are
 byte-identical, which `log_digest` condenses to a single hash. The ledger
 renders each event to its canonical line once, when its log bytes are first
 asked for, and keeps those bytes for the digest, log files and replay checks.
+Every line goes through one C encoder built at import time with the settings
+of ``json.dumps(sort_keys=True, separators=(",", ":"), ensure_ascii=True)``,
+so no encoder object is constructed per event. Payloads are checked when they
+are appended; the check dispatches on the exact type of each value, and only
+subclasses and foreign types take the ``isinstance`` path.
 
 Canonical serialization rules:
   - object keys sorted, compact separators, ASCII only;
@@ -17,8 +22,9 @@ Canonical serialization rules:
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json import JSONEncoder
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import InsufficientFunds, RejectedInput, UnknownAccount
 from .units import fmt_units
@@ -51,27 +57,60 @@ class EventRecord:
 
     def to_line(self) -> str:
         body = {"kind": self.kind, "payload": self.payload, "seq": self.seq, "time": self.time}
-        return json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        return "".join(_encode(body, 0))
+
+
+# The encoder json.dumps(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+# would construct on every call, built once. markers=None: a shared markers dict
+# keeps the ids of a failed encode and would report false circular references.
+_encode = c_make_encoder(
+    None,  # markers
+    JSONEncoder().default,
+    encode_basestring_ascii,
+    None,  # indent
+    ":",
+    ",",
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+
+_LEAF_TYPES = frozenset({str, int, bool, type(None)})
 
 
 def _check_payload(value) -> None:
-    # floats would break byte-stable serialization; reject them at the source
-    if isinstance(value, float):
+    # floats would break byte-stable serialization; reject them at the source.
+    # Exact types are dispatched on directly; anything else takes the isinstance rules.
+    kind = type(value)
+    if kind in _LEAF_TYPES:
+        return
+    if kind is dict:
+        _check_dict(value)
+    elif kind is list or kind is tuple:
+        for item in value:
+            if type(item) not in _LEAF_TYPES:
+                _check_payload(item)
+    elif isinstance(value, float):
         raise TypeError("float in event payload; render it to a string first")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError("event payload keys must be strings")
-            _check_payload(item)
+    elif isinstance(value, dict):
+        _check_dict(value)
     elif isinstance(value, (list, tuple)):
         for item in value:
             _check_payload(item)
-    elif not (value is None or isinstance(value, (str, int, bool))):
+    elif not isinstance(value, (str, int)):
         raise TypeError(f"unsupported payload value: {value!r}")
 
 
+def _check_dict(value: dict) -> None:
+    for key, item in value.items():
+        if type(key) is not str and not isinstance(key, str):
+            raise TypeError("event payload keys must be strings")
+        if type(item) not in _LEAF_TYPES:
+            _check_payload(item)
+
+
 def serialize_events(events: list[EventRecord]) -> bytes:
-    return b"".join(ev.to_line().encode("ascii") + b"\n" for ev in events)
+    return "".join([ev.to_line() + "\n" for ev in events]).encode("ascii")
 
 
 def digest_events(events: list[EventRecord]) -> bytes:

@@ -158,19 +158,29 @@ def run_scenario(
     base_config: SimConfig | None = None,
     on_step=None,
 ) -> tuple[Simulation, RunReport]:
+    ctx, rejected = execute_scenario(scenario, seed, base_config, on_step)
+    return ctx.sim, build_report(ctx, rejected)
+
+
+def execute_scenario(
+    scenario: Scenario,
+    seed: int | None = None,
+    base_config: SimConfig | None = None,
+    on_step=None,
+) -> tuple[RunContext, int]:
+    """Execute every step of ``scenario``; returns the run's context and its count of rejected steps."""
     effective_seed = scenario.seed if seed is None else seed
     config = base_config or SimConfig()
     for key, value in scenario.config_overrides:
         config = apply_override(config, key, value)
-    sim = Simulation(effective_seed, config, scenario.name)
-    ctx = RunContext(sim)
+    ctx = RunContext(Simulation(effective_seed, config, scenario.name))
     rejected = 0
     for index, step in enumerate(scenario.steps):
         events, step_rejected = run_step(ctx, index, step)
         rejected += step_rejected
         if on_step is not None:
             on_step(ctx, step, events)
-    return sim, build_report(ctx, rejected)
+    return ctx, rejected
 
 
 def run_step(ctx: RunContext, index: int, step: Step) -> tuple[list[EventRecord], bool]:
@@ -233,10 +243,20 @@ def parse_log(data: bytes) -> list[EventRecord]:
             continue
         try:
             body = json.loads(line)
-            events.append(EventRecord(seq=body["seq"], time=body["time"], kind=body["kind"], payload=body["payload"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            events.append(EventRecord(body["seq"], body["time"], body["kind"], body["payload"]))
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and bad UTF-8
             raise ReplayError(f"line {line_no}: not a canonical event record ({exc})") from None
     return events
+
+
+def genesis_config(genesis: EventRecord) -> SimConfig:
+    """The effective config a Genesis event records; a missing or bad one is a ReplayError."""
+    try:
+        return config_from_payload(genesis.payload["config"])
+    except KeyError:
+        raise ReplayError(f"seq {genesis.seq}: Genesis payload has no config") from None
+    except (TypeError, AttributeError, RejectedInput) as exc:
+        raise ReplayError(f"seq {genesis.seq}: bad Genesis config ({exc})") from None
 
 
 def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig]:
@@ -244,11 +264,22 @@ def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig
     genesis = next((ev for ev in events if ev.kind == "Genesis"), None)
     if genesis is None:
         raise ReplayError("log has no genesis event")
-    config = config_from_payload(genesis.payload["config"])
-    commands = sorted(
-        (ev.payload["index"], ev.payload["command"], ev.seq) for ev in events if ev.kind == "Step"
-    )
-    scenario = Scenario(name=genesis.payload["name"], seed=genesis.payload["seed"])
+    config = genesis_config(genesis)
+    name, seed = genesis.payload.get("name"), genesis.payload.get("seed")
+    if type(name) is not str or type(seed) is not int:
+        raise ReplayError(f"seq {genesis.seq}: a Genesis payload needs a name string and an integer seed")
+    scenario = Scenario(name=name, seed=seed)
+    commands = []
+    for ev in events:
+        if ev.kind == "Step":
+            try:
+                index, command = ev.payload["index"], ev.payload["command"]
+            except (KeyError, TypeError):
+                index = command = None
+            if type(index) is not int or type(command) is not str:
+                raise ReplayError(f"seq {ev.seq}: a Step payload needs an integer index and a command string")
+            commands.append((index, command, ev.seq))
+    commands.sort()
     for _index, command, seq in commands:
         try:
             parsed = parse_scenario(command)
@@ -256,6 +287,13 @@ def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig
             raise ReplayError(f"seq {seq}: bad Step command {command!r} ({exc.reason})") from None
         scenario.steps.extend(parsed.steps)
     return scenario, config
+
+
+def rerun(events: list[EventRecord]) -> Simulation:
+    """Re-execute the command stream a log embeds, under its genesis seed and config, without a report."""
+    scenario, config = scenario_from_events(events)
+    del events  # callers keep no other reference: the parsed log is freed before the run
+    return execute_scenario(scenario, seed=scenario.seed, base_config=config)[0].sim
 
 
 @dataclass(frozen=True)
@@ -288,8 +326,7 @@ def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
     Any surviving single-byte difference names its seq.
     """
     data = Path(path).read_bytes()
-    scenario, config = scenario_from_events(parse_log(data))
-    sim, _report = run_scenario(scenario, seed=scenario.seed, base_config=config)
+    sim = rerun(parse_log(data))
     seq = _first_divergence(data, sim)
     if seq is not None:
         return ReplayOutcome(False, seq, "event diverges from deterministic re-execution"), sim
@@ -297,15 +334,18 @@ def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
 
 
 def report_from_log(path: str | Path) -> RunReport:
-    """Rebuild the report by re-executing the log; audits run on the recorded events."""
+    """Rebuild the report by re-executing the log.
+
+    Recorded bytes equal to the re-run's canonical bytes are the same events, so
+    the recorded events are audited on their own only when the two diverge.
+    """
     data = Path(path).read_bytes()
     original = parse_log(data)
     scenario, config = scenario_from_events(original)
     sim, report = run_scenario(scenario, seed=scenario.seed, base_config=config)
-    recorded_violations = audit_events(original)
-    extra = [v for v in recorded_violations if v not in report.violations]
-    report.violations.extend(extra)
     seq = _first_divergence(data, sim)
     if seq is not None:
+        recorded = [v for v in audit_events(original) if v not in report.violations]
+        report.violations.extend(recorded)
         report.violations.append(f"recorded log diverges from deterministic re-execution at seq {seq}")
     return report

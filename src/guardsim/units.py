@@ -20,8 +20,20 @@ UNIT = 10**DECIMALS
 def to_units(value: int | str | Decimal | Fraction) -> int:
     """Convert a whole number or decimal string to integer sub-units.
 
-    Rejects anything that does not land exactly on the 18-digit grid.
+    Rejects anything that does not land exactly on the 18-digit grid. A plain
+    ASCII ``digits[.digits]`` string with at most 18 digits on each side of
+    the point is converted with integer arithmetic; every other spelling goes
+    through ``Decimal`` and ``Fraction``.
     """
+    if type(value) is str:
+        whole, dot, frac = value.partition(".")
+        if (
+            value.isascii()
+            and whole.isdigit()
+            and len(whole) <= DECIMALS
+            and (not dot or (frac.isdigit() and len(frac) <= DECIMALS))
+        ):
+            return int(whole + frac.ljust(DECIMALS, "0"))
     if isinstance(value, bool):
         raise RejectedInput(f"not a value amount: {value!r}")
     if isinstance(value, int):

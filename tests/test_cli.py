@@ -147,3 +147,51 @@ def test_unparseable_step_command_exit_2(replevin_log, capsys):
     assert main(["report", str(bogus)]) == 2
     err = capsys.readouterr().err
     assert err.count(f"seq {target + 1}: bad Step command 'BOGUS a 1'") == 2
+
+
+def test_non_utf8_byte_in_a_log_exit_2(replevin_log, capsys):
+    lines = replevin_log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if b'"kind":"Step"' in line)
+    lines[target] = lines[target].replace(b'"command":"', b'"command":"\xff', 1)
+    broken = replevin_log.with_name("non_utf8.jsonl")
+    broken.write_bytes(b"".join(lines))
+    for command in ("replay", "report", "state", "case", "explain"):
+        argv = [command, str(broken)] + ([] if command in ("replay", "report") else ["1"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command} error: line {target + 1}: not a canonical event record")
+
+
+def _edit_first(log, kind, edit):
+    """Rewrite the first event of ``kind`` in ``log`` with ``edit(payload)``; returns its seq."""
+    lines = log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"'.encode() in line)
+    body = json.loads(lines[target])
+    edit(body["payload"])
+    lines[target] = json.dumps(body, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    log.write_bytes(b"".join(lines))
+    return body["seq"]
+
+
+@pytest.mark.parametrize(
+    "kind, edit, commands",
+    [
+        ("Step", lambda p: p.pop("index"), ("replay", "report", "state", "case")),
+        ("Step", lambda p: p.pop("command"), ("replay", "report", "state", "case")),
+        ("Genesis", lambda p: p.pop("name"), ("replay", "report", "state", "case")),
+        ("Genesis", lambda p: p.pop("seed"), ("replay", "report", "state", "case")),
+        ("Step", lambda p: p.update(index="0"), ("replay", "report", "state", "case")),
+        ("Genesis", lambda p: p.update(seed="7"), ("replay", "report", "state", "case")),
+        ("Genesis", lambda p: p.pop("config"), ("replay", "report", "state", "case", "explain")),
+        ("Genesis", lambda p: p["config"].update(jury_f="-1"), ("replay", "report", "state", "case", "explain")),
+    ],
+    ids=["step-no-index", "step-no-command", "genesis-no-name", "genesis-no-seed", "step-text-index",
+         "genesis-text-seed", "genesis-no-config", "genesis-bad-config"],
+)
+def test_malformed_step_or_genesis_payload_exit_2(replevin_log, capsys, kind, edit, commands):
+    seq = _edit_first(replevin_log, kind, edit)
+    for command in commands:
+        argv = [command, str(replevin_log)] + ([] if command in ("replay", "report") else ["1"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command} error: seq {seq}: ") and err.count("\n") == 1

@@ -1,0 +1,39 @@
+"""Golden digests: the SHA-256 of the log `sim run` writes for every `.tps` file.
+
+The canonical log is the unit of truth, so any change to rendering, payloads or
+execution order shows here. A change that alters a digest on purpose updates the
+value and says why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from guardsim.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+GOLDEN = {
+    "scenarios/clean_sale.tps": "c02307d3465cb06d7e3a4d982b6433dfcbf45fe6733c71b2a842449d209b9bd1",
+    "scenarios/hot_sale.tps": "4c5f66eea89140d623ebab384dfdb8b3813a174b5077043729ff696f0f890348",
+    "scenarios/malicious_report.tps": "af0a0f616147d6518e962794c0d20961f7c827345d66e121e716f82e2cca2c17",
+    "scenarios/replevin.tps": "02f17f49d324a7307dfda34ce5a4e206296310f7e957bbb4a8817230fe3451b7",
+    "scenarios/theft_recovery.tps": "e06ee070273c6aac6bde8fd8a7fb40c3df6664a577bddbae662000fef626300f",
+    "tests/regressions/dangling_dispatch.tps": "7998fdf06cc0bd4b5edfc92466d59c39875dddf7d137112b1712b7c2a06580df",
+    "tests/regressions/zero_economics.tps": "a4c11395b65a69176dd3cae268233ab69668b22180e7e9dbdda48c0e61956b4c",
+}
+
+
+def test_every_scenario_file_has_a_golden_digest():
+    found = {str(p.relative_to(ROOT)) for p in [*ROOT.glob("scenarios/*.tps"), *ROOT.glob("tests/regressions/*.tps")]}
+    assert found == set(GOLDEN)
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN), ids=lambda s: Path(s).stem)
+def test_run_log_digest_is_pinned(scenario, tmp_path, capsys):
+    log = tmp_path / "out.jsonl"
+    assert main(["run", str(ROOT / scenario), "--out", str(log)]) == 0
+    digest = hashlib.sha256(log.read_bytes()).hexdigest()
+    assert digest == GOLDEN[scenario]
+    assert f"log digest: {digest}" in capsys.readouterr().out

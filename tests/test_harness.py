@@ -8,6 +8,7 @@ from guardsim.config import SimConfig, apply_override, load_config
 from guardsim.errors import RejectedInput, ReplayError
 from guardsim.fuzz import Fuzzer
 from guardsim.ledger import EventRecord, serialize_events
+from guardsim import runner
 from guardsim.runner import RunContext, replay_log, report_from_log, run_scenario, run_step, write_log
 from guardsim.scenario import load_scenario, parse_scenario
 from guardsim.sim import Simulation
@@ -172,7 +173,19 @@ def test_truncated_or_garbage_log_is_replay_error(tmp_path):
         replay_log(empty)
 
 
-def test_tampered_balance_is_flagged_by_report(tmp_path):
+def _count_audits(monkeypatch) -> list[int]:
+    calls = [0]
+    original = runner.audit_events
+
+    def counting(events):
+        calls[0] += 1
+        return original(events)
+
+    monkeypatch.setattr(runner, "audit_events", counting)
+    return calls
+
+
+def test_tampered_balance_is_flagged_by_report(tmp_path, monkeypatch):
     sim, _report = run_canned("malicious_report")
     log = tmp_path / "tampered.jsonl"
     write_log(sim, log)
@@ -182,9 +195,17 @@ def test_tampered_balance_is_flagged_by_report(tmp_path):
     body["payload"]["to_balance"] = "999.000000000000000000"
     lines[target] = json.dumps(body, sort_keys=True, separators=(",", ":")).encode() + b"\n"
     log.write_bytes(b"".join(lines))
+    calls = _count_audits(monkeypatch)
     rebuilt = report_from_log(log)
     assert not rebuilt.ok
     assert any("diverges" in v for v in rebuilt.violations)
+    # a divergence also audits the recorded events, whose own violation is reported with it
+    assert calls[0] == 2
+    seq = body["seq"]
+    assert rebuilt.violations == [
+        f"seq {seq}: recorded balance for {body['payload']['to']} diverges from refolded history",
+        f"recorded log diverges from deterministic re-execution at seq {seq}",
+    ]
 
 
 def test_config_file_and_scenario_overrides(tmp_path):
@@ -319,3 +340,13 @@ def test_blank_lines_in_a_log_are_ignored(tmp_path):
     rebuilt = report_from_log(log)
     assert rebuilt.ok, rebuilt.violations
     assert rebuilt.digest == report.digest
+
+
+def test_report_of_a_clean_log_audits_once(tmp_path, monkeypatch):
+    sim, _report = run_canned("replevin")
+    log = tmp_path / "replevin.jsonl"
+    write_log(sim, log)
+    calls = _count_audits(monkeypatch)
+    assert report_from_log(log).ok
+    assert calls[0] == 1
+
