@@ -14,7 +14,6 @@ from .arbitration import (
     ArbitrationCase,
     ArbitrationSystem,
     QuorumTally,
-    SettlementRecord,
 )
 from .config import JuryConfig, RiskConfig, SimConfig, apply_override, load_config
 from .errors import SimError

@@ -49,11 +49,10 @@ class UnlockAttestation:
 
 
 class AccessControl:
-    def __init__(self, ledger: Ledger, contract: TokenContract, bridge, seed: int):
+    def __init__(self, ledger: Ledger, contract: TokenContract, bridge):
         self.ledger = ledger
         self.contract = contract
         self.bridge = bridge
-        self.seed = seed
         self.links: dict[Address, WalletLink] = {}
         self._nonces: dict[Address, int] = {}
         self._attestation_nonces: dict[Address, int] = {}
@@ -66,11 +65,11 @@ class AccessControl:
         if nonce is None:
             nonce = self._nonces.get(main, 0)
         message = f"register|{main}|{aux}|{nonce}".encode("ascii")
-        return hmac.new(wallet_secret(self.seed, aux), message, hashlib.sha256).digest()
+        return hmac.new(wallet_secret(self.ledger.seed, aux), message, hashlib.sha256).digest()
 
     def attestation_digest(self, main: Address, aux: Address, token_id: int, time: int, nonce: int) -> bytes:
         message = f"unlock|{main}|{aux}|{token_id}|{time}|{nonce}".encode("ascii")
-        return hmac.new(wallet_secret(self.seed, aux), message, hashlib.sha256).digest()
+        return hmac.new(wallet_secret(self.ledger.seed, aux), message, hashlib.sha256).digest()
 
     def make_attestation(self, main: Address, token_id: int) -> UnlockAttestation:
         """Forge a valid single-use attestation for the active link (harness helper)."""

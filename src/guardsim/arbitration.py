@@ -50,7 +50,7 @@ class QuorumTally:
 
     def cast(self, juror: Address, vote: str) -> str | None:
         self.votes[juror] = vote
-        if sum(1 for v in self.votes.values() if v == vote) >= self.quorum:
+        if self.count(vote) >= self.quorum:
             return vote
         if len(self.votes) == self.size:
             return FOR_HOLDER  # hung jury: status quo
@@ -73,17 +73,6 @@ class ArbitrationCase:
     jury: list[Address] = field(default_factory=list)
     tally: QuorumTally | None = None
     verdict: str | None = None
-
-
-@dataclass(frozen=True)
-class SettlementRecord:
-    case_id: int
-    verdict: str
-    deposit: int
-    reporter_refund: int
-    gas_charged: int
-    juror_shares: dict[Address, int]
-    minted_per_juror: int
 
 
 def select_jury(pool: list[Address], exclude: set[Address], size: int, seed: int, case_id: int) -> list[Address]:
@@ -109,7 +98,6 @@ class ArbitrationSystem:
         contract: TokenContract,
         bridge,
         jury_config: JuryConfig,
-        freeze_ticks: int,
         escrow: Address,
         fee_sink: Address,
     ):
@@ -117,7 +105,6 @@ class ArbitrationSystem:
         self.contract = contract
         self.bridge = bridge
         self.jury_config = jury_config
-        self.freeze_ticks = freeze_ticks
         self.escrow = escrow
         self.fee_sink = fee_sink
         self.cases: dict[int, ArbitrationCase] = {}
@@ -151,7 +138,7 @@ class ArbitrationSystem:
         self.ledger.transfer_value(reporter, self.escrow, deposit)  # raises before any case state exists
         case_id = self._open_case(token_id, reporter, token.owner, deposit, auto=False)
         if token.state is TokenState.OK:
-            until = self.ledger.time + self.freeze_ticks
+            until = self.ledger.time + self.contract.freeze_ticks
             self.bridge.privileged_dispatch("freeze", origin="das", token_id=token_id, until=until)
         return case_id
 
@@ -222,7 +209,7 @@ class ArbitrationSystem:
 
     # -- settlement ----------------------------------------------------------------
 
-    def close_case(self, case_id: int) -> SettlementRecord:
+    def close_case(self, case_id: int) -> None:
         case = self.case(case_id)
         if case.status == CLOSED:
             raise CaseClosedError(str(case_id))
@@ -286,7 +273,6 @@ class ArbitrationSystem:
                 "reporter_balance": fmt_units(self.ledger.account(case.reporter).balance),
             },
         )
-        return SettlementRecord(case_id, case.verdict, case.deposit, refund, gas, shares, cfg.juror_reward)
 
     @staticmethod
     def _split_forfeit(deposit: int, aligned: list[Address]) -> dict[Address, int]:

@@ -11,17 +11,11 @@ from __future__ import annotations
 
 from .config import JuryConfig
 from .ledger import EventRecord
+from .token import EFFECT_KINDS
 from .units import to_units
 
 _OWNERSHIP_KINDS = {"Minted", "Transfer", "SafeTransfer", "Reclaimed", "Returned"}
-_DISPATCHED_KINDS = {
-    "Locked": "lock",
-    "Unlocked": "unlock",
-    "Frozen": "freeze",
-    "Unfrozen": "unfreeze",
-    "Reclaimed": "reclaim",
-    "Returned": "return",
-}
+_DISPATCHED_KINDS = {kind: action for action, kind in EFFECT_KINDS.items()}  # effect event -> action
 
 
 def audit_events(events: list[EventRecord]) -> list[str]:
@@ -32,7 +26,6 @@ def audit_events(events: list[EventRecord]) -> list[str]:
     request_ids: list[int] = []
     fulfilled: dict[int, int] = {}
     token_state: dict[int, str] = {}
-    token_owner: dict[int, str] = {}
     honor_count = 0
     reward_minted_total = 0
     juror_reward_each: int | None = None
@@ -89,7 +82,6 @@ def audit_events(events: list[EventRecord]) -> list[str]:
             token_id = p["token_id"]
             if ev.kind == "Minted":
                 token_state[token_id] = "OK"
-                token_owner[token_id] = p["to"]
             elif ev.kind in ("Transfer", "SafeTransfer"):
                 if p["guard_state"] != "OK":
                     violations.append(f"seq {ev.seq}: transfer completed on {p['guard_state']} token {token_id}")
@@ -100,7 +92,6 @@ def audit_events(events: list[EventRecord]) -> list[str]:
                 if p["new_state"] != "LOCKED":
                     violations.append(f"seq {ev.seq}: received token {token_id} not locked on receipt")
                 token_state[token_id] = p["new_state"]
-                token_owner[token_id] = p["new_owner"]
             elif ev.kind == "Reclaimed":
                 token_state[token_id] = "RECLAIMED"
             elif ev.kind == "Returned":
@@ -109,7 +100,6 @@ def audit_events(events: list[EventRecord]) -> list[str]:
                 if p["new_state"] != "LOCKED":
                     violations.append(f"seq {ev.seq}: returned token {token_id} not locked on receipt")
                 token_state[token_id] = p["new_state"]
-                token_owner[token_id] = p["to"]
 
         # a dispatch and its effect event are adjacent, in both directions
         action = _DISPATCHED_KINDS.get(ev.kind)

@@ -13,10 +13,22 @@ from pathlib import Path
 from .config import SimConfig, load_config
 from .errors import ParseError, RejectedInput, ReplayError, SimError
 from .fuzz import Fuzzer
+from .ledger import SEEDS
 from .risk import classify_payload
 from .runner import genesis_config, read_log, replay_log, report_from_log, rerun, run_scenario, write_log
 from .scenario import load_scenario
 from .units import fmt_units
+
+
+def run_seed(text: str) -> int:
+    """A ``run --seed`` value; a bad one is a usage error (exit 2)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if seed not in SEEDS:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def cmd_run(args) -> int:
@@ -142,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario and write its event log")
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=run_seed, default=None)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--config", default=None, help="flat key=value config file")
     p_run.set_defaults(func=cmd_run)

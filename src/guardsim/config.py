@@ -113,9 +113,9 @@ def apply_override(config: SimConfig, key: str, value: str) -> SimConfig:
     return replace(config, **{section: replace(getattr(config, section), **{field: parsed})})
 
 
-def load_config(path: str | Path, base: SimConfig | None = None) -> SimConfig:
-    """Load overrides from a flat ``key = value`` file (# starts a comment)."""
-    config = base or SimConfig()
+def load_config(path: str | Path) -> SimConfig:
+    """Load overrides of the defaults from a flat ``key = value`` file (# starts a comment)."""
+    config = SimConfig()
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -22,6 +22,19 @@ from .sim import Simulation
 
 _PRICES = ("0", "1", "2", "3", "4", "6", "8", "10", "12")
 _MODEL_SCORES = ("0.0", "0.3", "0.65", "0.95")
+_USERS = [f"u{i}" for i in range(6)]
+_JURORS = [f"j{i}" for i in range(6)]
+_MAX_TOKENS = 24
+
+# every sequence opens with the same accounts, jury pool and aux-wallet links
+_HEADER = [
+    *(f"ACCOUNT {u} 10" for u in _USERS),
+    *(f"ACCOUNT x{u} 0" for u in _USERS),
+    *(f"ACCOUNT {j} 5" for j in _JURORS),
+    *(f"JUROR {j}" for j in _JURORS),
+    *(f"REGISTER_AUX {u} x{u}" for u in _USERS),
+    "ADVANCE 86400",
+]
 
 
 def _sequence_seed(seed: int, index: int) -> int:
@@ -45,33 +58,17 @@ class FuzzResult:
 class SequenceState:
     """Bookkeeping the adaptive generator needs between steps."""
 
-    def __init__(self, users: list[str], jurors: list[str]):
-        self.users = users
-        self.jurors = jurors
-        self.aux_of = {u: f"x{u}" for u in users}
+    def __init__(self):
         self.tokens: list[int] = []
         self.next_token = 1
 
 
-def _header_lines(state: SequenceState) -> list[str]:
-    lines = [f"ACCOUNT {u} 10" for u in state.users]
-    lines += [f"ACCOUNT {state.aux_of[u]} 0" for u in state.users]
-    lines += [f"ACCOUNT {j} 5" for j in state.jurors]
-    lines += [f"JUROR {j}" for j in state.jurors]
-    lines += [f"REGISTER_AUX {u} {state.aux_of[u]}" for u in state.users]
-    lines.append("ADVANCE 86400")
-    return lines
-
-
 class Fuzzer:
-    def __init__(self, seed: int = 0, ops_per_run: int = 400, users: int = 6, jurors: int = 6, max_tokens: int = 24):
+    def __init__(self, seed: int = 0, ops_per_run: int = 400):
         if ops_per_run < 1:
             raise RejectedInput(f"ops per run must be >= 1, got {ops_per_run}")
         self.seed = seed
         self.ops_per_run = ops_per_run
-        self.user_names = [f"u{i}" for i in range(users)]
-        self.juror_names = [f"j{i}" for i in range(jurors)]
-        self.max_tokens = max_tokens
 
     def run(self, total_ops: int) -> FuzzResult:
         done = 0
@@ -93,8 +90,8 @@ class Fuzzer:
 
     def _generate_sequence(self, seq_seed: int, ops: int) -> tuple[list[str], str | None, Simulation]:
         rng = random.Random(seq_seed)
-        state = SequenceState(self.user_names, self.juror_names)
-        lines = _header_lines(state)
+        state = SequenceState()
+        lines = list(_HEADER)
         sim, ctx, violation = self._execute(seq_seed, lines)
         if violation is None:
             for _ in range(ops):
@@ -135,12 +132,11 @@ class Fuzzer:
         return violation if violation is not None else self._final_audit(sim)
 
     def _minimize(self, seq_seed: int, lines: list[str], violation: str) -> list[str]:
-        header_len = len(_header_lines(SequenceState(self.user_names, self.juror_names)))
         kept = list(lines)
         changed = True
         while changed:
             changed = False
-            index = header_len
+            index = len(_HEADER)
             while index < len(kept):
                 candidate = kept[:index] + kept[index + 1 :]
                 if self._replay_violation(seq_seed, candidate) is not None:
@@ -161,7 +157,7 @@ class Fuzzer:
 
     def _try_command(self, rng: random.Random, state: SequenceState, sim: Simulation, ctx: RunContext):
         rev = {addr: name for name, addr in ctx.names.items()}
-        users = state.users
+        users = _USERS
         pick = rng.random()
 
         def owner_name(token_id: int) -> str | None:
@@ -170,7 +166,7 @@ class Fuzzer:
         if pick < 0.08:
             return f"ADVANCE {rng.choice((1, 7, 60, 600, 3600, 7201, 86401))}"
         if pick < 0.16:
-            if len(state.tokens) >= self.max_tokens:
+            if len(state.tokens) >= _MAX_TOKENS:
                 return None
             token_id = state.next_token
             state.next_token += 1

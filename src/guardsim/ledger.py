@@ -9,8 +9,8 @@ asked for, and keeps those bytes for the digest, log files and replay checks.
 Every line goes through one C encoder built at import time with the settings
 of ``json.dumps(sort_keys=True, separators=(",", ":"), ensure_ascii=True)``,
 so no encoder object is constructed per event. Payloads are checked when they
-are appended; the check dispatches on the exact type of each value, and only
-subclasses and foreign types take the ``isinstance`` path.
+are appended, in one walk: a value of an exact leaf type (str, int, bool,
+None) passes at once, and every other value takes the ``isinstance`` rules.
 
 Canonical serialization rules:
   - object keys sorted, compact separators, ASCII only;
@@ -32,6 +32,9 @@ from .units import fmt_units
 Address = str
 
 _ADDR_DOMAIN = b"guardsim/address/v1"
+
+# Run seeds are packed into 8 unsigned bytes here and in the wallet keys.
+SEEDS = range(2**64)
 
 
 def derive_address(seed: int, counter: int) -> Address:
@@ -80,33 +83,23 @@ _LEAF_TYPES = frozenset({str, int, bool, type(None)})
 
 def _check_payload(value) -> None:
     # floats would break byte-stable serialization; reject them at the source.
-    # Exact types are dispatched on directly; anything else takes the isinstance rules.
-    kind = type(value)
-    if kind in _LEAF_TYPES:
+    # An exact leaf type returns at once, in the loops too; the rest take the isinstance rules.
+    if type(value) in _LEAF_TYPES:
         return
-    if kind is dict:
-        _check_dict(value)
-    elif kind is list or kind is tuple:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError("event payload keys must be strings")
+            if type(item) not in _LEAF_TYPES:
+                _check_payload(item)
+    elif isinstance(value, (list, tuple)):
         for item in value:
             if type(item) not in _LEAF_TYPES:
                 _check_payload(item)
     elif isinstance(value, float):
         raise TypeError("float in event payload; render it to a string first")
-    elif isinstance(value, dict):
-        _check_dict(value)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _check_payload(item)
     elif not isinstance(value, (str, int)):
         raise TypeError(f"unsupported payload value: {value!r}")
-
-
-def _check_dict(value: dict) -> None:
-    for key, item in value.items():
-        if type(key) is not str and not isinstance(key, str):
-            raise TypeError("event payload keys must be strings")
-        if type(item) not in _LEAF_TYPES:
-            _check_payload(item)
 
 
 def serialize_events(events: list[EventRecord]) -> bytes:

@@ -5,6 +5,12 @@ transitions.
 The bridge fulfills each request synchronously within the same ledger step,
 but still logs the RiskRequested / RiskFulfilled pair so the on-chain message
 trace survives in the event log.
+
+Access control (``dac``), risk management (``drm``) and arbitration (``das``)
+change a token's supervision state only through ``privileged_dispatch``: the
+origin table below says which actions each may ask for, and an allowed action
+is logged as an OracleDispatch and handed to the contract's one effect entry,
+``TokenContract.apply_dispatch``.
 """
 
 from __future__ import annotations
@@ -97,19 +103,6 @@ class OracleBridge:
         if origin not in _ALLOWED_DISPATCH or action not in _ALLOWED_DISPATCH[origin]:
             raise NotOracle(f"{origin!r} may not dispatch {action!r}")
         self.contract.check_dispatch(action, token_id, kwargs.get("to"))
-        payload = {"action": action, "origin": origin, "token_id": token_id}
-        for key, value in kwargs.items():
-            payload[key] = value
+        payload = {"action": action, "origin": origin, "token_id": token_id, **kwargs}
         self.ledger.append_event("OracleDispatch", payload)
-        if action == "lock":
-            self.contract.oracle_lock(token_id, by=self)
-        elif action == "unlock":
-            self.contract.oracle_unlock(token_id, by=self)
-        elif action == "freeze":
-            self.contract.oracle_freeze(token_id, kwargs["until"], by=self)
-        elif action == "unfreeze":
-            self.contract.oracle_unfreeze(token_id, by=self)
-        elif action == "reclaim":
-            self.contract.oracle_reclaim(token_id, by=self)
-        elif action == "return":
-            self.contract.verdict_return(token_id, kwargs["to"], by=self)
+        self.contract.apply_dispatch(action, token_id, by=self, **kwargs)

@@ -1,8 +1,8 @@
 """Rule-based risk engine for proposed token transfers.
 
 Every proposed transfer is reduced to a deterministic feature vector drawn
-from the chain snapshot, run through five rule filters plus a pluggable
-scoring model, and mapped to one of three verdicts: safe, may_lost, hacked.
+from the chain snapshot, run through five rule filters plus a table-driven
+model score, and mapped to one of three verdicts: safe, may_lost, hacked.
 
 The whole pipeline is a pure function of (intent, snapshot, config), and the
 feature vector is logged with each verdict so that any verdict in any log can
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .config import RiskConfig
 from .ledger import Address
@@ -231,8 +231,6 @@ def classify_payload(features_payload: dict, config: RiskConfig) -> tuple[str, l
 
 # -- scoring model -------------------------------------------------------------
 
-Scorer = Callable[[FeatureVector], float]
-
 
 @dataclass
 class TableScorer:
@@ -256,11 +254,11 @@ class TableScorer:
 
 
 class RiskEngine:
-    """Bundles config, the pluggable scorer and the phishing-operator list."""
+    """Bundles config, the model's score table and the phishing-operator list."""
 
-    def __init__(self, config: RiskConfig, scorer: Scorer):
+    def __init__(self, config: RiskConfig):
         self.config = config
-        self.scorer = scorer
+        self.scorer = TableScorer()
         self._phishing_operators: set[Address] = set()
 
     def evaluate(self, intent: TransferIntent, chain: TokenContract) -> RiskVerdict:

@@ -17,7 +17,7 @@ from .arbitration import FOR_HOLDER, FOR_REPORTER
 from .audit import audit_events
 from .config import SimConfig, apply_override, config_from_payload
 from .errors import ParseError, RejectedInput, ReplayError, SimError, UnknownName
-from .ledger import EventRecord
+from .ledger import SEEDS, EventRecord
 from .scenario import Scenario, Step, parse_scenario
 from .sim import Simulation
 from .access_control import UnlockAttestation
@@ -268,6 +268,8 @@ def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig
     name, seed = genesis.payload.get("name"), genesis.payload.get("seed")
     if type(name) is not str or type(seed) is not int:
         raise ReplayError(f"seq {genesis.seq}: a Genesis payload needs a name string and an integer seed")
+    if seed not in SEEDS:
+        raise ReplayError(f"seq {genesis.seq}: Genesis seed {seed} is outside [0, 2**64)")
     scenario = Scenario(name=name, seed=seed)
     commands = []
     for ev in events:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError
+from .ledger import SEEDS
 
 # verb -> (min args, max args or None for open-ended, indices that must be ints)
 VERBS: dict[str, tuple[int, int | None, tuple[int, ...]]] = {
@@ -85,6 +86,8 @@ def parse_scenario(text: str, default_name: str = "") -> Scenario:
                 if len(args) != 1 or not _is_int(args[0]):
                     raise ParseError(line_no, "SEED needs one integer")
                 scenario.seed = int(args[0])
+                if scenario.seed not in SEEDS:
+                    raise ParseError(line_no, f"SEED must be in [0, 2**64), got {args[0]}")
             else:
                 if len(args) != 2:
                     raise ParseError(line_no, "CONFIG needs a key and a value")

@@ -13,7 +13,7 @@ from .arbitration import ArbitrationSystem
 from .config import SimConfig, config_payload
 from .ledger import Address, Ledger
 from .oracle import OracleBridge
-from .risk import RiskEngine, TableScorer
+from .risk import RiskEngine
 from .token import TokenContract
 
 
@@ -27,21 +27,13 @@ class Simulation:
         self.fee_sink = self.ledger.create_account(0)
         self.escrow = self.ledger.create_account(0)
 
-        self.scorer = TableScorer()
-        self.engine = RiskEngine(self.config.risk, self.scorer)
+        self.engine = RiskEngine(self.config.risk)
         self.contract = TokenContract(self.ledger, self.treasury, self.config.freeze_ticks)
         self.bridge = OracleBridge(self.ledger, self.contract, self.engine)
         self.contract.bind_bridge(self.bridge)
-        self.contract.set_operator_screen(self._operator_blocked)
-        self.access = AccessControl(self.ledger, self.contract, self.bridge, seed)
+        self.access = AccessControl(self.ledger, self.contract, self.bridge)
         self.arbitration = ArbitrationSystem(
-            self.ledger,
-            self.contract,
-            self.bridge,
-            self.config.jury,
-            self.config.freeze_ticks,
-            self.escrow,
-            self.fee_sink,
+            self.ledger, self.contract, self.bridge, self.config.jury, self.escrow, self.fee_sink
         )
         self.bridge.attach_arbitration(self.arbitration)
 
@@ -57,14 +49,8 @@ class Simulation:
             },
         )
 
-    def _operator_blocked(self, operator: Address) -> bool:
-        if self.engine.is_phishing_operator(operator):
-            return True
-        account = self.ledger.accounts.get(operator)
-        return bool(account and account.explorer_flagged)
-
     def install_model_entry(self, sender: str, recipient: str, score: float) -> None:
-        self.scorer.set_entry(sender, recipient, score)
+        self.engine.scorer.set_entry(sender, recipient, score)
         self.ledger.append_event(
             "ModelTableSet", {"sender": sender, "recipient": recipient, "score": repr(score)}
         )

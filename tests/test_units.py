@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 
 from guardsim.errors import RejectedInput
-from guardsim.units import UNIT, fmt_fraction, fmt_units, parse_fraction, to_units
+from guardsim.units import MAX_DIGITS, UNIT, fmt_fraction, fmt_units, parse_fraction, to_units
 
 
 def test_whole_numbers():
@@ -35,9 +35,39 @@ def test_rejects_too_fine_and_garbage():
         to_units(0.5)  # floats are banned from the money path
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e99999999",
+        "1e-99999999",
+        "NaN",
+        "NaN1",
+        "sNaN",
+        "Infinity",
+        "-Infinity",
+        "9" * 4400,
+        pytest.param("9" * 5000 + ".5", id="5000-digits"),
+        "1e400",
+        "1" + "0" * MAX_DIGITS,
+    ],
+    ids=lambda text: text if len(text) < 20 else f"{len(text)}-chars",
+)
+def test_amounts_without_a_holdable_value_are_rejected(text):
+    with pytest.raises(RejectedInput):
+        to_units(text)
+
+
+def test_zero_and_the_largest_whole_part_keep_their_values():
+    assert to_units("0e99999999") == to_units("0e-99999999") == 0
+    assert to_units("9" * MAX_DIGITS) == (10**MAX_DIGITS - 1) * UNIT
+
+
 def test_fraction_parsing():
     assert parse_fraction("0.5") == Fraction(1, 2)
     assert parse_fraction("1/2") == Fraction(1, 2)
     assert parse_fraction(fmt_fraction(Fraction(3, 7))) == Fraction(3, 7)
     with pytest.raises(RejectedInput):
         parse_fraction("1/0")
+    for text in ("Infinity", "NaN", "1e99999999", "1e-99999999", "1." + "0" * 5000 + "1"):
+        with pytest.raises(RejectedInput):
+            parse_fraction(text)
