@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import RejectedInput
+from .ledger import INTS
 from .units import fmt_fraction, fmt_units, parse_fraction, to_units
 
 
@@ -80,22 +81,6 @@ _KEYS = {
 }
 
 
-# Keys that must be >= 0: the PBFT fault bound f (jury n = 3f + 1), tick
-# counts, the turnover threshold, value amounts and fractions. The audit's
-# economics checks assume these ranges.
-_NON_NEGATIVE = {
-    "freeze_ticks",
-    "beta_underprice",
-    "turnover_threshold",
-    "window_ticks",
-    "jury_f",
-    "juror_reward",
-    "gas_fee",
-    "deposit_rate",
-    "deposit_min",
-}
-
-
 def apply_override(config: SimConfig, key: str, value: str) -> SimConfig:
     """Return a copy of ``config`` with one flat key replaced."""
     try:
@@ -106,7 +91,12 @@ def apply_override(config: SimConfig, key: str, value: str) -> SimConfig:
         parsed = parse(value)
     except (ValueError, RejectedInput) as exc:
         raise RejectedInput(f"bad value for {key}: {value!r} ({exc})") from None
-    if key in _NON_NEGATIVE and parsed < 0:
+    # Every key but the float weights and thresholds must be >= 0: the PBFT fault bound f (jury
+    # n = 3f + 1), tick counts, the turnover threshold, value amounts and fractions; the audit's
+    # economics checks assume it. The int keys lie in ``ledger.INTS``, as step arguments do.
+    if parse is int and parsed not in INTS:
+        raise RejectedInput(f"bad value for {key}: {value!r} (must be in [0, 2**63))")
+    if parse is not float and parsed < 0:
         raise RejectedInput(f"bad value for {key}: {value!r} (must be >= 0)")
     if section is None:
         return replace(config, **{field: parsed})

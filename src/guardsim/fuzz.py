@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .audit import audit_events
 from .errors import RejectedInput
 from .runner import RunContext, run_step
-from .scenario import parse_scenario
+from .scenario import parse_step
 from .sim import Simulation
 
 _PRICES = ("0", "1", "2", "3", "4", "6", "8", "10", "12")
@@ -114,7 +114,7 @@ class Fuzzer:
         return sim, ctx, None
 
     def _execute_one(self, ctx: RunContext, command: str, index: int) -> str | None:
-        events, _rejected = run_step(ctx, index, parse_scenario(command).steps[0])
+        events, _rejected = run_step(ctx, index, parse_step(command))
         for ev in events:
             if ev.kind in ("Transfer", "SafeTransfer"):
                 if ev.payload["guard_state"] != "OK" or ev.payload["guard_frozen"]:

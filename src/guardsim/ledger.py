@@ -35,6 +35,8 @@ _ADDR_DOMAIN = b"guardsim/address/v1"
 
 # Run seeds are packed into 8 unsigned bytes here and in the wallet keys.
 SEEDS = range(2**64)
+# Integer step arguments, int config values and logical time: non-negative 64-bit signed integers.
+INTS = range(2**63)
 
 
 def derive_address(seed: int, counter: int) -> Address:
@@ -205,8 +207,8 @@ class Ledger:
     # -- time ----------------------------------------------------------------
 
     def advance_time(self, delta: int) -> int:
-        if delta < 0:
-            raise RejectedInput("delta must be >= 0")
+        if delta < 0 or self.time + delta not in INTS:
+            raise RejectedInput(f"time {self.time} + {delta} is outside [0, 2**63)")
         self.time += delta
         self.append_event("TimeAdvanced", {"delta": delta, "now": self.time})
         return self.time

@@ -13,15 +13,12 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 
-from .arbitration import FOR_HOLDER, FOR_REPORTER
 from .audit import audit_events
 from .config import SimConfig, apply_override, config_from_payload
 from .errors import ParseError, RejectedInput, ReplayError, SimError, UnknownName
 from .ledger import SEEDS, EventRecord
-from .scenario import Scenario, Step, parse_scenario
+from .scenario import VERBS, Scenario, Step, parse_step
 from .sim import Simulation
-from .access_control import UnlockAttestation
-from .units import to_units
 
 
 @dataclass
@@ -79,77 +76,13 @@ class RunReport:
         return self.conservation_ok and not self.violations
 
 
-def _parse_onoff(text: str) -> bool:
-    if text.lower() in ("on", "true", "1"):
-        return True
-    if text.lower() in ("off", "false", "0"):
-        return False
-    raise RejectedInput(f"expected on/off, got {text!r}")
-
-
 def execute_step(ctx: RunContext, step: Step) -> None:
-    sim = ctx.sim
-    verb, args = step.verb, step.args
-    if verb == "ACCOUNT":
-        if args[0] in ctx.names:
-            raise RejectedInput(f"name already bound: {args[0]}")
-        ctx.names[args[0]] = sim.ledger.create_account(to_units(args[1]))
-    elif verb == "JUROR":
-        address = ctx.resolve(args[0])
-        if address not in ctx.pool:
-            ctx.pool.append(address)
-    elif verb == "ADVANCE":
-        sim.ledger.advance_time(int(args[0]))
-    elif verb == "FLAG":
-        sim.ledger.set_explorer_flag(ctx.resolve(args[0]), _parse_onoff(args[1]) if len(args) > 1 else True)
-    elif verb == "BLACKLIST":
-        sim.blacklist_operator(ctx.resolve(args[0]))
-    elif verb == "MODEL":
-        sender = args[0] if args[0] == "*" else ctx.resolve(args[0])
-        recipient = args[1] if args[1] == "*" else ctx.resolve(args[1])
-        try:
-            score = float(args[2])
-        except ValueError:
-            raise RejectedInput(f"bad model score {args[2]!r}") from None
-        sim.install_model_entry(sender, recipient, score)
-    elif verb == "PAY":
-        sim.ledger.transfer_value(ctx.resolve(args[0]), ctx.resolve(args[1]), to_units(args[2]))
-    elif verb == "MINT":
-        sim.contract.mint(ctx.resolve(args[0]), int(args[1]))
-    elif verb in ("TRANSFER", "SAFE_TRANSFER"):
-        method = sim.contract.safe_transfer_from if verb == "SAFE_TRANSFER" else sim.contract.transfer_from
-        method(ctx.resolve(args[0]), ctx.resolve(args[1]), ctx.resolve(args[2]), int(args[3]), to_units(args[4]))
-    elif verb == "APPROVE":
-        sim.contract.approve(ctx.resolve(args[0]), ctx.resolve(args[1]), int(args[2]))
-    elif verb == "APPROVE_ALL":
-        sim.contract.set_approval_for_all(ctx.resolve(args[0]), ctx.resolve(args[1]), _parse_onoff(args[2]))
-    elif verb == "REGISTER_AUX":
-        main, aux = ctx.resolve(args[0]), ctx.resolve(args[1])
-        sim.access.register_aux(main, aux, sim.access.registration_digest(main, aux))
-    elif verb == "LOCK":
-        sim.access.lock(ctx.resolve(args[0]), int(args[1]))
-    elif verb == "UNLOCK":
-        main, token_id = ctx.resolve(args[0]), int(args[1])
-        sim.access.unlock(main, token_id, sim.access.make_attestation(main, token_id))
-    elif verb == "UNLOCK_BAD":
-        main, token_id = ctx.resolve(args[0]), int(args[1])
-        link = sim.access.links.get(main)
-        aux = link.aux if link else main
-        forged = UnlockAttestation(main, aux, token_id, sim.ledger.time, 0, b"\x00" * 32)
-        sim.access.unlock(main, token_id, forged)
-    elif verb == "REPORT":
-        sim.arbitration.file_report(ctx.resolve(args[0]), int(args[1]))
-    elif verb == "EVIDENCE":
-        sim.arbitration.submit_evidence(int(args[1]), ctx.resolve(args[0]), " ".join(args[2:]).encode())
-    elif verb == "EMPANEL":
-        sim.arbitration.empanel_jury(int(args[0]), ctx.pool, sim.seed)
-    elif verb == "VOTE":
-        votes = {"R": FOR_REPORTER, "H": FOR_HOLDER}
-        if args[2].upper() not in votes:
-            raise RejectedInput(f"vote must be R or H, got {args[2]!r}")
-        sim.arbitration.cast_vote(int(args[1]), ctx.resolve(args[0]), votes[args[2].upper()])
-    else:  # pragma: no cover - parser rejects unknown verbs first
-        raise RejectedInput(f"unhandled verb {verb}")
+    """Convert the step's run-time arguments in its verb's order, then call the verb's handler."""
+    verb = VERBS[step.verb]
+    values = list(step.values)
+    for pos, convert in verb.runtime:
+        values[pos] = convert(ctx, values[pos])
+    verb.handler(ctx, *values)
 
 
 def run_scenario(
@@ -284,10 +217,12 @@ def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig
     commands.sort()
     for _index, command, seq in commands:
         try:
-            parsed = parse_scenario(command)
+            step = parse_step(command)
         except ParseError as exc:
             raise ReplayError(f"seq {seq}: bad Step command {command!r} ({exc.reason})") from None
-        scenario.steps.extend(parsed.steps)
+        if step.raw != command:
+            raise ReplayError(f"seq {seq}: Step command {command!r} is not in normal form {step.raw!r}")
+        scenario.steps.append(step)
     return scenario, config
 
 

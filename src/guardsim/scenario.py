@@ -1,52 +1,147 @@
 """Line-oriented scenario DSL: one verb per line, ``#`` starts a comment.
 
 Header directives (NAME, SEED, CONFIG) may appear anywhere but apply to the
-whole run. Parsing validates verbs and arity up front so a bad script fails
-at load time, not mid-run; runtime failures (unknown names, guard rejections)
-are deliberately left to execution, where they become logged events.
+whole run. Every other verb has one entry in ``VERBS``: its argument kinds and
+a handler. ``parse_step`` reads a line against that entry, so a bad script
+fails at load time, not mid-run: an unknown verb, a wrong argument count or an
+integer argument outside [0, 2**63) is a ``ParseError`` naming the line. The
+other kinds (names, amounts, on/off, R/H votes, model scores) are converted
+when the step executes, against the run's state; a bad one, like a guard
+refusal, is a logged ``StepRejected``, so attack scripts can assert on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
-from .errors import ParseError
-from .ledger import SEEDS
+from .access_control import UnlockAttestation
+from .arbitration import FOR_HOLDER, FOR_REPORTER
+from .errors import ParseError, RejectedInput
+from .ledger import INTS, SEEDS
+from .units import to_units
 
-# verb -> (min args, max args or None for open-ended, indices that must be ints)
-VERBS: dict[str, tuple[int, int | None, tuple[int, ...]]] = {
-    "ACCOUNT": (2, 2, ()),
-    "JUROR": (1, 1, ()),
-    "ADVANCE": (1, 1, (0,)),
-    "FLAG": (1, 2, ()),
-    "BLACKLIST": (1, 1, ()),
-    "MODEL": (3, 3, ()),
-    "PAY": (3, 3, ()),
-    "MINT": (2, 2, (1,)),
-    "TRANSFER": (5, 5, (3,)),
-    "SAFE_TRANSFER": (5, 5, (3,)),
-    "APPROVE": (3, 3, (2,)),
-    "APPROVE_ALL": (3, 3, ()),
-    "REGISTER_AUX": (2, 2, ()),
-    "LOCK": (2, 2, (1,)),
-    "UNLOCK": (2, 2, (1,)),
-    "UNLOCK_BAD": (2, 2, (1,)),
-    "REPORT": (2, 2, (1,)),
-    "EVIDENCE": (2, None, (1,)),
-    "EMPANEL": (1, 1, (0,)),
-    "VOTE": (3, 3, (1,)),
+
+@dataclass(frozen=True, eq=False)
+class Kind:
+    """An argument kind. ``run`` converts the argument when the step executes, against the run's
+    context, so its SimError is a logged StepRejected; INT and TEXT are read when the line is parsed."""
+
+    run: Callable[[Any, str], Any] | None = None
+
+
+def _int(text: str) -> int:
+    value = int(text)
+    if value not in INTS:
+        raise ValueError(text)
+    return value
+
+
+def _unbound(ctx, name: str) -> str:
+    if name in ctx.names:
+        raise RejectedInput(f"name already bound: {name}")
+    return name
+
+
+def _checked(convert: Callable[[str], Any], message: str) -> Kind:
+    """A run-time kind: ``convert(text)``, whose KeyError or ValueError rejects the step with ``message``."""
+
+    def run(_ctx, text: str):
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise RejectedInput(message.format(text)) from None
+
+    return Kind(run=run)
+
+
+_ONOFF = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
+_VOTES = {"r": FOR_REPORTER, "h": FOR_HOLDER}
+
+NEW_NAME = Kind(run=_unbound)
+NAME = Kind(run=lambda ctx, name: ctx.resolve(name))
+NAME_OR_ANY = Kind(run=lambda ctx, name: name if name == "*" else ctx.resolve(name))
+INT = Kind()  # an integer in ``ledger.INTS``, converted and bounded when the line is parsed
+AMOUNT = Kind(run=lambda _ctx, text: to_units(text))
+ONOFF = _checked(lambda text: _ONOFF[text.lower()], "expected on/off, got {!r}")
+VOTE = _checked(lambda text: _VOTES[text.lower()], "vote must be R or H, got {!r}")
+SCORE = _checked(float, "bad model score {!r}")
+TEXT = Kind()  # trailing free text: every remaining word (maybe none), joined by single spaces
+
+
+class Verb:
+    """A verb's argument kinds and handler ``(ctx, *values)``. ``defaults`` fill missing trailing
+    arguments, as a function's do; ``order`` is the order the run-time kinds are converted in (so
+    which error wins when two arguments are bad), left to right by default."""
+
+    def __init__(self, kinds: tuple[Kind, ...], handler, defaults: tuple[str, ...] = (), order=None):
+        self.kinds, self.handler, self.defaults = kinds, handler, defaults
+        self.max_args = None if kinds[-1] is TEXT else len(kinds)
+        self.min_args = len(kinds) - len(defaults) - (self.max_args is None)
+        self.ints = tuple(i for i, kind in enumerate(kinds) if kind is INT)
+        self.runtime = tuple((i, kinds[i].run) for i in (order or range(len(kinds))) if kinds[i].run)
+
+
+def _account(ctx, name, balance):
+    ctx.names[name] = ctx.sim.ledger.create_account(balance)
+
+
+def _juror(ctx, address):
+    if address not in ctx.pool:
+        ctx.pool.append(address)
+
+
+def _register_aux(ctx, main, aux):
+    access = ctx.sim.access
+    access.register_aux(main, aux, access.registration_digest(main, aux))
+
+
+def _unlock(ctx, main, token_id):
+    access = ctx.sim.access
+    access.unlock(main, token_id, access.make_attestation(main, token_id))
+
+
+def _unlock_bad(ctx, main, token_id):
+    sim = ctx.sim
+    link = sim.access.links.get(main)
+    aux = link.aux if link else main
+    sim.access.unlock(main, token_id, UnlockAttestation(main, aux, token_id, sim.ledger.time, 0, b"\x00" * 32))
+
+
+_TRANSFER = (NAME, NAME, NAME, INT, AMOUNT)
+
+VERBS: dict[str, Verb] = {
+    "ACCOUNT": Verb((NEW_NAME, AMOUNT), _account),
+    "JUROR": Verb((NAME,), _juror),
+    "ADVANCE": Verb((INT,), lambda ctx, ticks: ctx.sim.ledger.advance_time(ticks)),
+    "FLAG": Verb((NAME, ONOFF), lambda ctx, *a: ctx.sim.ledger.set_explorer_flag(*a), defaults=("on",)),
+    "BLACKLIST": Verb((NAME,), lambda ctx, operator: ctx.sim.blacklist_operator(operator)),
+    "MODEL": Verb((NAME_OR_ANY, NAME_OR_ANY, SCORE), lambda ctx, *a: ctx.sim.install_model_entry(*a)),
+    "PAY": Verb((NAME, NAME, AMOUNT), lambda ctx, *a: ctx.sim.ledger.transfer_value(*a)),
+    "MINT": Verb((NAME, INT), lambda ctx, *a: ctx.sim.contract.mint(*a)),
+    "TRANSFER": Verb(_TRANSFER, lambda ctx, *a: ctx.sim.contract.transfer_from(*a)),
+    "SAFE_TRANSFER": Verb(_TRANSFER, lambda ctx, *a: ctx.sim.contract.safe_transfer_from(*a)),
+    "APPROVE": Verb((NAME, NAME, INT), lambda ctx, *a: ctx.sim.contract.approve(*a)),
+    "APPROVE_ALL": Verb((NAME, NAME, ONOFF), lambda ctx, *a: ctx.sim.contract.set_approval_for_all(*a)),
+    "REGISTER_AUX": Verb((NAME, NAME), _register_aux),
+    "LOCK": Verb((NAME, INT), lambda ctx, *a: ctx.sim.access.lock(*a)),
+    "UNLOCK": Verb((NAME, INT), _unlock),
+    "UNLOCK_BAD": Verb((NAME, INT), _unlock_bad),
+    "REPORT": Verb((NAME, INT), lambda ctx, *a: ctx.sim.arbitration.file_report(*a)),
+    "EVIDENCE": Verb(
+        (NAME, INT, TEXT),
+        lambda ctx, party, case_id, text: ctx.sim.arbitration.submit_evidence(case_id, party, text.encode()),
+    ),
+    "EMPANEL": Verb((INT,), lambda ctx, case_id: ctx.sim.arbitration.empanel_jury(case_id, ctx.pool, ctx.sim.seed)),
+    "VOTE": Verb(
+        (NAME, INT, VOTE),
+        lambda ctx, juror, case_id, vote: ctx.sim.arbitration.cast_vote(case_id, juror, vote),
+        order=(2, 0, 1),  # the vote is checked before the juror is resolved
+    ),
 }
 
 _DIRECTIVES = {"NAME", "SEED", "CONFIG"}
-
-
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -54,6 +149,7 @@ class Step:
     line_no: int
     verb: str
     args: tuple[str, ...]
+    values: tuple  # one per kind: ints converted, trailing text joined, defaults filled in
 
     @property
     def raw(self) -> str:
@@ -68,41 +164,56 @@ class Scenario:
     steps: list[Step] = field(default_factory=list)
 
 
+def parse_step(line: str, line_no: int = 0) -> Step:
+    """Parse one step line against its verb's entry in ``VERBS``."""
+    parts = line.split("#", 1)[0].split()
+    if not parts:
+        raise ParseError(line_no, "no step on this line")
+    verb, args = parts[0].upper(), tuple(parts[1:])
+    spec = VERBS.get(verb)
+    if spec is None:
+        reason = f"{verb} is a directive, not a step" if verb in _DIRECTIVES else f"unknown verb {parts[0]!r}"
+        raise ParseError(line_no, reason)
+    if len(args) < spec.min_args or (spec.max_args is not None and len(args) > spec.max_args):
+        most = "+" if spec.max_args is None else f"..{spec.max_args}"
+        raise ParseError(line_no, f"{verb} takes {spec.min_args}{most} args")
+    values = list(args)
+    if spec.max_args is None:
+        values[len(spec.kinds) - 1 :] = [" ".join(args[len(spec.kinds) - 1 :])]
+    values.extend(spec.defaults[len(values) - spec.min_args :])
+    for pos in spec.ints:
+        try:
+            values[pos] = _int(values[pos])
+        except ValueError:
+            raise ParseError(line_no, f"{verb} arg {pos + 1} must be an integer in [0, 2**63)") from None
+    return Step(line_no, verb, args, tuple(values))
+
+
 def parse_scenario(text: str, default_name: str = "") -> Scenario:
     scenario = Scenario(name=default_name)
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        verb = parts[0].upper()
-        args = parts[1:]
-        if verb in _DIRECTIVES:
-            if verb == "NAME":
-                if not args:
-                    raise ParseError(line_no, "NAME needs a value")
-                scenario.name = " ".join(args)
-            elif verb == "SEED":
-                if len(args) != 1 or not _is_int(args[0]):
-                    raise ParseError(line_no, "SEED needs one integer")
-                scenario.seed = int(args[0])
-                if scenario.seed not in SEEDS:
-                    raise ParseError(line_no, f"SEED must be in [0, 2**64), got {args[0]}")
-            else:
-                if len(args) != 2:
-                    raise ParseError(line_no, "CONFIG needs a key and a value")
-                scenario.config_overrides.append((args[0], args[1]))
-            continue
-        signature = VERBS.get(verb)
-        if signature is None:
-            raise ParseError(line_no, f"unknown verb {parts[0]!r}")
-        min_args, max_args, int_positions = signature
-        if len(args) < min_args or (max_args is not None and len(args) > max_args):
-            raise ParseError(line_no, f"{verb} takes {min_args}{'+' if max_args is None else f'..{max_args}'} args")
-        for pos in int_positions:
-            if not _is_int(args[pos]):
-                raise ParseError(line_no, f"{verb} arg {pos + 1} must be an integer")
-        scenario.steps.append(Step(line_no, verb, tuple(args)))
+        verb, args = parts[0].upper(), parts[1:]
+        if verb not in _DIRECTIVES:
+            scenario.steps.append(parse_step(raw, line_no))
+        elif verb == "NAME":
+            if not args:
+                raise ParseError(line_no, "NAME needs a value")
+            scenario.name = " ".join(args)
+        elif verb == "SEED":
+            try:
+                (value,) = args
+                scenario.seed = int(value)
+            except ValueError:
+                raise ParseError(line_no, "SEED needs one integer") from None
+            if scenario.seed not in SEEDS:
+                raise ParseError(line_no, f"SEED must be in [0, 2**64), got {value}")
+        else:
+            if len(args) != 2:
+                raise ParseError(line_no, "CONFIG needs a key and a value")
+            scenario.config_overrides.append((args[0], args[1]))
     return scenario
 
 

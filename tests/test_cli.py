@@ -152,6 +152,18 @@ def test_seed_directive_outside_64_bits_exit_2(tmp_path, capsys):
     assert f"parse error: line 2: SEED must be in [0, 2**64), got {2**64}" in capsys.readouterr().err
 
 
+def test_integers_of_4300_digits_exit_2(tmp_path, capsys):
+    nines = "9" * 4300  # two such ADVANCEs, or a freeze this long, would pass the int-to-str limit
+    for text, error in (
+        (f"ACCOUNT a 1\nADVANCE {nines}\nADVANCE {nines}\n", "parse error: line 2: ADVANCE arg 1 must be an integer"),
+        (f"CONFIG freeze_ticks {nines}\nACCOUNT a 1\nACCOUNT b 1\nMINT a 1\nREPORT b 1\n", "config error: bad value"),
+    ):
+        scenario = tmp_path / "huge.tps"
+        scenario.write_text(text)
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith(error)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_genesis_seed_outside_64_bits_exit_2(replevin_log, capsys, seed):
     seq = _edit_first(replevin_log, "Genesis", lambda p: p.update(seed=seed))
@@ -211,9 +223,13 @@ def _edit_first(log, kind, edit):
         ("Genesis", lambda p: p.update(seed="7"), ("replay", "report", "state", "case")),
         ("Genesis", lambda p: p.pop("config"), ("replay", "report", "state", "case", "explain")),
         ("Genesis", lambda p: p["config"].update(jury_f="-1"), ("replay", "report", "state", "case", "explain")),
+        ("Step", lambda p: p.update(command="MINT a 1\nMINT a 7"), ("replay", "report", "state", "case")),
+        ("Step", lambda p: p.update(command="SEED 5"), ("replay", "report", "state", "case")),
+        ("Step", lambda p: p.update(command=p["command"] + " # note"), ("replay", "report", "state", "case")),
     ],
     ids=["step-no-index", "step-no-command", "genesis-no-name", "genesis-no-seed", "step-text-index",
-         "genesis-text-seed", "genesis-no-config", "genesis-bad-config"],
+         "genesis-text-seed", "genesis-no-config", "genesis-bad-config", "step-two-commands", "step-directive",
+         "step-not-normal-form"],
 )
 def test_malformed_step_or_genesis_payload_exit_2(replevin_log, capsys, kind, edit, commands):
     seq = _edit_first(replevin_log, kind, edit)

@@ -13,6 +13,7 @@ import pytest
 
 from guardsim.cli import main
 from guardsim.fuzz import Fuzzer
+from guardsim.scenario import VERBS
 from guardsim.sim import Simulation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +26,7 @@ GOLDEN = {
     "scenarios/theft_recovery.tps": "e06ee070273c6aac6bde8fd8a7fb40c3df6664a577bddbae662000fef626300f",
     "tests/regressions/bad_amounts.tps": "b3e780d87ddc5e932a20645df2a635a15d4a5d042007a21d69acf334ab24350a",
     "tests/regressions/dangling_dispatch.tps": "7998fdf06cc0bd4b5edfc92466d59c39875dddf7d137112b1712b7c2a06580df",
+    "tests/regressions/huge_ticks.tps": "90cec27be1d7ab9fd1e26a3c6eb30b012ff83993f93aa981bda5d482edeaf219",
     "tests/regressions/zero_economics.tps": "a4c11395b65a69176dd3cae268233ab69668b22180e7e9dbdda48c0e61956b4c",
 }
 
@@ -64,3 +66,6 @@ def test_fuzz_corpus_digest_is_pinned(seed, monkeypatch):
     assert result.ok and len(sims) == result.sequences == 8
     digest = hashlib.sha256(b"".join(sim.ledger.serialized() for sim in sims)).hexdigest()
     assert (digest, result.transfers_checked) == FUZZ_CORPUS[seed]
+    # every verb of the DSL is generated: a new verb without a generator fails here
+    commands = {ev.payload["command"] for sim in sims for ev in sim.ledger.events if ev.kind == "Step"}
+    assert {command.split()[0] for command in commands} == set(VERBS)

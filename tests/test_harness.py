@@ -238,6 +238,8 @@ def test_config_file_and_scenario_overrides(tmp_path):
         ("deposit_min", "1e99999999"),
         ("beta_underprice", "Infinity"),
         ("deposit_rate", "1e-99999999"),
+        ("freeze_ticks", str(2**63)),
+        ("jury_f", str(2**63)),
     ],
 )
 def test_out_of_range_config_value_is_rejected_at_load(key, value, tmp_path):
@@ -265,6 +267,24 @@ def test_error_steps_do_not_abort_run():
     assert report.steps_total == 5
     assert report.steps_rejected == 2
     assert sim.ledger.time == 5
+
+
+def test_which_bad_argument_is_rejected_first():
+    # VOTE checks its vote before it resolves its juror; every other verb converts left to right
+    scenario = parse_scenario(
+        "ACCOUNT a 1\nVOTE ghost 1 X\nTRANSFER a ghost a 1 bad\nACCOUNT a bad\n"
+        "MODEL ghost * bad\nAPPROVE_ALL a ghost maybe\nFLAG ghost maybe\n"
+    )
+    sim, _report = run_scenario(scenario)
+    rejected = [(ev.payload["error"], ev.payload["detail"]) for ev in sim.ledger.events if ev.kind == "StepRejected"]
+    assert rejected == [
+        ("RejectedInput", "vote must be R or H, got 'X'"),
+        ("UnknownName", "ghost"),
+        ("RejectedInput", "name already bound: a"),
+        ("UnknownName", "ghost"),
+        ("UnknownName", "ghost"),
+        ("UnknownName", "ghost"),
+    ]
 
 
 def test_write_log_matches_a_fresh_rendering_between_steps(tmp_path):

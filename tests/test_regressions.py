@@ -51,6 +51,18 @@ def test_bad_amounts_are_rejected_steps():
     assert report.ok, report.violations
 
 
+def test_time_stays_below_2_to_the_63():
+    sim, report = _run(REGRESSIONS / "huge_ticks.tps")
+    top = 2**63 - 1
+    frozen = next(ev for ev in sim.ledger.events if ev.kind == "Frozen")
+    assert frozen.payload["until"] == 2 * top
+    assert sim.ledger.time == top
+    assert sim.ledger.events[-2].payload["command"] == "ADVANCE 1"
+    assert sim.ledger.events[-1].kind == "StepRejected"
+    assert sim.ledger.events[-1].payload["error"] == "RejectedInput"
+    assert report.steps_rejected == 1 and report.ok, report.violations
+
+
 def _tamper_closure(events, **changes):
     return [
         replace(ev, payload={**ev.payload, **changes}) if ev.kind == "CaseClosed" else ev for ev in events

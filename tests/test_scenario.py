@@ -1,7 +1,7 @@
 import pytest
 
 from guardsim.errors import ParseError
-from guardsim.scenario import format_scenario, load_scenario, normalize, parse_scenario
+from guardsim.scenario import format_scenario, load_scenario, normalize, parse_scenario, parse_step
 
 
 def test_empty_text_is_valid_empty_scenario():
@@ -25,6 +25,39 @@ def test_arity_and_int_validation():
         parse_scenario("MINT alice one\n")
     with pytest.raises(ParseError):
         parse_scenario("SEED x\n")
+    # integer arguments lie in [0, 2**63); each error names its line
+    for bad in (str(2**63), "9" * 4300, "-1"):
+        for text in (f"ACCOUNT alice 1\nMINT alice {bad}\n", f"ACCOUNT alice 1\nADVANCE {bad}\n"):
+            with pytest.raises(ParseError) as err:
+                parse_scenario(text)
+            assert err.value.line_no == 2
+            assert str(err.value).startswith("line 2: ")
+    top = str(2**63 - 1)
+    step = parse_scenario(f"MINT alice {top}\nADVANCE {top}\n").steps
+    assert [s.values for s in step] == [("alice", 2**63 - 1), (2**63 - 1,)]
+
+
+def test_parse_step_reads_one_line():
+    step = parse_step("mint  a 1_000   # comment", 7)
+    assert (step.line_no, step.verb, step.args, step.values) == (7, "MINT", ("a", "1_000"), ("a", 1000))
+    assert step.raw == "MINT a 1_000"  # the logged command keeps the integer as written
+    assert parse_step("FLAG a").values == ("a", "on")
+    assert parse_step("FLAG a off").values == ("a", "off")
+    assert parse_step("EVIDENCE a 1").values == ("a", 1, "")
+    assert parse_step("EVIDENCE a 1 some  words").values == ("a", 1, "some words")
+    for line, reason in (
+        ("", "no step on this line"),
+        ("  # only a comment", "no step on this line"),
+        ("SEED 5", "SEED is a directive, not a step"),
+        ("frob a", "unknown verb 'frob'"),
+        ("FLAG a on off", "FLAG takes 1..2 args"),
+        ("EVIDENCE a", "EVIDENCE takes 2+ args"),
+        ("MINT a 1 2", "MINT takes 2..2 args"),
+        ("TRANSFER a b c -1 0", "TRANSFER arg 4 must be an integer in [0, 2**63)"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_step(line, 3)
+        assert (err.value.line_no, err.value.reason) == (3, reason)
 
 
 def test_directives_and_comments():
