@@ -7,7 +7,7 @@ deposit-backed arbitration system with quorum voting. Scenario scripts drive
 runs end to end, and every run serializes to a replayable event log.
 """
 
-from .access_control import AccessControl, UnlockAttestation, WalletLink
+from .access_control import AccessControl, UnlockAttestation
 from .arbitration import (
     FOR_HOLDER,
     FOR_REPORTER,
@@ -18,7 +18,7 @@ from .arbitration import (
 from .config import JuryConfig, RiskConfig, SimConfig, apply_override, load_config
 from .errors import SimError
 from .ledger import Account, Address, EventRecord, Ledger, derive_address
-from .oracle import OracleBridge, RiskRequest
+from .oracle import OracleBridge
 from .risk import (
     HACKED,
     MAY_LOST,

@@ -3,7 +3,7 @@
 Wallet signatures are simulated as keyed digests: each address owns a secret
 derived from the run seed, and the auxiliary wallet's key signs both link
 registrations and unlock attestations. Attestations are single-use, so a
-captured one cannot be replayed.
+captured one cannot be replayed. ``links`` maps a main address to its aux.
 """
 
 from __future__ import annotations
@@ -31,14 +31,6 @@ def wallet_secret(seed: int, address: Address) -> bytes:
 
 
 @dataclass(frozen=True)
-class WalletLink:
-    main: Address
-    aux: Address
-    nonce: int
-    digest: bytes
-
-
-@dataclass(frozen=True)
 class UnlockAttestation:
     main: Address
     aux: Address
@@ -53,7 +45,7 @@ class AccessControl:
         self.ledger = ledger
         self.contract = contract
         self.bridge = bridge
-        self.links: dict[Address, WalletLink] = {}
+        self.links: dict[Address, Address] = {}  # main -> aux
         self._nonces: dict[Address, int] = {}
         self._attestation_nonces: dict[Address, int] = {}
         self._consumed: set[bytes] = set()
@@ -73,14 +65,14 @@ class AccessControl:
 
     def make_attestation(self, main: Address, token_id: int) -> UnlockAttestation:
         """Forge a valid single-use attestation for the active link (harness helper)."""
-        link = self.links.get(main)
-        if link is None:
+        aux = self.links.get(main)
+        if aux is None:
             raise NoAuxRegistered(main)
         now = self.ledger.time
         nonce = self._attestation_nonces.get(main, 0)
         self._attestation_nonces[main] = nonce + 1
-        digest = self.attestation_digest(main, link.aux, token_id, now, nonce)
-        return UnlockAttestation(main, link.aux, token_id, now, nonce, digest)
+        digest = self.attestation_digest(main, aux, token_id, now, nonce)
+        return UnlockAttestation(main, aux, token_id, now, nonce, digest)
 
     # -- operations ------------------------------------------------------------
 
@@ -93,7 +85,7 @@ class AccessControl:
         expected = self.registration_digest(main, aux, nonce)
         if not hmac.compare_digest(digest, expected):
             raise SignatureInvalid("registration digest mismatch")
-        self.links[main] = WalletLink(main, aux, nonce, digest)
+        self.links[main] = aux
         self._nonces[main] = nonce + 1
         self.ledger.append_event("AuxRegistered", {"main": main, "aux": aux, "nonce": nonce})
 
@@ -112,22 +104,21 @@ class AccessControl:
             raise NotOwner(main)
         if token.state is not TokenState.LOCKED:
             raise NotLocked(str(token_id))
-        link = self.links.get(main)
-        if link is None:
+        aux = self.links.get(main)
+        if aux is None:
             raise NoAuxRegistered(main)
         valid = (
             attestation.main == main
-            and attestation.aux == link.aux
+            and attestation.aux == aux
             and attestation.token_id == token_id
             and attestation.digest not in self._consumed
             and hmac.compare_digest(
-                attestation.digest,
-                self.attestation_digest(main, link.aux, token_id, attestation.time, attestation.nonce),
+                attestation.digest, self.attestation_digest(main, aux, token_id, attestation.time, attestation.nonce)
             )
         )
         if not valid:
             raise SignatureInvalid("unlock attestation rejected")
         self._consumed.add(attestation.digest)
         # the owner accepts transfer risk by unlocking; record that consent
-        self.ledger.append_event("UnlockConfirmed", {"main": main, "aux": link.aux, "token_id": token_id})
+        self.ledger.append_event("UnlockConfirmed", {"main": main, "aux": aux, "token_id": token_id})
         self.bridge.privileged_dispatch("unlock", origin="dac", token_id=token_id)

@@ -4,18 +4,32 @@ These checks work purely on the serialized event stream, independently of the
 live objects that produced it, so they double as tamper detection: every
 value-moving event records its post balances, and the audit refolds the whole
 history and cross-checks each recorded balance and the final conservation
-identity.
+identity. A recorded event it cannot read is a ``ReplayError`` naming its seq.
 """
 
 from __future__ import annotations
 
 from .config import JuryConfig
+from .errors import RejectedInput, ReplayError
 from .ledger import EventRecord
 from .token import EFFECT_KINDS
 from .units import to_units
 
 _OWNERSHIP_KINDS = {"Minted", "Transfer", "SafeTransfer", "Reclaimed", "Returned"}
 _DISPATCHED_KINDS = {kind: action for action, kind in EFFECT_KINDS.items()}  # effect event -> action
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, RejectedInput)
+
+
+def _malformed(ev: EventRecord, exc: Exception) -> ReplayError:
+    return ReplayError(f"seq {ev.seq}: malformed {ev.kind} event ({type(exc).__name__}: {exc})")
+
+
+def read_event(ev: EventRecord, read):
+    """``read(ev.payload)``; a missing key or a value of the wrong type or spelling is a ReplayError."""
+    try:
+        return read(ev.payload)
+    except _MALFORMED as exc:
+        raise _malformed(ev, exc) from None
 
 
 def audit_events(events: list[EventRecord]) -> list[str]:
@@ -36,84 +50,90 @@ def audit_events(events: list[EventRecord]) -> list[str]:
             violations.append(f"seq {seq}: recorded balance for {addr} diverges from refolded history")
 
     previous: EventRecord | None = None
-    for ev in events:
-        p = ev.payload
-        if ev.kind == "Genesis":
-            gas_fee = to_units(p["config"]["gas_fee"])
-        elif ev.kind == "AccountCreated":
-            amount = to_units(p["balance"])
-            balances[p["address"]] = amount
-            minted += amount
-        elif ev.kind == "ValueTransferred":
-            amount = to_units(p["amount"])
-            balances[p["from"]] = balances.get(p["from"], 0) - amount
-            balances[p["to"]] = balances.get(p["to"], 0) + amount
-            check_balance(ev.seq, p["from"], p["from_balance"])
-            check_balance(ev.seq, p["to"], p["to_balance"])
-            if balances[p["from"]] < 0:
-                violations.append(f"seq {ev.seq}: balance of {p['from']} went negative")
-        elif ev.kind == "ValueMinted":
-            amount = to_units(p["amount"])
-            balances[p["to"]] = balances.get(p["to"], 0) + amount
-            minted += amount
-            check_balance(ev.seq, p["to"], p["to_balance"])
-            if p["reason"] == "juror_reward":
-                reward_minted_total += amount
-        elif ev.kind == "RiskRequested":
-            request_ids.append(p["request_id"])
-        elif ev.kind == "RiskFulfilled":
-            fulfilled[p["request_id"]] = fulfilled.get(p["request_id"], 0) + 1
-        elif ev.kind == "HonorAwarded":
-            honor_count += 1
-            if juror_reward_each is None:
-                juror_reward_each = to_units(p["reward"])
-        elif ev.kind == "CaseClosed":
-            if p["verdict"] == "FOR_REPORTER" and p["tally_reporter"] < p["quorum"]:
-                violations.append(f"seq {ev.seq}: FOR_REPORTER verdict with only {p['tally_reporter']} votes")
-            if p["verdict"] == "FOR_HOLDER" and not p["auto"]:
-                # the reporter forfeits the deposit and pays the gas fee, capped by its balance
-                gas = to_units(p["gas_charged"])
-                owed = min(gas_fee, to_units(p["reporter_balance"]) + gas)
-                if to_units(p["refund"]) or gas != owed:
-                    violations.append(f"seq {ev.seq}: FOR_HOLDER closure did not charge the reporter")
+    try:
+        for ev in events:
+            p = ev.payload
+            if ev.kind == "Genesis":
+                gas_fee = to_units(p["config"]["gas_fee"])
+            elif ev.kind == "AccountCreated":
+                amount = to_units(p["balance"])
+                balances[p["address"]] = amount
+                minted += amount
+            elif ev.kind == "ValueTransferred":
+                amount = to_units(p["amount"])
+                balances[p["from"]] = balances.get(p["from"], 0) - amount
+                balances[p["to"]] = balances.get(p["to"], 0) + amount
+                check_balance(ev.seq, p["from"], p["from_balance"])
+                check_balance(ev.seq, p["to"], p["to_balance"])
+                if balances[p["from"]] < 0:
+                    violations.append(f"seq {ev.seq}: balance of {p['from']} went negative")
+            elif ev.kind == "ValueMinted":
+                amount = to_units(p["amount"])
+                balances[p["to"]] = balances.get(p["to"], 0) + amount
+                minted += amount
+                check_balance(ev.seq, p["to"], p["to_balance"])
+                if p["reason"] == "juror_reward":
+                    reward_minted_total += amount
+            elif ev.kind in ("RiskRequested", "RiskFulfilled"):
+                if type(p["request_id"]) is not int:
+                    raise TypeError(f"request_id {p['request_id']!r} is not an integer")
+                if ev.kind == "RiskRequested":
+                    request_ids.append(p["request_id"])
+                else:
+                    fulfilled[p["request_id"]] = fulfilled.get(p["request_id"], 0) + 1
+            elif ev.kind == "HonorAwarded":
+                honor_count += 1
+                if juror_reward_each is None:
+                    juror_reward_each = to_units(p["reward"])
+            elif ev.kind == "CaseClosed":
+                if p["verdict"] == "FOR_REPORTER" and p["tally_reporter"] < p["quorum"]:
+                    violations.append(f"seq {ev.seq}: FOR_REPORTER verdict with only {p['tally_reporter']} votes")
+                if p["verdict"] == "FOR_HOLDER" and not p["auto"]:
+                    # the reporter forfeits the deposit and pays the gas fee, capped by its balance
+                    gas = to_units(p["gas_charged"])
+                    owed = min(gas_fee, to_units(p["reporter_balance"]) + gas)
+                    if to_units(p["refund"]) or gas != owed:
+                        violations.append(f"seq {ev.seq}: FOR_HOLDER closure did not charge the reporter")
 
-        # token state machine checks
-        if ev.kind in _OWNERSHIP_KINDS:
-            token_id = p["token_id"]
-            if ev.kind == "Minted":
-                token_state[token_id] = "OK"
-            elif ev.kind in ("Transfer", "SafeTransfer"):
-                if p["guard_state"] != "OK":
-                    violations.append(f"seq {ev.seq}: transfer completed on {p['guard_state']} token {token_id}")
-                if p.get("guard_frozen"):
-                    violations.append(f"seq {ev.seq}: transfer completed on frozen token {token_id}")
-                if token_state.get(token_id) == "RECLAIMED":
-                    violations.append(f"seq {ev.seq}: reclaimed token {token_id} moved outside a verdict return")
-                if p["new_state"] != "LOCKED":
-                    violations.append(f"seq {ev.seq}: received token {token_id} not locked on receipt")
-                token_state[token_id] = p["new_state"]
-            elif ev.kind == "Reclaimed":
-                token_state[token_id] = "RECLAIMED"
-            elif ev.kind == "Returned":
-                if token_state.get(token_id) != "RECLAIMED":
-                    violations.append(f"seq {ev.seq}: verdict return on token {token_id} that was not reclaimed")
-                if p["new_state"] != "LOCKED":
-                    violations.append(f"seq {ev.seq}: returned token {token_id} not locked on receipt")
-                token_state[token_id] = p["new_state"]
+            # token state machine checks
+            if ev.kind in _OWNERSHIP_KINDS:
+                token_id = p["token_id"]
+                if ev.kind == "Minted":
+                    token_state[token_id] = "OK"
+                elif ev.kind in ("Transfer", "SafeTransfer"):
+                    if p["guard_state"] != "OK":
+                        violations.append(f"seq {ev.seq}: transfer completed on {p['guard_state']} token {token_id}")
+                    if p.get("guard_frozen"):
+                        violations.append(f"seq {ev.seq}: transfer completed on frozen token {token_id}")
+                    if token_state.get(token_id) == "RECLAIMED":
+                        violations.append(f"seq {ev.seq}: reclaimed token {token_id} moved outside a verdict return")
+                    if p["new_state"] != "LOCKED":
+                        violations.append(f"seq {ev.seq}: received token {token_id} not locked on receipt")
+                    token_state[token_id] = p["new_state"]
+                elif ev.kind == "Reclaimed":
+                    token_state[token_id] = "RECLAIMED"
+                elif ev.kind == "Returned":
+                    if token_state.get(token_id) != "RECLAIMED":
+                        violations.append(f"seq {ev.seq}: verdict return on token {token_id} that was not reclaimed")
+                    if p["new_state"] != "LOCKED":
+                        violations.append(f"seq {ev.seq}: returned token {token_id} not locked on receipt")
+                    token_state[token_id] = p["new_state"]
 
-        # a dispatch and its effect event are adjacent, in both directions
-        action = _DISPATCHED_KINDS.get(ev.kind)
-        dispatched = previous is not None and previous.kind == "OracleDispatch"
-        paired = (
-            dispatched
-            and previous.payload.get("action") == action
-            and previous.payload.get("token_id") == p.get("token_id")
-        )
-        if action is not None and not paired:
-            violations.append(f"seq {ev.seq}: {ev.kind} event without an immediately preceding dispatch")
-        if dispatched and not paired:
-            violations.append(f"seq {previous.seq}: OracleDispatch without its effect event immediately after")
-        previous = ev
+            # a dispatch and its effect event are adjacent, in both directions
+            action = _DISPATCHED_KINDS.get(ev.kind)
+            dispatched = previous is not None and previous.kind == "OracleDispatch"
+            paired = (
+                dispatched
+                and previous.payload.get("action") == action
+                and previous.payload.get("token_id") == p.get("token_id")
+            )
+            if action is not None and not paired:
+                violations.append(f"seq {ev.seq}: {ev.kind} event without an immediately preceding dispatch")
+            if dispatched and not paired:
+                violations.append(f"seq {previous.seq}: OracleDispatch without its effect event immediately after")
+            previous = ev
+    except _MALFORMED as exc:
+        raise _malformed(ev, exc) from None
 
     if previous is not None and previous.kind == "OracleDispatch":
         violations.append(f"seq {previous.seq}: OracleDispatch without its effect event immediately after")

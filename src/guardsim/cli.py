@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 invariant/conservation/replay failure, 2 usage,
-parse or config errors and files that cannot be read or written.
+parse or config errors, bad logs and files that cannot be read or written.
+``main`` is the one place a command's OSError or SimError becomes exit 2.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import SimConfig, load_config
-from .errors import ParseError, RejectedInput, ReplayError, SimError
+from .audit import read_event
+from .config import RiskConfig, SimConfig, load_config
+from .errors import ParseError, RejectedInput, SimError
 from .fuzz import Fuzzer
 from .ledger import SEEDS
 from .risk import classify_payload
@@ -51,11 +53,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        outcome, _sim = replay_log(args.log)
-    except ReplayError as exc:
-        print(f"replay error: {exc}", file=sys.stderr)
-        return 2
+    outcome, _sim = replay_log(args.log)
     if outcome.passed:
         print("replay: pass")
         return 0
@@ -64,30 +62,18 @@ def cmd_replay(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        report = report_from_log(args.log)
-    except ReplayError as exc:
-        print(f"report error: {exc}", file=sys.stderr)
-        return 2
+    report = report_from_log(args.log)
     print(report.to_text())
     return 0 if report.ok else 1
 
 
 def cmd_state(args) -> int:
-    try:
-        print(rerun(read_log(args.log)).contract.state_line(args.token_id))
-    except (ReplayError, SimError) as exc:
-        print(f"state error: {exc}", file=sys.stderr)
-        return 2
+    print(rerun(read_log(args.log)).contract.state_line(args.token_id))
     return 0
 
 
 def cmd_case(args) -> int:
-    try:
-        case = rerun(read_log(args.log)).arbitration.case(args.case_id)
-    except (ReplayError, SimError) as exc:
-        print(f"case error: {exc}", file=sys.stderr)
-        return 2
+    case = rerun(read_log(args.log)).arbitration.case(args.case_id)
     print(f"case={case.case_id} token={case.token_id} status={case.status}"
           f" verdict={case.verdict or '-'}{' auto' if case.auto_opened else ''}")
     print(f"  reporter={case.reporter}")
@@ -102,42 +88,32 @@ def cmd_case(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    try:
-        events = read_log(args.log)
-        genesis = next((ev for ev in events if ev.kind == "Genesis"), None)
-        match = next(
-            (ev for ev in events if ev.kind == "RiskFulfilled" and ev.payload["request_id"] == args.request_id),
-            None,
-        )
-        if genesis is None or match is None:
-            print(f"no fulfilled risk request {args.request_id} in {args.log}", file=sys.stderr)
-            return 2
-        config = genesis_config(genesis)
-    except ReplayError as exc:
-        print(f"explain error: {exc}", file=sys.stderr)
+    events = read_log(args.log)
+    genesis = next((ev for ev in events if ev.kind == "Genesis"), None)
+    fulfilled = (ev for ev in events if ev.kind == "RiskFulfilled")
+    match = next((ev for ev in fulfilled if read_event(ev, lambda p: p["request_id"]) == args.request_id), None)
+    if genesis is None or match is None:
+        print(f"no fulfilled risk request {args.request_id} in {args.log}", file=sys.stderr)
         return 2
-    payload = match.payload
-    print(f"request={args.request_id} status={payload['status']}")
-    for key, value in payload["features"].items():
-        print(f"  {key}={value}")
-    if payload["hits"]:
-        for hit in payload["hits"]:
-            print(f"  hit {hit['rule']} ({hit['severity']}): {hit['detail']}")
-    else:
-        print("  hits: none")
-    status, rules = classify_payload(payload["features"], config.risk)
-    agrees = status == payload["status"] and rules == [h["rule"] for h in payload["hits"]]
-    print(f"  offline recompute: {status} ({'agrees' if agrees else 'DIVERGES'})")
+    config = genesis_config(genesis)
+    lines, agrees = read_event(match, lambda payload: _explanation(payload, config.risk))
+    print(f"request={args.request_id} " + "\n".join(lines))
     return 0 if agrees else 1
 
 
+def _explanation(payload: dict, config: RiskConfig) -> tuple[list[str], bool]:
+    """The lines ``explain`` prints for one RiskFulfilled payload, and whether the offline recompute agrees."""
+    features, hits = payload["features"], payload["hits"]
+    status, rules = classify_payload(features, config)
+    agrees = status == payload["status"] and rules == [hit["rule"] for hit in hits]
+    lines = [f"status={payload['status']}", *(f"  {key}={value}" for key, value in features.items())]
+    lines += [f"  hit {hit['rule']} ({hit['severity']}): {hit['detail']}" for hit in hits] or ["  hits: none"]
+    lines.append(f"  offline recompute: {status} ({'agrees' if agrees else 'DIVERGES'})")
+    return lines, agrees
+
+
 def cmd_fuzz(args) -> int:
-    try:
-        fuzzer = Fuzzer(seed=args.seed, ops_per_run=args.ops_per_run)
-    except RejectedInput as exc:
-        print(f"fuzz error: {exc}", file=sys.stderr)
-        return 2
-    result = fuzzer.run(args.iters)
+    result = Fuzzer(seed=args.seed, ops_per_run=args.ops_per_run).run(args.iters)
     print(f"fuzz: {result.ops} operations across {result.sequences} sequences")
     if result.ok:
         print("no invariant violations")
@@ -194,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, SimError) as exc:
         print(f"{args.command} error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,7 @@ the contract safety properties after every step and auditing the whole event
 stream after every sequence. Sequences share nothing, so total coverage is
 just the sum of many small runs. A failing sequence is greedily minimized by
 dropping commands while the violation persists; the surviving trace is a
-valid scenario script that reproduces the bug.
+scenario script, with the sequence's NAME and SEED, that reproduces the bug.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .audit import audit_events
 from .errors import RejectedInput
 from .runner import RunContext, run_step
-from .scenario import parse_step
+from .scenario import Scenario, format_scenario, parse_step
 from .sim import Simulation
 
 _PRICES = ("0", "1", "2", "3", "4", "6", "8", "10", "12")
@@ -55,14 +55,6 @@ class FuzzResult:
         return self.violation is None
 
 
-class SequenceState:
-    """Bookkeeping the adaptive generator needs between steps."""
-
-    def __init__(self):
-        self.tokens: list[int] = []
-        self.next_token = 1
-
-
 class Fuzzer:
     def __init__(self, seed: int = 0, ops_per_run: int = 400):
         if ops_per_run < 1:
@@ -82,20 +74,21 @@ class Fuzzer:
             sequences += 1
             transfers += sum(1 for ev in sim.ledger.events if ev.kind in ("Transfer", "SafeTransfer"))
             if violation is not None:
-                minimized = self._minimize(seq_seed, lines, violation)
-                return FuzzResult(done, sequences, transfers, violation, "\n".join(minimized) + "\n")
+                steps = [parse_step(line) for line in self._minimize(seq_seed, lines, violation)]
+                trace = format_scenario(Scenario(name=f"fuzz-{seq_seed}", seed=seq_seed, steps=steps))
+                return FuzzResult(done, sequences, transfers, violation, trace)
         return FuzzResult(done, sequences, transfers)
 
     # -- one generated sequence -------------------------------------------
 
     def _generate_sequence(self, seq_seed: int, ops: int) -> tuple[list[str], str | None, Simulation]:
         rng = random.Random(seq_seed)
-        state = SequenceState()
+        tokens: list[int] = []  # minted ids, 1, 2, ...
         lines = list(_HEADER)
         sim, ctx, violation = self._execute(seq_seed, lines)
         if violation is None:
             for _ in range(ops):
-                command = self._next_command(rng, state, sim, ctx)
+                command = self._next_command(rng, tokens, ctx)
                 lines.append(command)
                 violation = self._execute_one(ctx, command, len(lines) - 1)
                 if violation is not None:
@@ -148,34 +141,32 @@ class Fuzzer:
 
     # -- adaptive command generation ----------------------------------------
 
-    def _next_command(self, rng: random.Random, state: SequenceState, sim: Simulation, ctx: RunContext) -> str:
+    def _next_command(self, rng: random.Random, tokens: list[int], ctx: RunContext) -> str:
         for _ in range(8):
-            command = self._try_command(rng, state, sim, ctx)
+            command = self._try_command(rng, tokens, ctx)
             if command is not None:
                 return command
         return f"ADVANCE {rng.randint(1, 600)}"
 
-    def _try_command(self, rng: random.Random, state: SequenceState, sim: Simulation, ctx: RunContext):
+    def _try_command(self, rng: random.Random, tokens: list[int], ctx: RunContext):
         rev = {addr: name for name, addr in ctx.names.items()}
         users = _USERS
         pick = rng.random()
 
         def owner_name(token_id: int) -> str | None:
-            return rev.get(sim.contract.token(token_id).owner)
+            return rev.get(ctx.sim.contract.token(token_id).owner)
 
         if pick < 0.08:
             return f"ADVANCE {rng.choice((1, 7, 60, 600, 3600, 7201, 86401))}"
         if pick < 0.16:
-            if len(state.tokens) >= _MAX_TOKENS:
+            if len(tokens) >= _MAX_TOKENS:
                 return None
-            token_id = state.next_token
-            state.next_token += 1
-            state.tokens.append(token_id)
-            return f"MINT {rng.choice(users)} {token_id}"
+            tokens.append(len(tokens) + 1)
+            return f"MINT {rng.choice(users)} {tokens[-1]}"
         if pick < 0.44:
-            if not state.tokens:
+            if not tokens:
                 return None
-            token_id = rng.choice(state.tokens)
+            token_id = rng.choice(tokens)
             owner = owner_name(token_id)
             caller = owner if owner and rng.random() < 0.8 else rng.choice(users)
             source = owner if owner and rng.random() < 0.9 else rng.choice(users)
@@ -184,26 +175,26 @@ class Fuzzer:
             verb = "SAFE_TRANSFER" if rng.random() < 0.2 else "TRANSFER"
             return f"{verb} {caller} {source} {rng.choice(users)} {token_id} {rng.choice(_PRICES)}"
         if pick < 0.52:
-            if not state.tokens:
+            if not tokens:
                 return None
-            token_id = rng.choice(state.tokens)
+            token_id = rng.choice(tokens)
             actor = owner_name(token_id) if rng.random() < 0.8 else rng.choice(users)
             if actor is None:
                 return None
             return f"LOCK {actor} {token_id}"
         if pick < 0.62:
-            if not state.tokens:
+            if not tokens:
                 return None
-            token_id = rng.choice(state.tokens)
+            token_id = rng.choice(tokens)
             actor = owner_name(token_id) if rng.random() < 0.85 else rng.choice(users)
             if actor is None:
                 return None
             verb = "UNLOCK_BAD" if rng.random() < 0.15 else "UNLOCK"
             return f"{verb} {actor} {token_id}"
         if pick < 0.67:
-            if not state.tokens:
+            if not tokens:
                 return None
-            token_id = rng.choice(state.tokens)
+            token_id = rng.choice(tokens)
             actor = owner_name(token_id) or rng.choice(users)
             return f"APPROVE {actor} {rng.choice(users)} {token_id}"
         if pick < 0.71:
@@ -221,11 +212,11 @@ class Fuzzer:
         if pick < 0.83:
             return f"PAY {rng.choice(users)} {rng.choice(users)} {rng.choice(('0.1', '0.5', '1'))}"
         if pick < 0.88:
-            if not state.tokens:
+            if not tokens:
                 return None
-            return f"REPORT {rng.choice(users)} {rng.choice(state.tokens)}"
-        open_cases = [c for c in sim.arbitration.cases.values() if c.status == "open"]
-        voting_cases = [c for c in sim.arbitration.cases.values() if c.status == "voting"]
+            return f"REPORT {rng.choice(users)} {rng.choice(tokens)}"
+        open_cases = [c for c in ctx.sim.arbitration.cases.values() if c.status == "open"]
+        voting_cases = [c for c in ctx.sim.arbitration.cases.values() if c.status == "voting"]
         if pick < 0.90:
             if not open_cases:
                 return None

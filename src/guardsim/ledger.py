@@ -135,11 +135,6 @@ class Ledger:
         self.events.append(record)
         return record
 
-    def events_since(self, seq: int) -> list[EventRecord]:
-        if seq < 0:
-            raise RejectedInput("seq must be >= 0")
-        return [ev for ev in self.events if ev.seq > seq]
-
     def serialized(self) -> bytes:
         """The log's canonical bytes; renders only the events appended since the last call."""
         if self._rendered < len(self.events):

@@ -4,7 +4,7 @@ transitions.
 
 The bridge fulfills each request synchronously within the same ledger step,
 but still logs the RiskRequested / RiskFulfilled pair so the on-chain message
-trace survives in the event log.
+trace survives in the event log. The bridge holds only pending requests.
 
 Access control (``dac``), risk management (``drm``) and arbitration (``das``)
 change a token's supervision state only through ``privileged_dispatch``: the
@@ -14,8 +14,6 @@ is logged as an OracleDispatch and handed to the contract's one effect entry,
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InvalidRequest, NotOracle
 from .ledger import Ledger
@@ -29,21 +27,13 @@ _ALLOWED_DISPATCH = {
 }
 
 
-@dataclass
-class RiskRequest:
-    request_id: int
-    intent: TransferIntent
-    created_at: int
-    status: str = "pending"  # pending | fulfilled
-
-
 class OracleBridge:
     def __init__(self, ledger: Ledger, contract, engine: RiskEngine):
         self.ledger = ledger
         self.contract = contract
         self.engine = engine
         self._arbitration = None
-        self.requests: dict[int, RiskRequest] = {}
+        self._pending: dict[int, TransferIntent] = {}
         self._next_request_id = 1
 
     def attach_arbitration(self, arbitration) -> None:
@@ -52,7 +42,7 @@ class OracleBridge:
     def request_risk_check(self, intent: TransferIntent) -> tuple[int, RiskVerdict]:
         request_id = self._next_request_id
         self._next_request_id += 1
-        self.requests[request_id] = RiskRequest(request_id, intent, self.ledger.time)
+        self._pending[request_id] = intent
         self.ledger.append_event(
             "RiskRequested",
             {
@@ -70,10 +60,9 @@ class OracleBridge:
         return request_id, verdict
 
     def fulfill(self, request_id: int, verdict: RiskVerdict) -> None:
-        request = self.requests.get(request_id)
-        if request is None or request.status != "pending":
+        intent = self._pending.pop(request_id, None)
+        if intent is None:
             raise InvalidRequest(str(request_id))
-        request.status = "fulfilled"
         self.ledger.append_event(
             "RiskFulfilled",
             {
@@ -83,7 +72,6 @@ class OracleBridge:
                 "features": verdict.features.to_payload(),
             },
         )
-        intent = request.intent
         if verdict.status == MAY_LOST:
             self.contract.mark_abnormal(intent.token_id, by=self)
             until = self.ledger.time + self.contract.freeze_ticks

@@ -4,10 +4,10 @@ Header directives (NAME, SEED, CONFIG) may appear anywhere but apply to the
 whole run. Every other verb has one entry in ``VERBS``: its argument kinds and
 a handler. ``parse_step`` reads a line against that entry, so a bad script
 fails at load time, not mid-run: an unknown verb, a wrong argument count or an
-integer argument outside [0, 2**63) is a ``ParseError`` naming the line. The
-other kinds (names, amounts, on/off, R/H votes, model scores) are converted
-when the step executes, against the run's state; a bad one, like a guard
-refusal, is a logged ``StepRejected``, so attack scripts can assert on it.
+integer argument outside [0, 2**63) is a ``ParseError`` naming the line. INT and
+TEXT are plain markers; every other kind (names, amounts, on/off, R/H votes,
+model scores) is a plain function ``(ctx, text) -> value``, called when the step
+executes; its error, like a guard refusal, is a logged ``StepRejected``.
 """
 
 from __future__ import annotations
@@ -23,14 +23,6 @@ from .ledger import INTS, SEEDS
 from .units import to_units
 
 
-@dataclass(frozen=True, eq=False)
-class Kind:
-    """An argument kind. ``run`` converts the argument when the step executes, against the run's
-    context, so its SimError is a logged StepRejected; INT and TEXT are read when the line is parsed."""
-
-    run: Callable[[Any, str], Any] | None = None
-
-
 def _int(text: str) -> int:
     value = int(text)
     if value not in INTS:
@@ -44,7 +36,7 @@ def _unbound(ctx, name: str) -> str:
     return name
 
 
-def _checked(convert: Callable[[str], Any], message: str) -> Kind:
+def _checked(convert: Callable[[str], Any], message: str) -> Callable[[Any, str], Any]:
     """A run-time kind: ``convert(text)``, whose KeyError or ValueError rejects the step with ``message``."""
 
     def run(_ctx, text: str):
@@ -53,21 +45,21 @@ def _checked(convert: Callable[[str], Any], message: str) -> Kind:
         except (KeyError, ValueError):
             raise RejectedInput(message.format(text)) from None
 
-    return Kind(run=run)
+    return run
 
 
 _ONOFF = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 _VOTES = {"r": FOR_REPORTER, "h": FOR_HOLDER}
 
-NEW_NAME = Kind(run=_unbound)
-NAME = Kind(run=lambda ctx, name: ctx.resolve(name))
-NAME_OR_ANY = Kind(run=lambda ctx, name: name if name == "*" else ctx.resolve(name))
-INT = Kind()  # an integer in ``ledger.INTS``, converted and bounded when the line is parsed
-AMOUNT = Kind(run=lambda _ctx, text: to_units(text))
+NEW_NAME = _unbound
+NAME = lambda ctx, name: ctx.resolve(name)
+NAME_OR_ANY = lambda ctx, name: name if name == "*" else ctx.resolve(name)
+INT = "int"  # parse-time marker: an integer in ``ledger.INTS``, converted and bounded when the line is parsed
+AMOUNT = lambda _ctx, text: to_units(text)
 ONOFF = _checked(lambda text: _ONOFF[text.lower()], "expected on/off, got {!r}")
 VOTE = _checked(lambda text: _VOTES[text.lower()], "vote must be R or H, got {!r}")
 SCORE = _checked(float, "bad model score {!r}")
-TEXT = Kind()  # trailing free text: every remaining word (maybe none), joined by single spaces
+TEXT = "text"  # parse-time marker: every remaining word (maybe none), joined by single spaces
 
 
 class Verb:
@@ -75,12 +67,12 @@ class Verb:
     arguments, as a function's do; ``order`` is the order the run-time kinds are converted in (so
     which error wins when two arguments are bad), left to right by default."""
 
-    def __init__(self, kinds: tuple[Kind, ...], handler, defaults: tuple[str, ...] = (), order=None):
+    def __init__(self, kinds: tuple, handler, defaults: tuple[str, ...] = (), order=None):
         self.kinds, self.handler, self.defaults = kinds, handler, defaults
         self.max_args = None if kinds[-1] is TEXT else len(kinds)
         self.min_args = len(kinds) - len(defaults) - (self.max_args is None)
         self.ints = tuple(i for i, kind in enumerate(kinds) if kind is INT)
-        self.runtime = tuple((i, kinds[i].run) for i in (order or range(len(kinds))) if kinds[i].run)
+        self.runtime = tuple((i, kinds[i]) for i in (order or range(len(kinds))) if callable(kinds[i]))
 
 
 def _account(ctx, name, balance):
@@ -103,10 +95,8 @@ def _unlock(ctx, main, token_id):
 
 
 def _unlock_bad(ctx, main, token_id):
-    sim = ctx.sim
-    link = sim.access.links.get(main)
-    aux = link.aux if link else main
-    sim.access.unlock(main, token_id, UnlockAttestation(main, aux, token_id, sim.ledger.time, 0, b"\x00" * 32))
+    aux, now = ctx.sim.access.links.get(main, main), ctx.sim.ledger.time
+    ctx.sim.access.unlock(main, token_id, UnlockAttestation(main, aux, token_id, now, 0, b"\x00" * 32))
 
 
 _TRANSFER = (NAME, NAME, NAME, INT, AMOUNT)

@@ -226,10 +226,17 @@ def _edit_first(log, kind, edit):
         ("Step", lambda p: p.update(command="MINT a 1\nMINT a 7"), ("replay", "report", "state", "case")),
         ("Step", lambda p: p.update(command="SEED 5"), ("replay", "report", "state", "case")),
         ("Step", lambda p: p.update(command=p["command"] + " # note"), ("replay", "report", "state", "case")),
+        ("ValueTransferred", lambda p: p.pop("to_balance"), ("report",)),
+        ("ValueTransferred", lambda p: p.update(amount="abc"), ("report",)),
+        ("RiskFulfilled", lambda p: p.pop("request_id"), ("report", "explain")),
+        ("RiskFulfilled", lambda p: p.pop("features"), ("explain",)),
+        ("Minted", lambda p: p.pop("token_id"), ("report",)),
+        ("CaseClosed", lambda p: p.update(tally_reporter="x"), ("report",)),
     ],
     ids=["step-no-index", "step-no-command", "genesis-no-name", "genesis-no-seed", "step-text-index",
          "genesis-text-seed", "genesis-no-config", "genesis-bad-config", "step-two-commands", "step-directive",
-         "step-not-normal-form"],
+         "step-not-normal-form", "value-no-to-balance", "value-text-amount", "fulfilled-no-request-id",
+         "fulfilled-no-features", "minted-no-token-id", "closed-text-tally"],
 )
 def test_malformed_step_or_genesis_payload_exit_2(replevin_log, capsys, kind, edit, commands):
     seq = _edit_first(replevin_log, kind, edit)
@@ -238,3 +245,14 @@ def test_malformed_step_or_genesis_payload_exit_2(replevin_log, capsys, kind, ed
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{command} error: seq {seq}: ") and err.count("\n") == 1
+
+
+def test_text_request_id_among_several_is_a_report_error(tmp_path, capsys):
+    log = tmp_path / "clean_sale.jsonl"
+    assert main(["run", str(SCENARIOS / "clean_sale.tps"), "--out", str(log)]) == 0
+    assert log.read_bytes().count(b'"kind":"RiskFulfilled"') > 1
+    capsys.readouterr()
+    seq = _edit_first(log, "RiskFulfilled", lambda p: p.update(request_id=str(p["request_id"])))
+    assert main(["report", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"report error: seq {seq}: malformed RiskFulfilled event") and err.count("\n") == 1

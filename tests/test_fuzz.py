@@ -1,7 +1,9 @@
 import pytest
 
+from guardsim import fuzz
 from guardsim.errors import RejectedInput
 from guardsim.fuzz import Fuzzer
+from guardsim.runner import run_scenario
 from guardsim.scenario import parse_scenario
 from guardsim.token import GuardResult, TokenContract
 
@@ -32,6 +34,17 @@ def test_fuzzer_catches_a_seeded_guard_bug_and_minimizes(monkeypatch):
     assert any(v in ("TRANSFER", "SAFE_TRANSFER") for v in verbs)
     # greedy minimization should have stripped the irrelevant op tail
     assert len(minimized.steps) < 300
+
+
+def test_fuzz_trace_runs_under_the_failing_sequence_seed(monkeypatch):
+    monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: GuardResult(True))
+    result = Fuzzer(seed=7, ops_per_run=300).run(3000)
+    assert not result.ok
+    trace = parse_scenario(result.trace)
+    seq_seed = fuzz._sequence_seed(7, result.sequences - 1)
+    assert (trace.name, trace.seed) == (f"fuzz-{seq_seed}", seq_seed)
+    _sim, report = run_scenario(trace)
+    assert report.violations
 
 
 @pytest.mark.parametrize("ops_per_run", [0, -1])

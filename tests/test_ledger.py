@@ -88,17 +88,6 @@ def test_advance_time():
         ledger.advance_time(-1)
 
 
-def test_events_since():
-    ledger = Ledger()
-    assert ledger.events_since(0) == []
-    ledger.create_account(0)
-    ledger.advance_time(1)
-    ledger.advance_time(2)
-    tail = ledger.events_since(1)
-    assert [ev.seq for ev in tail] == [2, 3]
-    assert [ev.seq for ev in ledger.events_since(0)] == [1, 2, 3]
-
-
 def test_empty_log_digest_is_sha256_of_nothing():
     assert Ledger().log_digest() == hashlib.sha256(b"").digest()
 
