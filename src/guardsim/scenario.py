@@ -159,6 +159,11 @@ def parse_step(line: str, line_no: int = 0) -> Step:
     parts = line.split("#", 1)[0].split()
     if not parts:
         raise ParseError(line_no, "no step on this line")
+    return _parse_words(parts, line_no)
+
+
+def _parse_words(parts: list[str], line_no: int) -> Step:
+    """The step a line's words (its comment dropped; at least one word) spell, read against ``VERBS``."""
     verb, args = parts[0].upper(), tuple(parts[1:])
     spec = VERBS.get(verb)
     if spec is None:
@@ -187,7 +192,7 @@ def parse_scenario(text: str, default_name: str = "") -> Scenario:
             continue
         verb, args = parts[0].upper(), parts[1:]
         if verb not in _DIRECTIVES:
-            scenario.steps.append(parse_step(raw, line_no))
+            scenario.steps.append(_parse_words(parts, line_no))
         elif verb == "NAME":
             if not args:
                 raise ParseError(line_no, "NAME needs a value")

@@ -173,16 +173,31 @@ def test_truncated_or_garbage_log_is_replay_error(tmp_path):
         replay_log(empty)
 
 
-def _count_audits(monkeypatch) -> list[int]:
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Count the calls made through ``runner.<name>``, in a one-element list."""
     calls = [0]
-    original = runner.audit_events
+    original = getattr(runner, name)
 
-    def counting(events):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return original(events)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "audit_events", counting)
+    monkeypatch.setattr(runner, name, counting)
     return calls
+
+
+def _count_audits(monkeypatch) -> list[int]:
+    return _count_calls(monkeypatch, "audit_events")
+
+
+def _replay_and_report_counted(monkeypatch, log):
+    """``replay_log`` and ``report_from_log`` of ``log``, each with its (parse_log, execute_scenario) call counts."""
+    parses, runs = _count_calls(monkeypatch, "parse_log"), _count_calls(monkeypatch, "execute_scenario")
+    outcome, _ = replay_log(log)
+    replay_calls = (parses[0], runs[0])
+    parses[0] = runs[0] = 0
+    rebuilt = report_from_log(log)
+    return outcome, replay_calls, rebuilt, (parses[0], runs[0])
 
 
 def test_tampered_balance_is_flagged_by_report(tmp_path, monkeypatch):
@@ -354,17 +369,18 @@ def test_non_canonical_line_fails_replay_and_report(tmp_path):
     assert f"recorded log diverges from deterministic re-execution at seq {target + 1}" in rebuilt.violations
 
 
-def test_blank_lines_in_a_log_are_ignored(tmp_path):
+def test_blank_lines_in_a_log_are_ignored(tmp_path, monkeypatch):
     sim, report = run_canned("replevin")
     log = tmp_path / "replevin.jsonl"
     write_log(sim, log)
     lines = log.read_bytes().splitlines(keepends=True)
     log.write_bytes(b"\n" + b"\n".join(lines[:5]) + b"\n\n" + b"".join(lines[5:]) + b"\n")
-    outcome, _ = replay_log(log)
+    outcome, replay_calls, rebuilt, report_calls = _replay_and_report_counted(monkeypatch, log)
     assert outcome.passed, outcome
-    rebuilt = report_from_log(log)
     assert rebuilt.ok, rebuilt.violations
     assert rebuilt.digest == report.digest
+    # the bytes differ, so the whole log is parsed; it reads the same command stream, so the run is reused
+    assert replay_calls == report_calls == (1, 1)
 
 
 def test_report_of_a_clean_log_audits_once(tmp_path, monkeypatch):
@@ -375,3 +391,49 @@ def test_report_of_a_clean_log_audits_once(tmp_path, monkeypatch):
     assert report_from_log(log).ok
     assert calls[0] == 1
 
+
+@pytest.mark.parametrize("path", CANNED, ids=lambda p: p.stem)
+def test_a_canonical_log_is_replayed_from_its_step_lines_alone(path, tmp_path, monkeypatch):
+    sim, report = run_scenario(load_scenario(path))
+    log = tmp_path / f"{path.stem}.jsonl"
+    write_log(sim, log)
+    outcome, replay_calls, rebuilt, report_calls = _replay_and_report_counted(monkeypatch, log)
+    assert outcome.passed, outcome
+    assert rebuilt.digest == report.digest and rebuilt.ok
+    # no full parse of the log and one execution each
+    assert replay_calls == report_calls == (0, 1)
+
+
+def test_non_canonical_step_line_is_a_divergence_at_its_seq(tmp_path, monkeypatch):
+    sim, _report = run_canned("hot_sale")
+    log = tmp_path / "hot_sale.jsonl"
+    write_log(sim, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if b'"kind":"Step"' in line and b"TRANSFER" in line)
+    body = json.loads(lines[target])
+    lines[target] = json.dumps(body, sort_keys=True, separators=(",", ": ")).encode() + b"\n"
+    assert json.loads(lines[target]) == body
+    log.write_bytes(b"".join(lines))
+    outcome, replay_calls, rebuilt, report_calls = _replay_and_report_counted(monkeypatch, log)
+    assert not outcome.passed
+    assert outcome.divergence_seq == target + 1
+    assert f"recorded log diverges from deterministic re-execution at seq {target + 1}" in rebuilt.violations
+    # the fast read skipped the step, so the full parse reads another command stream and runs it
+    assert replay_calls == report_calls == (1, 2)
+
+
+def test_tampered_price_fails_replay_after_one_execution(tmp_path, monkeypatch):
+    sim, _report = run_canned("replevin")
+    log = tmp_path / "replevin.jsonl"
+    write_log(sim, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if b'"kind":"RiskRequested"' in line)
+    body = json.loads(lines[target])
+    body["payload"]["price"] = "0.000000000000000001"
+    lines[target] = json.dumps(body, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    log.write_bytes(b"".join(lines))
+    outcome, replay_calls, rebuilt, report_calls = _replay_and_report_counted(monkeypatch, log)
+    assert not outcome.passed
+    assert outcome.divergence_seq == target + 1
+    assert rebuilt.violations[-1] == f"recorded log diverges from deterministic re-execution at seq {target + 1}"
+    assert replay_calls == report_calls == (1, 1)
