@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     NoAuxRegistered,
@@ -30,8 +30,7 @@ def wallet_secret(seed: int, address: Address) -> bytes:
     return hashlib.sha256(_KEY_DOMAIN + seed.to_bytes(8, "big") + address.encode("ascii")).digest()
 
 
-@dataclass(frozen=True)
-class UnlockAttestation:
+class UnlockAttestation(NamedTuple):
     main: Address
     aux: Address
     token_id: int
@@ -57,11 +56,11 @@ class AccessControl:
         if nonce is None:
             nonce = self._nonces.get(main, 0)
         message = f"register|{main}|{aux}|{nonce}".encode("ascii")
-        return hmac.new(wallet_secret(self.ledger.seed, aux), message, hashlib.sha256).digest()
+        return hmac.digest(wallet_secret(self.ledger.seed, aux), message, "sha256")
 
     def attestation_digest(self, main: Address, aux: Address, token_id: int, time: int, nonce: int) -> bytes:
         message = f"unlock|{main}|{aux}|{token_id}|{time}|{nonce}".encode("ascii")
-        return hmac.new(wallet_secret(self.ledger.seed, aux), message, hashlib.sha256).digest()
+        return hmac.digest(wallet_secret(self.ledger.seed, aux), message, "sha256")
 
     def make_attestation(self, main: Address, token_id: int) -> UnlockAttestation:
         """Forge a valid single-use attestation for the active link (harness helper)."""

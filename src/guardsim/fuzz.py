@@ -87,8 +87,9 @@ class Fuzzer:
         lines = list(_HEADER)
         sim, ctx, violation = self._execute(seq_seed, lines)
         if violation is None:
+            rev = {addr: name for name, addr in ctx.names.items()}  # fixed now: no generated verb binds a name
             for _ in range(ops):
-                command = self._next_command(rng, tokens, ctx)
+                command = self._next_command(rng, tokens, ctx, rev)
                 lines.append(command)
                 violation = self._execute_one(ctx, command, len(lines) - 1)
                 if violation is not None:
@@ -141,15 +142,14 @@ class Fuzzer:
 
     # -- adaptive command generation ----------------------------------------
 
-    def _next_command(self, rng: random.Random, tokens: list[int], ctx: RunContext) -> str:
+    def _next_command(self, rng: random.Random, tokens: list[int], ctx: RunContext, rev: dict[str, str]) -> str:
         for _ in range(8):
-            command = self._try_command(rng, tokens, ctx)
+            command = self._try_command(rng, tokens, ctx, rev)
             if command is not None:
                 return command
         return f"ADVANCE {rng.randint(1, 600)}"
 
-    def _try_command(self, rng: random.Random, tokens: list[int], ctx: RunContext):
-        rev = {addr: name for name, addr in ctx.names.items()}
+    def _try_command(self, rng: random.Random, tokens: list[int], ctx: RunContext, rev: dict[str, str]):
         users = _USERS
         pick = rng.random()
 

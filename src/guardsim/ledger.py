@@ -11,6 +11,9 @@ of ``json.dumps(sort_keys=True, separators=(",", ":"), ensure_ascii=True)``,
 so no encoder object is constructed per event. Payloads are checked when they
 are appended, in one walk: a value of an exact leaf type (str, int, bool,
 None) passes at once, and every other value takes the ``isinstance`` rules.
+``EventRecord`` and the other records built per step or transfer are
+immutable ``typing.NamedTuple`` classes, built positionally; the check refuses
+a tuple with ``_fields`` (a record), which would otherwise encode as an array.
 
 Canonical serialization rules:
   - object keys sorted, compact separators, ASCII only;
@@ -25,6 +28,7 @@ import hashlib
 from dataclasses import dataclass
 from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import InsufficientFunds, RejectedInput, UnknownAccount
 from .units import fmt_units
@@ -53,8 +57,7 @@ class Account:
     created_at: int = 0
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     seq: int
     time: int
     kind: str
@@ -94,7 +97,7 @@ def _check_payload(value) -> None:
                 raise TypeError("event payload keys must be strings")
             if type(item) not in _LEAF_TYPES:
                 _check_payload(item)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):  # a record is no JSON array
         for item in value:
             if type(item) not in _LEAF_TYPES:
                 _check_payload(item)
@@ -130,7 +133,7 @@ class Ledger:
 
     def append_event(self, kind: str, payload: dict) -> EventRecord:
         _check_payload(payload)
-        record = EventRecord(seq=self._next_seq, time=self.time, kind=kind, payload=payload)
+        record = EventRecord(self._next_seq, self.time, kind, payload)
         self._next_seq += 1
         self.events.append(record)
         return record

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .config import RiskConfig
 from .ledger import Address
@@ -55,8 +55,7 @@ RULE_SEVERITY = {
 }
 
 
-@dataclass(frozen=True)
-class TransferIntent:
+class TransferIntent(NamedTuple):
     """Immutable snapshot of one proposed transfer awaiting evaluation."""
 
     caller: Address
@@ -67,8 +66,7 @@ class TransferIntent:
     time: int
 
 
-@dataclass(frozen=True)
-class RuleHit:
+class RuleHit(NamedTuple):
     rule_id: str
     severity: str
     detail: str
@@ -113,8 +111,7 @@ class FeatureVector:
         }
 
 
-@dataclass(frozen=True)
-class RiskVerdict:
+class RiskVerdict(NamedTuple):
     status: str
     hits: tuple[RuleHit, ...]
     features: FeatureVector

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
+from typing import NamedTuple
 
 from .audit import audit_events
 from .config import SimConfig, apply_override, config_from_payload
@@ -239,8 +240,7 @@ def rerun(events: list[EventRecord]) -> Simulation:
     return execute_scenario(scenario, seed=scenario.seed, base_config=config)[0].sim
 
 
-@dataclass(frozen=True)
-class ReplayOutcome:
+class ReplayOutcome(NamedTuple):
     passed: bool
     divergence_seq: int | None = None
     detail: str = ""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .access_control import UnlockAttestation
 from .arbitration import FOR_HOLDER, FOR_REPORTER
@@ -134,16 +134,12 @@ VERBS: dict[str, Verb] = {
 _DIRECTIVES = {"NAME", "SEED", "CONFIG"}
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     line_no: int
     verb: str
     args: tuple[str, ...]
     values: tuple  # one per kind: ints converted, trailing text joined, defaults filled in
-
-    @property
-    def raw(self) -> str:
-        return " ".join((self.verb, *self.args))
+    raw: str  # the verb and its args joined by single spaces: the step's normal form
 
 
 @dataclass
@@ -181,7 +177,7 @@ def _parse_words(parts: list[str], line_no: int) -> Step:
             values[pos] = _int(values[pos])
         except ValueError:
             raise ParseError(line_no, f"{verb} arg {pos + 1} must be an integer in [0, 2**63)") from None
-    return Step(line_no, verb, args, tuple(values))
+    return Step(line_no, verb, args, tuple(values), " ".join((verb, *args)))
 
 
 def parse_scenario(text: str, default_name: str = "") -> Scenario:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     AlreadyMinted,
@@ -59,8 +60,7 @@ class TokenState(str, Enum):
     RECLAIMED = "RECLAIMED"
 
 
-@dataclass(frozen=True)
-class ProvenanceEntry:
+class ProvenanceEntry(NamedTuple):
     from_addr: Address
     to_addr: Address
     price: int
@@ -80,14 +80,12 @@ class TokenRecord:
     pre_reclaim_owner: Address | None = None
 
 
-@dataclass(frozen=True)
-class GuardResult:
+class GuardResult(NamedTuple):
     ok: bool
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class TransferOutcome:
+class TransferOutcome(NamedTuple):
     request_id: int
     verdict: RiskVerdict
 

@@ -2,7 +2,8 @@
 
 Each oracle below is the previous implementation, kept verbatim: ``json.dumps``
 for the canonical line, the ``isinstance`` payload check, and the
-``Decimal``/``Fraction`` amount parser.
+``Decimal``/``Fraction`` amount parser. The payload check has gained one rule
+since, in both: a ``NamedTuple`` record is rejected, not written as an array.
 """
 
 import json
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from guardsim.errors import RejectedInput
 from guardsim.ledger import EventRecord, _check_payload
+from guardsim.risk import RuleHit
 from guardsim.units import DECIMALS, UNIT, to_units
 
 
@@ -47,7 +49,7 @@ def oracle_check_payload(value) -> None:
             if not isinstance(key, str):
                 raise TypeError("event payload keys must be strings")
             oracle_check_payload(item)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):  # a NamedTuple record is no array
         for item in value:
             oracle_check_payload(item)
     elif not (value is None or isinstance(value, (str, int, bool))):
@@ -140,6 +142,7 @@ any_payloads = st.recursive(
 @example({"k": [Count(3), ("a", None, True)]})
 @example(Record(k=Items([1, Ratio(0.5)])))
 @example(Record({2: "int key"}))
+@example({"k": [RuleHit("R1", "weak", "x")]})
 def test_check_payload_accepts_and_rejects_like_the_isinstance_check(value):
     assert outcome(_check_payload, value) == outcome(oracle_check_payload, value)
 

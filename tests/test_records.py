@@ -1,0 +1,54 @@
+"""The immutable records built once per step, event or transfer.
+
+They are ``typing.NamedTuple`` classes. A tuple would pass the payload check
+and encode as a JSON array, so a record in a payload must still be refused,
+and no field of a record may be reassigned.
+"""
+
+import pytest
+
+from guardsim.access_control import UnlockAttestation
+from guardsim.ledger import EventRecord, Ledger
+from guardsim.risk import SAFE, WEAK, RiskVerdict, RuleHit, TransferIntent
+from guardsim.runner import ReplayOutcome
+from guardsim.scenario import parse_step
+from guardsim.token import GuardResult, ProvenanceEntry, TransferOutcome
+
+A, B = "0x" + "a" * 40, "0x" + "b" * 40
+HIT = RuleHit("R1_UNDERPRICED", WEAK, "price ratio 1/2")
+VERDICT = RiskVerdict(SAFE, (HIT,), None)
+
+# (record, one of its fields)
+RECORDS = [
+    (EventRecord(1, 0, "K", {"n": 1}), "seq"),
+    (parse_step("ADVANCE 1"), "verb"),
+    (TransferIntent(A, A, B, 1, 0, 0), "caller"),
+    (HIT, "rule_id"),
+    (VERDICT, "status"),
+    (ProvenanceEntry(A, B, 0, 0), "from_addr"),
+    (GuardResult(False, "Locked"), "ok"),
+    (TransferOutcome(1, VERDICT), "request_id"),
+    (UnlockAttestation(A, B, 1, 0, 0, b"\x00" * 32), "main"),
+    (ReplayOutcome(False, 3, "diverges"), "passed"),
+]
+IDS = [type(record).__name__ for record, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record", [record for record, _ in RECORDS], ids=IDS)
+def test_a_record_in_a_payload_is_refused_and_logs_nothing(record):
+    ledger = Ledger(seed=1)
+    ledger.create_account(0)
+    events, log = list(ledger.events), ledger.serialized()
+    for payload in ({"record": record}, {"records": [record]}, {"nested": {"pair": (1, record)}}):
+        with pytest.raises(TypeError, match="unsupported payload value"):
+            ledger.append_event("K", payload)
+    assert ledger.events == events
+    assert ledger.serialized() == log
+
+
+@pytest.mark.parametrize(("record", "field"), RECORDS, ids=IDS)
+def test_a_record_field_cannot_be_reassigned(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    assert getattr(record, field) is before

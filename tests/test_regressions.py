@@ -1,6 +1,5 @@
 """Minimized regression scenarios under ``tests/regressions``, one per defect found."""
 
-from dataclasses import replace
 from pathlib import Path
 
 from guardsim.audit import audit_events
@@ -29,7 +28,7 @@ def test_audit_flags_a_dispatch_without_its_effect():
     sim, _report = _run(REGRESSIONS / "dangling_dispatch.tps")
     events = list(sim.ledger.events)
     rejected = events[-1]
-    dangling = replace(rejected, kind="OracleDispatch", payload={"action": "lock", "origin": "dac", "token_id": 1})
+    dangling = rejected._replace(kind="OracleDispatch", payload={"action": "lock", "origin": "dac", "token_id": 1})
     spliced = events[:-1] + [dangling, rejected]
     assert any("OracleDispatch without its effect" in v for v in audit_events(spliced))
     assert any("OracleDispatch without its effect" in v for v in audit_events(events + [dangling]))
@@ -65,7 +64,7 @@ def test_time_stays_below_2_to_the_63():
 
 def _tamper_closure(events, **changes):
     return [
-        replace(ev, payload={**ev.payload, **changes}) if ev.kind == "CaseClosed" else ev for ev in events
+        ev._replace(payload={**ev.payload, **changes}) if ev.kind == "CaseClosed" else ev for ev in events
     ]
 
 
