@@ -17,7 +17,7 @@ from .errors import ParseError, RejectedInput, SimError
 from .fuzz import Fuzzer
 from .ledger import SEEDS
 from .risk import classify_payload
-from .runner import genesis_config, read_log, replay_log, report_from_log, rerun, run_scenario, write_log
+from .runner import genesis_config, read_log, replay_log, report_from_log, run_scenario, write_log
 from .scenario import load_scenario
 from .units import fmt_units
 
@@ -68,12 +68,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_state(args) -> int:
-    print(rerun(read_log(args.log)).contract.state_line(args.token_id))
+    print(replay_log(args.log)[1].contract.state_line(args.token_id))
     return 0
 
 
 def cmd_case(args) -> int:
-    case = rerun(read_log(args.log)).arbitration.case(args.case_id)
+    case = replay_log(args.log)[1].arbitration.case(args.case_id)
     print(f"case={case.case_id} token={case.token_id} status={case.status}"
           f" verdict={case.verdict or '-'}{' auto' if case.auto_opened else ''}")
     print(f"  reporter={case.reporter}")

@@ -1,23 +1,23 @@
 """Randomized scenario fuzzing.
 
-Generates seeded random command sequences against fresh simulations, checking
-the contract safety properties after every step and auditing the whole event
-stream after every sequence. Sequences share nothing, so total coverage is
-just the sum of many small runs. A failing sequence is greedily minimized by
-dropping commands while the violation persists; the surviving trace is a
-scenario script, with the sequence's NAME and SEED, that reproduces the bug.
+Generates seeded random command sequences against fresh simulations, run step
+by step on the scenario runner, and audits the whole event stream after every
+sequence, with the live conservation check. Sequences share nothing, so total
+coverage is just the sum of many small runs. A failing sequence is greedily
+minimized by dropping steps while a violation persists; the surviving trace is
+a scenario script, with the sequence's NAME and SEED, that reproduces the bug.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .audit import audit_events
 from .errors import RejectedInput
-from .runner import RunContext, run_step
-from .scenario import Scenario, format_scenario, parse_step
+from .runner import RunContext, execute_scenario, run_step
+from .scenario import Scenario, Step, format_scenario, parse_step
 from .sim import Simulation
 
 _PRICES = ("0", "1", "2", "3", "4", "6", "8", "10", "12")
@@ -28,18 +28,29 @@ _MAX_TOKENS = 24
 
 # every sequence opens with the same accounts, jury pool and aux-wallet links
 _HEADER = [
-    *(f"ACCOUNT {u} 10" for u in _USERS),
-    *(f"ACCOUNT x{u} 0" for u in _USERS),
-    *(f"ACCOUNT {j} 5" for j in _JURORS),
-    *(f"JUROR {j}" for j in _JURORS),
-    *(f"REGISTER_AUX {u} x{u}" for u in _USERS),
-    "ADVANCE 86400",
+    parse_step(line)
+    for line in (
+        *(f"ACCOUNT {u} 10" for u in _USERS),
+        *(f"ACCOUNT x{u} 0" for u in _USERS),
+        *(f"ACCOUNT {j} 5" for j in _JURORS),
+        *(f"JUROR {j}" for j in _JURORS),
+        *(f"REGISTER_AUX {u} x{u}" for u in _USERS),
+        "ADVANCE 86400",
+    )
 ]
 
 
 def _sequence_seed(seed: int, index: int) -> int:
     material = f"fuzz|{seed}|{index}".encode("ascii")
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+
+
+def first_violation(sim: Simulation) -> str | None:
+    """The first invariant violation the audit finds in ``sim``'s log, then a failed live conservation check."""
+    problems = audit_events(sim.ledger.events)
+    if not sim.ledger.conservation_holds():
+        problems.append("live conservation check failed")
+    return problems[0] if problems else None
 
 
 @dataclass
@@ -67,73 +78,40 @@ class Fuzzer:
         sequences = 0
         transfers = 0
         while done < total_ops:
-            seq_seed = _sequence_seed(self.seed, sequences)
             ops = min(self.ops_per_run, total_ops - done)
-            lines, violation, sim = self._generate_sequence(seq_seed, ops)
+            scenario, sim = self._generate_sequence(_sequence_seed(self.seed, sequences), ops)
             done += ops
             sequences += 1
             transfers += sum(1 for ev in sim.ledger.events if ev.kind in ("Transfer", "SafeTransfer"))
+            violation = first_violation(sim)
             if violation is not None:
-                steps = [parse_step(line) for line in self._minimize(seq_seed, lines, violation)]
-                trace = format_scenario(Scenario(name=f"fuzz-{seq_seed}", seed=seq_seed, steps=steps))
+                trace = format_scenario(replace(scenario, steps=self._minimize(scenario)))
                 return FuzzResult(done, sequences, transfers, violation, trace)
         return FuzzResult(done, sequences, transfers)
 
     # -- one generated sequence -------------------------------------------
 
-    def _generate_sequence(self, seq_seed: int, ops: int) -> tuple[list[str], str | None, Simulation]:
+    def _generate_sequence(self, seq_seed: int, ops: int) -> tuple[Scenario, Simulation]:
         rng = random.Random(seq_seed)
         tokens: list[int] = []  # minted ids, 1, 2, ...
-        lines = list(_HEADER)
-        sim, ctx, violation = self._execute(seq_seed, lines)
-        if violation is None:
-            rev = {addr: name for name, addr in ctx.names.items()}  # fixed now: no generated verb binds a name
-            for _ in range(ops):
-                command = self._next_command(rng, tokens, ctx, rev)
-                lines.append(command)
-                violation = self._execute_one(ctx, command, len(lines) - 1)
-                if violation is not None:
-                    break
-        if violation is None:
-            violation = self._final_audit(sim)
-        return lines, violation, sim
+        scenario = Scenario(name=f"fuzz-{seq_seed}", seed=seq_seed, steps=list(_HEADER))
+        ctx = execute_scenario(scenario)
+        rev = {addr: name for name, addr in ctx.names.items()}  # fixed now: no generated verb binds a name
+        for _ in range(ops):
+            step = parse_step(self._next_command(rng, tokens, ctx, rev))
+            run_step(ctx, len(scenario.steps), step)
+            scenario.steps.append(step)
+        return scenario, ctx.sim
 
-    def _execute(self, seq_seed: int, lines: list[str]) -> tuple[Simulation, RunContext, str | None]:
-        sim = Simulation(seq_seed, name=f"fuzz-{seq_seed}")
-        ctx = RunContext(sim)
-        for index, command in enumerate(lines):
-            violation = self._execute_one(ctx, command, index)
-            if violation is not None:
-                return sim, ctx, violation
-        return sim, ctx, None
-
-    def _execute_one(self, ctx: RunContext, command: str, index: int) -> str | None:
-        events, _rejected = run_step(ctx, index, parse_step(command))
-        for ev in events:
-            if ev.kind in ("Transfer", "SafeTransfer"):
-                if ev.payload["guard_state"] != "OK" or ev.payload["guard_frozen"]:
-                    return f"step {index}: transfer completed despite guard state {ev.payload['guard_state']}"
-        return None
-
-    def _final_audit(self, sim: Simulation) -> str | None:
-        problems = audit_events(sim.ledger.events)
-        if not sim.ledger.conservation_holds():
-            problems.append("live conservation check failed")
-        return problems[0] if problems else None
-
-    def _replay_violation(self, seq_seed: int, lines: list[str]) -> str | None:
-        sim, _ctx, violation = self._execute(seq_seed, lines)
-        return violation if violation is not None else self._final_audit(sim)
-
-    def _minimize(self, seq_seed: int, lines: list[str], violation: str) -> list[str]:
-        kept = list(lines)
+    def _minimize(self, scenario: Scenario) -> list[Step]:
+        kept = scenario.steps
         changed = True
         while changed:
             changed = False
             index = len(_HEADER)
             while index < len(kept):
                 candidate = kept[:index] + kept[index + 1 :]
-                if self._replay_violation(seq_seed, candidate) is not None:
+                if first_violation(execute_scenario(replace(scenario, steps=candidate)).sim) is not None:
                     kept = candidate
                     changed = True
                 else:

@@ -111,10 +111,6 @@ def serialize_events(events: list[EventRecord]) -> bytes:
     return "".join([ev.to_line() + "\n" for ev in events]).encode("ascii")
 
 
-def digest_events(events: list[EventRecord]) -> bytes:
-    return hashlib.sha256(serialize_events(events)).digest()
-
-
 class Ledger:
     """Single-threaded mutable chain state plus its append-only event log."""
 

@@ -4,12 +4,14 @@ Every executed step is logged as a Step event before its effects, so a log
 embeds its own command stream: replay re-executes that stream under the
 genesis seed and config and demands byte-identical serialization. Step
 failures are events, not aborts; attack scripts trip guards on purpose.
+``execute_scenario`` and ``run_step`` are the one step loop: run, replay,
+report, state, case and the fuzzer all execute steps through them.
 
 Replay and report first decode only the Genesis and Step lines (keys are
 sorted, so a canonical line starts with its kind): a re-executed log equal to
 the recorded bytes shows every skipped line was canonical. Otherwise the whole
-log is parsed, naming a malformed line, and compared line by line. ``rerun``
-(state, case) decodes every line: it compares no bytes.
+log is parsed, naming a malformed line, and compared line by line. State and
+case read the sim that replay re-executes.
 """
 
 from __future__ import annotations
@@ -98,8 +100,8 @@ def run_scenario(
     base_config: SimConfig | None = None,
     on_step=None,
 ) -> tuple[Simulation, RunReport]:
-    ctx, rejected = execute_scenario(scenario, seed, base_config, on_step)
-    return ctx.sim, build_report(ctx, rejected)
+    ctx = execute_scenario(scenario, seed, base_config, on_step)
+    return ctx.sim, build_report(ctx)
 
 
 def execute_scenario(
@@ -107,26 +109,24 @@ def execute_scenario(
     seed: int | None = None,
     base_config: SimConfig | None = None,
     on_step=None,
-) -> tuple[RunContext, int]:
-    """Execute every step of ``scenario``; returns the run's context and its count of rejected steps."""
+) -> RunContext:
+    """Execute every step of ``scenario`` in a new simulation; returns the run's context."""
     effective_seed = scenario.seed if seed is None else seed
     config = base_config or SimConfig()
     for key, value in scenario.config_overrides:
         config = apply_override(config, key, value)
     ctx = RunContext(Simulation(effective_seed, config, scenario.name))
-    rejected = 0
     for index, step in enumerate(scenario.steps):
-        events, step_rejected = run_step(ctx, index, step)
-        rejected += step_rejected
+        events = run_step(ctx, index, step)
         if on_step is not None:
             on_step(ctx, step, events)
-    return ctx, rejected
+    return ctx
 
 
-def run_step(ctx: RunContext, index: int, step: Step) -> tuple[list[EventRecord], bool]:
+def run_step(ctx: RunContext, index: int, step: Step) -> list[EventRecord]:
     """Log ``step`` as a Step event and execute it; a failure is logged as StepRejected.
 
-    Returns the events logged after the Step event and whether the step was rejected.
+    Returns the events logged after the Step event.
     """
     ledger = ctx.sim.ledger
     ledger.append_event("Step", {"index": index, "command": step.raw})
@@ -135,22 +135,26 @@ def run_step(ctx: RunContext, index: int, step: Step) -> tuple[list[EventRecord]
         execute_step(ctx, step)
     except SimError as exc:
         ledger.append_event("StepRejected", {"index": index, "error": exc.code, "detail": str(exc)})
-        return ledger.events[before:], True
-    return ledger.events[before:], False
+    return ledger.events[before:]
 
 
-def build_report(ctx: RunContext, steps_rejected: int = 0) -> RunReport:
+def build_report(ctx: RunContext) -> RunReport:
     sim = ctx.sim
     events = sim.ledger.events
+    steps_total = steps_rejected = 0
     verdict_counts: dict[str, int] = {}
     for ev in events:
-        if ev.kind == "RiskFulfilled":
+        kind = ev.kind
+        if kind == "Step":
+            steps_total += 1
+        elif kind == "StepRejected":
+            steps_rejected += 1
+        elif kind == "RiskFulfilled":
             verdict_counts[ev.payload["status"]] = verdict_counts.get(ev.payload["status"], 0) + 1
     outcomes = [
         {"case_id": case.case_id, "verdict": case.verdict, "auto": case.auto_opened}
         for case in sim.arbitration.cases.values()
     ]
-    steps_total = sum(1 for ev in events if ev.kind == "Step")
     return RunReport(
         name=sim.name,
         steps_total=steps_total,
@@ -233,13 +237,6 @@ def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig
     return scenario, config
 
 
-def rerun(events: list[EventRecord]) -> Simulation:
-    """Re-execute the command stream a log embeds, under its genesis seed and config, without a report."""
-    scenario, config = scenario_from_events(events)
-    del events  # callers keep no other reference: the parsed log is freed before the run
-    return execute_scenario(scenario, seed=scenario.seed, base_config=config)[0].sim
-
-
 class ReplayOutcome(NamedTuple):
     passed: bool
     divergence_seq: int | None = None
@@ -277,23 +274,23 @@ def _fast_scenario(data: bytes) -> tuple[Scenario, SimConfig] | None:
         return None
 
 
-def _reexecute(data: bytes, execute) -> tuple[Simulation, object, list[EventRecord] | None]:
-    """Run ``execute(scenario, config) -> (sim, result)`` on the command stream a log embeds.
+def _reexecute(data: bytes) -> tuple[RunContext, list[EventRecord] | None]:
+    """Execute the command stream a log embeds, under its genesis seed and config.
 
-    Returns the sim, the result, and None if the recorded bytes are the canonical log, else
+    Returns the run's context, and None if the recorded bytes are the canonical log, else
     every recorded event. The fast run is reused when the full parse reads the same stream.
     """
     fast = _fast_scenario(data)
     if fast is not None:
-        sim, result = execute(*fast)
+        ctx = execute_scenario(fast[0], base_config=fast[1])
         del fast  # rendering the log is replay's peak of memory; the fallback decodes the stream again
-        if sim.ledger.serialized() == data:
-            return sim, result, None
+        if ctx.sim.ledger.serialized() == data:
+            return ctx, None
     events = parse_log(data)
     parsed = scenario_from_events(events)
     if parsed != _fast_scenario(data):
-        sim, result = execute(*parsed)
-    return sim, result, events
+        ctx = execute_scenario(parsed[0], base_config=parsed[1])
+    return ctx, events
 
 
 def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
@@ -302,7 +299,7 @@ def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
     Any surviving single-byte difference names its seq.
     """
     data = Path(path).read_bytes()
-    sim, _, _ = _reexecute(data, lambda scenario, config: (execute_scenario(scenario, base_config=config)[0].sim, None))
+    sim = _reexecute(data)[0].sim
     seq = _first_divergence(data, sim)
     if seq is not None:
         return ReplayOutcome(False, seq, "event diverges from deterministic re-execution"), sim
@@ -316,8 +313,9 @@ def report_from_log(path: str | Path) -> RunReport:
     the recorded events are audited on their own only when the two diverge.
     """
     data = Path(path).read_bytes()
-    sim, report, events = _reexecute(data, lambda scenario, config: run_scenario(scenario, base_config=config))
-    seq = _first_divergence(data, sim)
+    ctx, events = _reexecute(data)
+    report = build_report(ctx)
+    seq = _first_divergence(data, ctx.sim)
     if seq is not None:
         recorded = [v for v in audit_events(events) if v not in report.violations]
         report.violations.extend(recorded)

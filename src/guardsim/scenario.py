@@ -220,10 +220,6 @@ def format_scenario(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def normalize(text: str, default_name: str = "") -> str:
-    return format_scenario(parse_scenario(text, default_name))
-
-
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     return parse_scenario(path.read_text(), default_name=path.stem)

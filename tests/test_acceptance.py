@@ -248,9 +248,10 @@ def test_acceptance_7_malicious_report_economics():
     non_punitive = 0
     sequences = 60
     for index in range(sequences):
-        from guardsim.fuzz import _sequence_seed
+        from guardsim.fuzz import _sequence_seed, first_violation
 
-        lines, violation, sim = fuzzer._generate_sequence(_sequence_seed(77, index), 500)
+        _scenario, sim = fuzzer._generate_sequence(_sequence_seed(77, index), 500)
+        violation = first_violation(sim)
         assert violation is None, violation
         for ev in sim.ledger.events:
             if ev.kind == "CaseClosed" and ev.payload["verdict"] == FOR_HOLDER and not ev.payload["auto"]:

@@ -3,10 +3,15 @@ from pathlib import Path
 
 import pytest
 
+from guardsim import cli, runner
 from guardsim.cli import main
 from guardsim.fuzz import Fuzzer
+from guardsim.runner import ReplayOutcome, run_scenario, write_log
+from guardsim.scenario import load_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+TPS = sorted([*SCENARIOS.glob("*.tps"), *ROOT.glob("tests/regressions/*.tps")])
 
 
 @pytest.fixture
@@ -80,6 +85,43 @@ def test_case_record_output(replevin_log, capsys):
     assert out.count("vote=FOR_REPORTER") == 3
     assert "evidence" in out
     assert main(["case", str(replevin_log), "9"]) == 2
+
+
+@pytest.mark.parametrize("path", TPS, ids=lambda p: p.stem)
+def test_state_and_case_print_what_the_live_run_holds(path, tmp_path, monkeypatch, capsys):
+    sim, _report = run_scenario(load_scenario(path))
+    log = tmp_path / "run.jsonl"
+    write_log(sim, log)
+    assert sim.contract.tokens
+    for token_id in sorted(sim.contract.tokens):
+        assert main(["state", str(log), str(token_id)]) == 0
+        assert capsys.readouterr().out == sim.contract.state_line(token_id) + "\n"
+
+    def cases_printed() -> list[str]:
+        printed = []
+        for case_id in sorted(sim.arbitration.cases):
+            assert main(["case", str(log), str(case_id)]) == 0
+            printed.append(capsys.readouterr().out)
+        return printed
+
+    from_log = cases_printed()
+    # the same printer, fed the live sim instead of the re-executed one
+    monkeypatch.setattr(cli, "replay_log", lambda _path: (ReplayOutcome(True), sim))
+    assert cases_printed() == from_log
+
+
+def test_state_reads_the_full_stream_when_a_step_line_is_not_canonical(replevin_log, monkeypatch, capsys):
+    sim, _report = run_scenario(load_scenario(SCENARIOS / "replevin.tps"))
+    lines = replevin_log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Step"') and b"MINT" in line)
+    lines[target] = lines[target].replace(b'":', b'": ', 1)  # the fast decode skips it: token 1 is never minted
+    replevin_log.write_bytes(b"".join(lines))
+    runs = []
+    execute = runner.execute_scenario
+    monkeypatch.setattr(runner, "execute_scenario", lambda *a, **k: runs.append(1) or execute(*a, **k))
+    assert main(["state", str(replevin_log), "1"]) == 0
+    assert capsys.readouterr().out == sim.contract.state_line(1) + "\n"
+    assert len(runs) == 2
 
 
 def test_explain_recomputes_verdict(replevin_log, capsys):

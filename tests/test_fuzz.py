@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from guardsim import fuzz
@@ -26,7 +28,9 @@ def test_fuzzer_catches_a_seeded_guard_bug_and_minimizes(monkeypatch):
     monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: GuardResult(True))
     result = Fuzzer(seed=7, ops_per_run=300).run(3000)
     assert not result.ok
-    assert "guard state" in result.violation
+    # the audit at the end of the first sequence catches it
+    assert result.sequences == 1
+    assert re.fullmatch(r"seq \d+: transfer completed on LOCKED token \d+", result.violation)
     assert result.trace is not None
     # the minimized trace is a valid scenario that still carries the attack
     minimized = parse_scenario(result.trace)
@@ -34,6 +38,8 @@ def test_fuzzer_catches_a_seeded_guard_bug_and_minimizes(monkeypatch):
     assert any(v in ("TRANSFER", "SAFE_TRANSFER") for v in verbs)
     # greedy minimization should have stripped the irrelevant op tail
     assert len(minimized.steps) < 300
+    _sim, report = run_scenario(minimized)
+    assert any(re.fullmatch(r"seq \d+: transfer completed on LOCKED token \d+", v) for v in report.violations)
 
 
 def test_fuzz_trace_runs_under_the_failing_sequence_seed(monkeypatch):

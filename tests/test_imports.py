@@ -1,14 +1,20 @@
-"""Every top-level import in a ``guardsim`` module is used by that module.
+"""The package's own lint: no unused top-level import and no unused definition.
 
-No linter ships with the package, so this walks each module's syntax tree:
-a name bound by a module-level ``import`` or ``from ... import`` must appear as
+No linter ships with the package, so this walks each module's syntax tree.
+A name bound by a module-level ``import`` or ``from ... import`` must appear as
 a name somewhere in the module. ``__init__.py`` only re-exports, and
 ``from __future__ import annotations`` binds nothing, so both are skipped.
+
+Every module-level function or class and every method of such a class must be
+referenced by name (a name, an attribute or an imported name) somewhere in
+``src/`` or ``bench/`` outside its own body. Re-exports in ``__init__.py``,
+tests and strings do not count; dunder methods are called implicitly.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +22,7 @@ import pytest
 import guardsim
 
 MODULES = sorted(p for p in Path(guardsim.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +47,56 @@ def test_no_unused_top_level_import(path):
 def test_the_check_sees_an_unused_import():
     source = "from __future__ import annotations\nimport os\nfrom json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == ["line 2: os", "line 3: dumps"]
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name is read, as a name, an attribute or an imported name, in ``tree``."""
+    counts: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.asname or node.name] += 1
+    return counts
+
+
+def definitions(tree: ast.Module) -> list[ast.FunctionDef | ast.ClassDef]:
+    """The module-level functions and classes of ``tree`` and the methods of those classes, dunders excepted."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node)
+            if isinstance(node, ast.ClassDef):
+                found += [item for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [node for node in found if not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def unused_definitions(modules: dict[str, str], corpus: Counter) -> list[str]:
+    """``module:name`` of each definition in ``modules`` that ``corpus`` never references outside its own body."""
+    unused = []
+    for module, source in modules.items():
+        for node in definitions(ast.parse(source)):
+            if corpus[node.name] - references(node)[node.name] <= 0:
+                unused.append(f"{module}:{node.name}")
+    return unused
+
+
+def test_every_definition_is_referenced():
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    corpus = sum((references(ast.parse(p.read_text())) for p in sources if p.name != "__init__.py"), Counter())
+    assert unused_definitions({p.name: p.read_text() for p in MODULES}, corpus) == []
+
+
+def test_the_check_sees_an_unused_definition():
+    source = (
+        "def used():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "class Box:\n    def __init__(self):\n        self.size = used()\n\n"
+        "    def unused_method(self):\n        return self.size\n\n"
+        "def planted():\n    return Box()\n"
+    )
+    corpus = references(ast.parse(source)) + references(ast.parse("from m import used\n"))
+    assert unused_definitions({"m.py": source}, corpus) == ["m.py:recursive", "m.py:unused_method", "m.py:planted"]

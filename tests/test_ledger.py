@@ -4,7 +4,7 @@ import json
 import pytest
 
 from guardsim.errors import InsufficientFunds, RejectedInput
-from guardsim.ledger import Ledger, derive_address, digest_events, serialize_events
+from guardsim.ledger import Ledger, derive_address, serialize_events
 from guardsim.units import to_units
 
 
@@ -168,7 +168,7 @@ def test_conservation_across_mixed_operations():
     ledger.transfer_value(a, b, to_units(4))
     ledger.mint_value(a, to_units("0.01"), reason="juror_reward")
     assert ledger.conservation_holds()
-    assert digest_events(ledger.events) == ledger.log_digest()
+    assert hashlib.sha256(serialize_events(ledger.events)).digest() == ledger.log_digest()
 
 
 def test_serialized_renders_new_events_on_demand():
@@ -178,7 +178,7 @@ def test_serialized_renders_new_events_on_demand():
     assert ledger.serialized() == serialize_events(ledger.events)
     b = ledger.create_account(0)
     ledger.advance_time(7)
-    assert ledger.log_digest() == digest_events(ledger.events)
+    assert ledger.log_digest() == hashlib.sha256(serialize_events(ledger.events)).digest()
     ledger.transfer_value(a, b, to_units(2))
     assert ledger.serialized() == serialize_events(ledger.events)
     assert ledger.serialized() == serialize_events(ledger.events)  # a repeated call adds nothing

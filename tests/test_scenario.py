@@ -1,7 +1,7 @@
 import pytest
 
 from guardsim.errors import ParseError
-from guardsim.scenario import format_scenario, load_scenario, normalize, parse_scenario, parse_step
+from guardsim.scenario import format_scenario, load_scenario, parse_scenario, parse_step
 
 
 def test_empty_text_is_valid_empty_scenario():
@@ -77,10 +77,9 @@ def test_directives_and_comments():
 
 def test_round_trip_normalization():
     text = "name demo\nseed 3\naccount   alice   10\nmint alice 1\nevidence alice 1 some words here\n"
-    normalized = normalize(text)
-    assert normalized == format_scenario(parse_scenario(text))
+    normalized = format_scenario(parse_scenario(text))
     # normalizing is idempotent and parse-stable
-    assert normalize(normalized) == normalized
+    assert format_scenario(parse_scenario(normalized)) == normalized
     first = parse_scenario(text)
     second = parse_scenario(normalized)
     assert first.name == second.name and first.seed == second.seed
