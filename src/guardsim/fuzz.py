@@ -4,14 +4,16 @@ Generates seeded random command sequences against fresh simulations, run step
 by step on the scenario runner, and audits the whole event stream after every
 sequence, with the live conservation check. Sequences share nothing, so total
 coverage is just the sum of many small runs. A failing sequence is greedily
-minimized by dropping steps while a violation persists; the surviving trace is
-a scenario script, with the sequence's NAME and SEED, that reproduces the bug.
+minimized by dropping steps while its first violation stays the reported one,
+apart from the seq it names; the surviving trace is a scenario script, with
+the sequence's NAME and SEED, that reproduces that violation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import re
 from dataclasses import dataclass, replace
 
 from .audit import audit_events
@@ -25,6 +27,7 @@ _MODEL_SCORES = ("0.0", "0.3", "0.65", "0.95")
 _USERS = [f"u{i}" for i in range(6)]
 _JURORS = [f"j{i}" for i in range(6)]
 _MAX_TOKENS = 24
+_SEQ_PREFIX = re.compile(r"\Aseq \d+: ")  # where an audit violation names its event
 
 # every sequence opens with the same accounts, jury pool and aux-wallet links
 _HEADER = [
@@ -85,7 +88,7 @@ class Fuzzer:
             transfers += sum(1 for ev in sim.ledger.events if ev.kind in ("Transfer", "SafeTransfer"))
             violation = first_violation(sim)
             if violation is not None:
-                trace = format_scenario(replace(scenario, steps=self._minimize(scenario)))
+                trace = format_scenario(replace(scenario, steps=self._minimize(scenario, violation)))
                 return FuzzResult(done, sequences, transfers, violation, trace)
         return FuzzResult(done, sequences, transfers)
 
@@ -103,7 +106,9 @@ class Fuzzer:
             scenario.steps.append(step)
         return scenario, ctx.sim
 
-    def _minimize(self, scenario: Scenario) -> list[Step]:
+    def _minimize(self, scenario: Scenario, violation: str) -> list[Step]:
+        """Greedily drop steps while the first violation stays ``violation``, its ``seq N: `` aside."""
+        target = _SEQ_PREFIX.sub("", violation)
         kept = scenario.steps
         changed = True
         while changed:
@@ -111,7 +116,8 @@ class Fuzzer:
             index = len(_HEADER)
             while index < len(kept):
                 candidate = kept[:index] + kept[index + 1 :]
-                if first_violation(execute_scenario(replace(scenario, steps=candidate)).sim) is not None:
+                found = first_violation(execute_scenario(replace(scenario, steps=candidate)).sim)
+                if found is not None and _SEQ_PREFIX.sub("", found) == target:
                     kept = candidate
                     changed = True
                 else:

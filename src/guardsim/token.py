@@ -179,6 +179,9 @@ class TokenContract:
             raise GuardRejected(guard.reason)
         self.ledger.account(to_addr)
         token = self.token(token_id)
+        # EIP-721: only the owner or an operator of the owner may approve, not an approved address
+        if caller != token.owner and not self.is_operator(token.owner, caller):
+            raise GuardRejected("NotAuthorized")
         token.approved = to_addr
         self.ledger.append_event("Approval", {"token_id": token_id, "owner": token.owner, "approved": to_addr})
 

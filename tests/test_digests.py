@@ -24,6 +24,7 @@ GOLDEN = {
     "scenarios/malicious_report.tps": "af0a0f616147d6518e962794c0d20961f7c827345d66e121e716f82e2cca2c17",
     "scenarios/replevin.tps": "02f17f49d324a7307dfda34ce5a4e206296310f7e957bbb4a8817230fe3451b7",
     "scenarios/theft_recovery.tps": "e06ee070273c6aac6bde8fd8a7fb40c3df6664a577bddbae662000fef626300f",
+    "tests/regressions/approved_cannot_approve.tps": "94ba1257b36b2fefc45d50bde125900c74b62c0f4d66291bac569b62d810f67a",
     "tests/regressions/bad_amounts.tps": "b3e780d87ddc5e932a20645df2a635a15d4a5d042007a21d69acf334ab24350a",
     "tests/regressions/dangling_dispatch.tps": "7998fdf06cc0bd4b5edfc92466d59c39875dddf7d137112b1712b7c2a06580df",
     "tests/regressions/huge_ticks.tps": "90cec27be1d7ab9fd1e26a3c6eb30b012ff83993f93aa981bda5d482edeaf219",

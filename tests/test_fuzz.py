@@ -53,6 +53,20 @@ def test_fuzz_trace_runs_under_the_failing_sequence_seed(monkeypatch):
     assert report.violations
 
 
+@pytest.mark.parametrize("seed", [7, 1, 3])
+def test_the_minimized_trace_reproduces_the_reported_violation(monkeypatch, seed):
+    # each seed's sequence holds several guard bugs; a trace that drops the reported one is no repro
+    monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: GuardResult(True))
+    result = Fuzzer(seed, ops_per_run=300).run(3000)
+    _sim, report = run_scenario(parse_scenario(result.trace))
+
+    def without_seq(violation):
+        return re.sub(r"\Aseq \d+: ", "", violation)
+
+    assert without_seq(result.violation) == "transfer completed on LOCKED token 1"
+    assert without_seq(report.violations[0]) == without_seq(result.violation)
+
+
 @pytest.mark.parametrize("ops_per_run", [0, -1])
 def test_fuzzer_rejects_a_non_positive_sequence_length(ops_per_run):
     # Fuzzer.run would never finish with such a length, so only the constructor is exercised

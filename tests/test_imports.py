@@ -1,4 +1,5 @@
-"""The package's own lint: no unused top-level import and no unused definition.
+"""The package's own lint: no unused top-level import, no unused definition and
+no event kind outside the event table.
 
 No linter ships with the package, so this walks each module's syntax tree.
 A name bound by a module-level ``import`` or ``from ... import`` must appear as
@@ -9,6 +10,9 @@ Every module-level function or class and every method of such a class must be
 referenced by name (a name, an attribute or an imported name) somewhere in
 ``src/`` or ``bench/`` outside its own body. Re-exports in ``__init__.py``,
 tests and strings do not count; dunder methods are called implicitly.
+
+The kinds ``append_event`` is called with in ``src/`` must be exactly the kinds
+of ``ledger.EVENT_KINDS``, which renders no other.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import guardsim
+from guardsim.ledger import EVENT_KINDS
 
 MODULES = sorted(p for p in Path(guardsim.__file__).parent.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,3 +105,70 @@ def test_the_check_sees_an_unused_definition():
     )
     corpus = references(ast.parse(source)) + references(ast.parse("from m import used\n"))
     assert unused_definitions({"m.py": source}, corpus) == ["m.py:recursive", "m.py:unused_method", "m.py:planted"]
+
+
+def resolve_kind(node: ast.expr, assigned: dict, tables: dict) -> set[str]:
+    """The strings an event-kind argument can be: a literal, both arms of a conditional, a local
+    name through its assignment, or every value of a module-level dict literal read by ``.get``.
+    Anything else is ``?`` and its source, which no table lists."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.IfExp):
+        return resolve_kind(node.body, assigned, tables) | resolve_kind(node.orelse, assigned, tables)
+    if isinstance(node, ast.Name) and node.id in assigned:
+        return resolve_kind(assigned[node.id], assigned, tables)
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in tables
+    ):
+        return set().union(*(resolve_kind(value, assigned, tables) for value in tables[node.func.value.id].values))
+    return {"?" + ast.unparse(node)}
+
+
+def logged_kinds(source: str) -> set[str]:
+    """Every kind passed to an ``append_event`` call in ``source``."""
+    tree = ast.parse(source)
+    tables = {
+        target.id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    kinds: set[str] = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        assigned = {
+            target.id: node.value
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for call in ast.walk(function):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "append_event":
+                kinds |= resolve_kind(call.args[0], assigned, tables)
+    return kinds
+
+
+def test_every_logged_kind_is_in_the_event_table():
+    kinds = set().union(*(logged_kinds(path.read_text()) for path in MODULES))
+    assert kinds == set(EVENT_KINDS)
+
+
+def test_the_check_sees_a_planted_unknown_kind():
+    source = (
+        'EFFECTS = {"a": "Locked", "b": "Planted"}\n'
+        "def log(ledger, flag, action):\n"
+        '    ledger.append_event("Step" if flag else "Transfer", {})\n'
+        "    kind = EFFECTS.get(action)\n"
+        "    ledger.append_event(kind, {})\n"
+        "    ledger.append_event(action.title(), {})\n"
+    )
+    planted = logged_kinds(source)
+    assert planted == {"Step", "Transfer", "Locked", "Planted", "?action.title()"}
+    assert planted - set(EVENT_KINDS) == {"Planted", "?action.title()"}

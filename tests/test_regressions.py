@@ -62,6 +62,17 @@ def test_time_stays_below_2_to_the_63():
     assert report.steps_rejected == 1 and report.ok, report.violations
 
 
+def test_an_approved_address_cannot_approve():
+    sim, report = _run(REGRESSIONS / "approved_cannot_approve.tps")
+    events = sim.ledger.events
+    rejected = [ev.payload for ev in events if ev.kind == "StepRejected"]
+    assert [(p["index"], p["error"]) for p in rejected] == [(5, "NotAuthorized")]
+    approvals = [ev.payload["approved"] for ev in events if ev.kind == "Approval"]
+    assert approvals == [report.names["b"]]
+    assert sim.contract.token(1).approved == report.names["b"]
+    assert report.ok, report.violations
+
+
 def _tamper_closure(events, **changes):
     return [
         ev._replace(payload={**ev.payload, **changes}) if ev.kind == "CaseClosed" else ev for ev in events
