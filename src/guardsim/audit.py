@@ -4,7 +4,9 @@ These checks work purely on the serialized event stream, independently of the
 live objects that produced it, so they double as tamper detection: every
 value-moving event records its post balances, and the audit refolds the whole
 history and cross-checks each recorded balance and the final conservation
-identity. A recorded event it cannot read is a ``ReplayError`` naming its seq.
+identity. It trusts the keys and types of the event table, which checks every
+event at append and at parse; an amount spelling that ``to_units`` refuses is
+a ``ReplayError`` naming the event's seq and kind.
 """
 
 from __future__ import annotations
@@ -17,19 +19,6 @@ from .units import to_units
 
 _OWNERSHIP_KINDS = {"Minted", "Transfer", "SafeTransfer", "Reclaimed", "Returned"}
 _DISPATCHED_KINDS = {kind: action for action, kind in EFFECT_KINDS.items()}  # effect event -> action
-_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, RejectedInput)
-
-
-def _malformed(ev: EventRecord, exc: Exception) -> ReplayError:
-    return ReplayError(f"seq {ev.seq}: malformed {ev.kind} event ({type(exc).__name__}: {exc})")
-
-
-def read_event(ev: EventRecord, read):
-    """``read(ev.payload)``; a missing key or a value of the wrong type or spelling is a ReplayError."""
-    try:
-        return read(ev.payload)
-    except _MALFORMED as exc:
-        raise _malformed(ev, exc) from None
 
 
 def audit_events(events: list[EventRecord]) -> list[str]:
@@ -74,13 +63,10 @@ def audit_events(events: list[EventRecord]) -> list[str]:
                 check_balance(ev.seq, p["to"], p["to_balance"])
                 if p["reason"] == "juror_reward":
                     reward_minted_total += amount
-            elif ev.kind in ("RiskRequested", "RiskFulfilled"):
-                if type(p["request_id"]) is not int:
-                    raise TypeError(f"request_id {p['request_id']!r} is not an integer")
-                if ev.kind == "RiskRequested":
-                    request_ids.append(p["request_id"])
-                else:
-                    fulfilled[p["request_id"]] = fulfilled.get(p["request_id"], 0) + 1
+            elif ev.kind == "RiskRequested":
+                request_ids.append(p["request_id"])
+            elif ev.kind == "RiskFulfilled":
+                fulfilled[p["request_id"]] = fulfilled.get(p["request_id"], 0) + 1
             elif ev.kind == "HonorAwarded":
                 honor_count += 1
                 if juror_reward_each is None:
@@ -103,7 +89,7 @@ def audit_events(events: list[EventRecord]) -> list[str]:
                 elif ev.kind in ("Transfer", "SafeTransfer"):
                     if p["guard_state"] != "OK":
                         violations.append(f"seq {ev.seq}: transfer completed on {p['guard_state']} token {token_id}")
-                    if p.get("guard_frozen"):
+                    if p["guard_frozen"]:
                         violations.append(f"seq {ev.seq}: transfer completed on frozen token {token_id}")
                     if token_state.get(token_id) == "RECLAIMED":
                         violations.append(f"seq {ev.seq}: reclaimed token {token_id} moved outside a verdict return")
@@ -124,16 +110,16 @@ def audit_events(events: list[EventRecord]) -> list[str]:
             dispatched = previous is not None and previous.kind == "OracleDispatch"
             paired = (
                 dispatched
-                and previous.payload.get("action") == action
-                and previous.payload.get("token_id") == p.get("token_id")
+                and previous.payload["action"] == action
+                and previous.payload["token_id"] == p["token_id"]
             )
             if action is not None and not paired:
                 violations.append(f"seq {ev.seq}: {ev.kind} event without an immediately preceding dispatch")
             if dispatched and not paired:
                 violations.append(f"seq {previous.seq}: OracleDispatch without its effect event immediately after")
             previous = ev
-    except _MALFORMED as exc:
-        raise _malformed(ev, exc) from None
+    except RejectedInput as exc:  # an amount that to_units refuses
+        raise ReplayError(f"seq {ev.seq}: {ev.kind} event: {exc}") from None
 
     if previous is not None and previous.kind == "OracleDispatch":
         violations.append(f"seq {previous.seq}: OracleDispatch without its effect event immediately after")

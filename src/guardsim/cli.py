@@ -11,9 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .audit import read_event
 from .config import RiskConfig, SimConfig, load_config
-from .errors import ParseError, RejectedInput, SimError
+from .errors import ParseError, RejectedInput, ReplayError, SimError
 from .fuzz import Fuzzer
 from .ledger import SEEDS
 from .risk import classify_payload
@@ -90,13 +89,15 @@ def cmd_case(args) -> int:
 def cmd_explain(args) -> int:
     events = read_log(args.log)
     genesis = next((ev for ev in events if ev.kind == "Genesis"), None)
-    fulfilled = (ev for ev in events if ev.kind == "RiskFulfilled")
-    match = next((ev for ev in fulfilled if read_event(ev, lambda p: p["request_id"]) == args.request_id), None)
+    match = next((ev for ev in events if ev.kind == "RiskFulfilled" and ev.payload["request_id"] == args.request_id), None)
     if genesis is None or match is None:
         print(f"no fulfilled risk request {args.request_id} in {args.log}", file=sys.stderr)
         return 2
     config = genesis_config(genesis)
-    lines, agrees = read_event(match, lambda payload: _explanation(payload, config.risk))
+    try:
+        lines, agrees = _explanation(match.payload, config.risk)
+    except (ValueError, RejectedInput) as exc:  # a score or ratio string that does not parse
+        raise ReplayError(f"seq {match.seq}: RiskFulfilled event: {exc}") from None
     print(f"request={args.request_id} " + "\n".join(lines))
     return 0 if agrees else 1
 

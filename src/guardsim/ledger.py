@@ -6,22 +6,18 @@ of truth for replay: two runs agree if and only if their serialized logs are
 byte-identical, which `log_digest` condenses to a single hash. The ledger
 renders each event to its canonical line once, when its log bytes are first
 asked for, and keeps those bytes for the digest, log files and replay checks.
-``EVENT_KINDS`` is the list of event kinds and their fields: each payload
-field with its leaf kind, and ``SHAPES`` the nested objects. From it, each
-kind's first render generates one function per key set that writes the line
-with a single %-format, the bytes of ``json.dumps(sort_keys=True,
-separators=(",", ":"), ensure_ascii=True)``: strings escaped by the same
-``encode_basestring_ascii``, integers as ``%d``, booleans as true/false. The
-functions are kept for every ledger in the process. A payload the table does
-not admit (an unknown kind or key set, a value of another type, a float, a
-null where none is allowed) raises TypeError and renders nothing.
-
-Payloads are checked when they are appended, in one walk: a value of an exact
-leaf type (str, int, bool, None) passes at once, and every other value takes
-the ``isinstance`` rules.
-``EventRecord`` and the other records built per step or transfer are
-immutable ``typing.NamedTuple`` classes, built positionally; the check refuses
-a tuple with ``_fields`` (a record), which would otherwise encode as an array.
+``EVENT_KINDS`` is the one definition of an event, for writing and for
+reading: each kind's payload fields with their leaf kinds, and ``SHAPES`` the
+nested objects. From it, a kind's first use generates, per key set, one
+function of exact-type guards that checks a payload and renders its line with
+a single %-format, in the bytes of ``json.dumps(sort_keys=True,
+separators=(",", ":"), ensure_ascii=True)``. ``Ledger.append_event`` and the
+log readers run its check (``check_event``): a payload it refuses (an unknown
+kind or key set, a value of another type or a subclass, a float, a null where
+none is allowed, a record, which is no list) is neither appended nor read,
+and the error names the kind and the field. ``EventRecord.to_line`` raises
+TypeError on the same payloads. ``EventRecord`` and the other records built per
+step or transfer are immutable ``typing.NamedTuple`` classes, built positionally.
 
 Canonical serialization rules:
   - object keys sorted, compact separators, ASCII only;
@@ -72,7 +68,10 @@ class EventRecord(NamedTuple):
 
     def to_line(self) -> str:
         seq, time, kind, payload = self
-        return (_RENDERERS.get(kind) or _renderer(kind))(seq, time, payload)
+        line = (_GENERATED.get(kind) or _generated(kind))(payload, seq, time)
+        if type(line) is str:
+            return line
+        raise TypeError(check_event(kind, payload) or f"a {kind} event needs an integer seq and time")
 
 
 # The event table: every event kind the program writes, each payload field with its leaf kind.
@@ -152,110 +151,118 @@ EVENT_KINDS = {
 }
 
 _STRINGS = frozenset({"address", "amount", "score", "ratio", "text"})
-# kind -> its renderer, generated by the kind's first render. Each is a pure function of the
-# constant table, so every ledger in the process shares them; importing generates none.
-_RENDERERS: dict = {}
+# kind -> the function generated from its entry by the kind's first use. Each is a pure function of
+# the constant table, so every ledger in the process shares them; importing generates none.
+_GENERATED: dict = {}
 
 
-def _renderer(kind: str):
-    """Generate, keep and return the renderer of ``kind``'s canonical line."""
+def check_event(kind: str, payload) -> str | None:
+    """None if the table admits ``payload`` as a ``kind`` event, else what it breaks, naming the kind and field."""
+    if type(kind) is not str or kind not in EVENT_KINDS:
+        return f"unknown event kind {kind!r}"
+    found = (_GENERATED.get(kind) or _generated(kind))(payload)
+    if found is None:
+        return None
+    field, problem = found
+    return f"{kind} event: " + (f"field {field!r} {problem}" if field else f"payload {problem}")
+
+
+def _generated(kind: str):
+    """Generate and keep the function of ``kind``; an unknown kind raises TypeError."""
     spec = EVENT_KINDS.get(kind)
     if spec is None:
         raise TypeError(f"unknown event kind {kind!r}")
     if isinstance(spec, dict):
-        render = _generate(kind, spec, line=True)
-    else:  # pick the key set by the payload's keys
+        walk = _generate(kind, spec, line=True)
+    else:  # largest key set first: an admitted payload meets its own, a refused one the largest it has all keys of
+        spec = sorted(spec, key=len, reverse=True)
         options = [(frozenset(fields), _generate(kind, fields, line=True)) for fields in spec]
 
-        def render(seq, time, p):
+        def walk(p, seq=None, time=None):
             for keys, option in options:
-                if type(p) is dict and p.keys() == keys:
-                    return option(seq, time, p)
-            raise TypeError(f"a {kind} payload is not in the event table")
+                if type(p) is dict and p.keys() >= keys:
+                    break
+            return option(p, seq, time)  # none fits: the smallest key set names a key the payload lacks
 
-    _RENDERERS[kind] = render
-    return render
+    _GENERATED[kind] = walk
+    return walk
 
 
 def _generate(name: str, fields: dict, line: bool = False):
-    """Compile one function that renders an object of ``fields`` with a single %-format.
+    """Compile the one function that checks an object of ``fields`` and renders it with a single %-format.
 
-    For a ``line``, the function takes ``(seq, time, payload)`` of a ``name`` event and returns
-    its whole line; otherwise it takes the object and returns its JSON. As ``collections.namedtuple``
-    builds code, the source comes from the table alone, never from payload values. A missing
-    or extra key, a value of another type, or null where the table admits none raises
-    TypeError.
+    It returns ``(field, problem)`` for the first field the object breaks, with the field's path
+    (``"features.floor"``, ``"hits[0].rule"``; "" for the object itself); else, asked to render, the
+    object's JSON (for a ``line``, the line of a ``name`` event, given an integer seq and time); else
+    None. Like ``collections.namedtuple``, it builds source from the table alone.
     """
-    namespace = {"esc": encode_basestring_ascii}
-    loads, guards, slots, values = [], [], [], []
+    namespace = {"esc": encode_basestring_ascii, "keys": frozenset(fields), "stray": _stray}
+    loads, checks, slots, values = [], [], [], []
+    at = "" if line else "."  # a nested object's paths start with a dot, for its holder to prefix
     for i, key in enumerate(sorted(fields)):
-        leaf, v, f = fields[key], f"v{i}", f"f{i}"
+        leaf, v, s = fields[key], f"v{i}", f"s{i}"
         loads.append(f"{v} = p[{key!r}]")
-        if leaf == "int":
-            slot, value = "%d", v
-            guards.append(f"type({v}) is int")  # not bool, whose %d is 1
+        guard = None
+        if leaf == "int":  # not bool, whose %d is 1
+            guard, problem, slot, value = f"type({v}) is int", "is not an integer", "%d", v
         elif leaf == "bool":
-            slot, value = "%s", f"('true' if {v} else 'false')"
-            guards.append(f"type({v}) is bool")
+            guard, problem, slot, value = f"type({v}) is bool", "is not a boolean", "%s", f"('true' if {v} else 'false')"
         elif leaf in _STRINGS:
-            slot, value = "%s", f"esc({v})"  # a TypeError on anything but a string
+            guard, problem, slot, value = f"type({v}) is str", "is not a string", "%s", f"esc({v})"
         elif leaf[-1] == "?" and leaf[:-1] in _STRINGS:
+            guard, problem = f"({v} is None or type({v}) is str)", "is not a string or null"
             slot, value = "%s", f"('null' if {v} is None else esc({v}))"
-        elif leaf[0] == "[":
-            item = leaf[1:-1]
-            namespace[f] = encode_basestring_ascii if item in _STRINGS else _generate(item, SHAPES[item])
-            slot, value = "[%s]", f"','.join(map({f}, {v}))"
-            guards.append(f"type({v}) is list")
-        else:
-            namespace[f] = _generate(leaf, SHAPES[leaf])
-            slot, value = "%s", f"{f}({v})"
+        elif leaf[0] == "[" and leaf[1:-1] in _STRINGS:
+            guard, problem = f"(type({v}) is list and all(type(x) is str for x in {v}))", "is not a list of strings"
+            slot, value = "[%s]", f"','.join(map(esc, {v}))"
+        elif leaf[0] == "[":  # a list of SHAPES objects, each checked and rendered by its own function
+            namespace[f"c{i}"] = _generate(leaf[1:-1], SHAPES[leaf[1:-1]])
+            slot, value = "[%s]", f"','.join({s})"
+            checks += [
+                f"if type({v}) is not list:", f"    return {at + key!r}, 'is not a list'", f"{s} = []",
+                f"for n, x in enumerate({v}):", f"    found = c{i}(x, render)", "    if type(found) is tuple:",
+                f"        return '%s[%d]%s' % ({at + key!r}, n, found[0]), found[1]", f"    {s}.append(found)",
+            ]
+        else:  # a SHAPES object
+            namespace[f"c{i}"] = _generate(leaf, SHAPES[leaf])
+            slot, value = "%s", s
+            checks += [f"{s} = c{i}({v}, render)", f"if type({s}) is tuple:", f"    return {at + key!r} + {s}[0], {s}[1]"]
+        if guard is not None:
+            checks += [f"if not {guard}:", f"    return {at + key!r}, {problem!r}"]
         slots.append(encode_basestring_ascii(key).replace("%", "%%") + ":" + slot)
         values.append(value)
     template = "{" + ",".join(slots) + "}"
-    params = "p"
+    head = "def walk(p, render):\n"
     if line:
         template = '{"kind":' + encode_basestring_ascii(name).replace("%", "%%") + ',"payload":' + template
         template += ',"seq":%d,"time":%d}'
-        params = "seq, time, p"
-        guards.append("type(seq) is int and type(time) is int")
+        head = "def walk(p, seq=None, time=None):\n    render = type(seq) is int and type(time) is int\n"
         values += ["seq", "time"]
     source = (
-        f"def render({params}):\n"
+        head
+        + "    if type(p) is not dict:\n"
+        "        return '', 'is not an object'\n"
+        f"    if len(p) != {len(fields)}:\n"
+        f"        return stray(p, keys, {at!r})\n"
         "    try:\n"
-        f"        if type(p) is dict and len(p) == {len(fields)}:\n"
-        + "".join(f"            {load}\n" for load in loads)
-        + f"            if {' and '.join(guards) or 'True'}:\n"
-        f"                return {template!r} % ({', '.join(values)},)\n"
-        "    except (KeyError, TypeError):\n"
-        "        pass\n"
-        f"    raise TypeError({f'a {name} payload is not in the event table'!r})\n"
+        + "".join(f"        {load}\n" for load in loads)
+        + "    except KeyError:\n"
+        f"        return stray(p, keys, {at!r})\n"
+        + "".join(f"    {statement}\n" for statement in checks)
+        + "    if render:\n"
+        f"        return {template!r} % ({', '.join(values)},)\n"
+        "    return None\n"
     )
     exec(source, namespace)
-    return namespace["render"]
+    return namespace["walk"]
 
 
-_LEAF_TYPES = frozenset({str, int, bool, type(None)})
-
-
-def _check_payload(value) -> None:
-    # floats would break byte-stable serialization; reject them at the source.
-    # An exact leaf type returns at once, in the loops too; the rest take the isinstance rules.
-    if type(value) in _LEAF_TYPES:
-        return
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError("event payload keys must be strings")
-            if type(item) not in _LEAF_TYPES:
-                _check_payload(item)
-    elif isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):  # a record is no JSON array
-        for item in value:
-            if type(item) not in _LEAF_TYPES:
-                _check_payload(item)
-    elif isinstance(value, float):
-        raise TypeError("float in event payload; render it to a string first")
-    elif not isinstance(value, (str, int)):
-        raise TypeError(f"unsupported payload value: {value!r}")
+def _stray(p: dict, keys: frozenset, at: str) -> tuple[str, str]:
+    """The first field of ``keys`` (sorted) that ``p`` lacks, else the first key of ``p`` outside them."""
+    for key in sorted(keys):
+        if key not in p:
+            return at + key, "is missing"
+    return at + str(next(key for key in p if key not in keys)), "is not in the event table"
 
 
 def serialize_events(events: list[EventRecord]) -> bytes:
@@ -279,7 +286,12 @@ class Ledger:
     # -- event log ---------------------------------------------------------
 
     def append_event(self, kind: str, payload: dict) -> EventRecord:
-        _check_payload(payload)
+        """Append a ``kind`` event; a payload the event table refuses raises TypeError and appends nothing."""
+        walk = _GENERATED.get(kind)
+        if walk is None or walk(payload) is not None:  # the kind's first use, or a refusal
+            problem = check_event(kind, payload)
+            if problem is not None:
+                raise TypeError(problem)
         record = EventRecord(self._next_seq, self.time, kind, payload)
         self._next_seq += 1
         self.events.append(record)

@@ -213,13 +213,13 @@ def classify_payload(features_payload: dict, config: RiskConfig) -> tuple[str, l
         price=0,
         floor=None,
         price_ratio=None if ratio_text is None else parse_fraction(ratio_text),
-        turnover_count=int(features_payload["turnover_count"]),
+        turnover_count=features_payload["turnover_count"],
         sender_credit=float(features_payload["sender_credit"]),
         recipient_credit=float(features_payload["recipient_credit"]),
-        sender_flagged=bool(features_payload["sender_flagged"]),
-        recipient_flagged=bool(features_payload["recipient_flagged"]),
+        sender_flagged=features_payload["sender_flagged"],
+        recipient_flagged=features_payload["recipient_flagged"],
         token_state=features_payload["token_state"],
-        prior_abnormal=bool(features_payload["prior_abnormal"]),
+        prior_abnormal=features_payload["prior_abnormal"],
         model_score=float(features_payload["model_score"]),
     )
     hits = rule_hits(features, config)

@@ -10,8 +10,10 @@ report, state, case and the fuzzer all execute steps through them.
 Replay and report first decode only the Genesis and Step lines (keys are
 sorted, so a canonical line starts with its kind): a re-executed log equal to
 the recorded bytes shows every skipped line was canonical. Otherwise the whole
-log is parsed, naming a malformed line, and compared line by line. State and
-case read the sim that replay re-executes.
+log is parsed and compared line by line. Every parsed event must pass the
+event table's check, which the readers after the parse then trust; the first
+it refuses is a ReplayError naming its seq and field. State and case read the
+sim that replay re-executes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 from .audit import audit_events
 from .config import SimConfig, apply_override, config_from_payload
 from .errors import ParseError, RejectedInput, ReplayError, SimError, UnknownName
-from .ledger import SEEDS, EventRecord
+from .ledger import SEEDS, EventRecord, check_event
 from .scenario import VERBS, Scenario, Step, parse_step
 from .sim import Simulation
 
@@ -187,19 +189,31 @@ def parse_log(data: bytes) -> list[EventRecord]:
             continue
         try:
             body = json.loads(line)
-            events.append(EventRecord(body["seq"], body["time"], body["kind"], body["payload"]))
-        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        except ValueError as exc:  # bad JSON and bad UTF-8
             raise ReplayError(f"line {line_no}: not a canonical event record ({exc})") from None
+        events.append(_event(body, line_no))
     return events
 
 
+_BODY_KEYS = {"kind", "payload", "seq", "time"}
+
+
+def _event(body, line_no: int) -> EventRecord:
+    """The record of one decoded log line; a ReplayError unless the event table admits it."""
+    envelope = type(body) is dict and body.keys() == _BODY_KEYS
+    if not (envelope and type(body["seq"]) is int and type(body["time"]) is int):
+        raise ReplayError(f"line {line_no}: not a canonical event record")
+    problem = check_event(body["kind"], body["payload"])
+    if problem is not None:
+        raise ReplayError(f"seq {body['seq']}: {problem}")
+    return EventRecord(body["seq"], body["time"], body["kind"], body["payload"])
+
+
 def genesis_config(genesis: EventRecord) -> SimConfig:
-    """The effective config a Genesis event records; a missing or bad one is a ReplayError."""
+    """The effective config a Genesis event records; a value out of its range is a ReplayError."""
     try:
         return config_from_payload(genesis.payload["config"])
-    except KeyError:
-        raise ReplayError(f"seq {genesis.seq}: Genesis payload has no config") from None
-    except (TypeError, AttributeError, RejectedInput) as exc:
+    except RejectedInput as exc:
         raise ReplayError(f"seq {genesis.seq}: bad Genesis config ({exc})") from None
 
 
@@ -209,23 +223,11 @@ def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig
     if genesis is None:
         raise ReplayError("log has no genesis event")
     config = genesis_config(genesis)
-    name, seed = genesis.payload.get("name"), genesis.payload.get("seed")
-    if type(name) is not str or type(seed) is not int:
-        raise ReplayError(f"seq {genesis.seq}: a Genesis payload needs a name string and an integer seed")
+    seed = genesis.payload["seed"]
     if seed not in SEEDS:
         raise ReplayError(f"seq {genesis.seq}: Genesis seed {seed} is outside [0, 2**64)")
-    scenario = Scenario(name=name, seed=seed)
-    commands = []
-    for ev in events:
-        if ev.kind == "Step":
-            try:
-                index, command = ev.payload["index"], ev.payload["command"]
-            except (KeyError, TypeError):
-                index = command = None
-            if type(index) is not int or type(command) is not str:
-                raise ReplayError(f"seq {ev.seq}: a Step payload needs an integer index and a command string")
-            commands.append((index, command, ev.seq))
-    commands.sort()
+    scenario = Scenario(name=genesis.payload["name"], seed=seed)
+    commands = sorted((ev.payload["index"], ev.payload["command"], ev.seq) for ev in events if ev.kind == "Step")
     for _index, command, seq in commands:
         try:
             step = parse_step(command)
@@ -267,10 +269,10 @@ def _fast_scenario(data: bytes) -> tuple[Scenario, SimConfig] | None:
     """The command stream and config read from the lines that start as a canonical Genesis or Step
     line, or None if they do not make one. Sound only once the re-executed bytes equal ``data``."""
     lines = [line for line in data.split(b"\n") if line.startswith(_FAST_KINDS)]
-    try:
+    try:  # on a failure the full parse decodes the log again and names the bad line
         bodies = json.loads(b"[" + b",".join(lines) + b"]")
-        return scenario_from_events([EventRecord(e["seq"], e["time"], e["kind"], e["payload"]) for e in bodies])
-    except (ValueError, KeyError, TypeError, ReplayError):
+        return scenario_from_events([_event(body, 0) for body in bodies])
+    except (ValueError, ReplayError):
         return None
 
 

@@ -111,7 +111,7 @@ VERBS: dict[str, Verb] = {
     "PAY": Verb((NAME, NAME, AMOUNT), lambda ctx, *a: ctx.sim.ledger.transfer_value(*a)),
     "MINT": Verb((NAME, INT), lambda ctx, *a: ctx.sim.contract.mint(*a)),
     "TRANSFER": Verb(_TRANSFER, lambda ctx, *a: ctx.sim.contract.transfer_from(*a)),
-    "SAFE_TRANSFER": Verb(_TRANSFER, lambda ctx, *a: ctx.sim.contract.safe_transfer_from(*a)),
+    "SAFE_TRANSFER": Verb(_TRANSFER, lambda ctx, *a: ctx.sim.contract.transfer_from(*a, safe_variant=True)),
     "APPROVE": Verb((NAME, NAME, INT), lambda ctx, *a: ctx.sim.contract.approve(*a)),
     "APPROVE_ALL": Verb((NAME, NAME, ONOFF), lambda ctx, *a: ctx.sim.contract.set_approval_for_all(*a)),
     "REGISTER_AUX": Verb((NAME, NAME), _register_aux),

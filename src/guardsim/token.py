@@ -203,7 +203,8 @@ class TokenContract:
 
         safe -> ownership moves and the token arrives LOCKED; may_lost -> the
         token stays put and is frozen; hacked -> the token is reclaimed to the
-        treasury and a theft case opens.
+        treasury and a theft case opens. ``safe_variant`` (the SAFE_TRANSFER verb)
+        logs the move as SafeTransfer; no receiver hook is called.
         """
         if price < 0:
             raise RejectedInput("price must be >= 0")
@@ -241,10 +242,6 @@ class TokenContract:
                 },
             )
         return TransferOutcome(request_id, verdict)
-
-    def safe_transfer_from(self, caller: Address, from_addr: Address, to_addr: Address, token_id: int, price: int) -> TransferOutcome:
-        # no receiver-contract callback exists here; distinct event kind only
-        return self.transfer_from(caller, from_addr, to_addr, token_id, price, safe_variant=True)
 
     # -- bridge-only entry points ---------------------------------------------
 

@@ -304,7 +304,7 @@ def test_acceptance_8_reclaim_immutable_property(ops):
             elif op == 3:
                 sim.contract.transfer_from(alice, alice, bob, 1, to_units(5))
             elif op == 4:
-                sim.contract.safe_transfer_from(bob, bob, alice, 1, 0)
+                sim.contract.transfer_from(bob, bob, alice, 1, 0, safe_variant=True)
             elif op == 5:
                 sim.contract.approve(alice, bob, 1)
             elif op == 6:

@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -6,8 +7,10 @@ import pytest
 from guardsim import cli, runner
 from guardsim.cli import main
 from guardsim.fuzz import Fuzzer
+from guardsim.ledger import EVENT_KINDS
 from guardsim.runner import ReplayOutcome, run_scenario, write_log
 from guardsim.scenario import load_scenario
+from test_fast_paths import logged_sims
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -274,11 +277,12 @@ def _edit_first(log, kind, edit):
         ("RiskFulfilled", lambda p: p.pop("features"), ("explain",)),
         ("Minted", lambda p: p.pop("token_id"), ("report",)),
         ("CaseClosed", lambda p: p.update(tally_reporter="x"), ("report",)),
+        ("RiskFulfilled", lambda p: p["features"].update(sender_credit="x"), ("explain",)),
     ],
     ids=["step-no-index", "step-no-command", "genesis-no-name", "genesis-no-seed", "step-text-index",
          "genesis-text-seed", "genesis-no-config", "genesis-bad-config", "step-two-commands", "step-directive",
          "step-not-normal-form", "value-no-to-balance", "value-text-amount", "fulfilled-no-request-id",
-         "fulfilled-no-features", "minted-no-token-id", "closed-text-tally"],
+         "fulfilled-no-features", "minted-no-token-id", "closed-text-tally", "fulfilled-text-credit"],
 )
 def test_malformed_step_or_genesis_payload_exit_2(replevin_log, capsys, kind, edit, commands):
     seq = _edit_first(replevin_log, kind, edit)
@@ -297,4 +301,37 @@ def test_text_request_id_among_several_is_a_report_error(tmp_path, capsys):
     seq = _edit_first(log, "RiskFulfilled", lambda p: p.update(request_id=str(p["request_id"])))
     assert main(["report", str(log)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"report error: seq {seq}: malformed RiskFulfilled event") and err.count("\n") == 1
+    assert err.startswith(f"report error: seq {seq}: RiskFulfilled event: field 'request_id' ") and err.count("\n") == 1
+
+
+@functools.cache
+def first_logs() -> dict[str, tuple[bytes, dict]]:
+    """kind -> the log of the first run, in ``logged_sims`` order, that logs that kind, and the
+    payload of its first event of the kind."""
+    logs: dict[str, tuple[bytes, dict]] = {}
+    for sim in logged_sims():
+        for ev in sim.ledger.events:
+            if ev.kind not in logs:
+                logs[ev.kind] = (sim.ledger.serialized(), ev.payload)
+    return logs
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_KINDS))
+def test_an_event_the_table_refuses_exit_2_naming_its_seq_and_field(kind, tmp_path, capsys):
+    data, payload = first_logs()[kind]
+    field = min(payload)
+    mistyped = 7 if isinstance(payload[field], str) else "7"
+    edits = {
+        "drop": (field, lambda p: p.pop(field)),
+        "add": ("extra", lambda p: p.update(extra=1)),
+        "mistype": (field, lambda p: p.update({field: mistyped})),
+    }
+    for name, (named, edit) in edits.items():
+        log = tmp_path / f"{name}.jsonl"
+        log.write_bytes(data)
+        seq = _edit_first(log, kind, edit)
+        for command in ("report", "replay"):
+            assert main([command, str(log)]) == 2, (name, command)
+            err = capsys.readouterr().err
+            assert err.startswith(f"{command} error: seq {seq}: {kind} event: field '{named}' "), err
+            assert err.count("\n") == 1

@@ -1,17 +1,17 @@
 """Differential tests: the log path's fast code against the straightforward code it replaced.
 
 Each oracle below is the previous implementation, kept verbatim: ``json.dumps``
-for the canonical line, the ``isinstance`` payload check, and the
-``Decimal``/``Fraction`` amount parser. The payload check has gained one rule
-since, in both: a ``NamedTuple`` record is rejected, not written as an array.
-The line renderer is generated from the event table and renders only the
-payloads the table admits, each to the bytes of ``json.dumps``; any other
-payload raises TypeError.
+for the canonical line and the ``Decimal``/``Fraction`` amount parser. The
+line renderer is generated from the event table and renders only the payloads
+the table admits, each to the bytes of ``json.dumps``; any other payload raises
+TypeError. ``Ledger.append_event`` checks with the same generated function,
+and ``admits`` below, a plain walk of the table, is the reference for both.
 """
 
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal, InvalidOperation
@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 
 from guardsim.errors import RejectedInput
 from guardsim.fuzz import Fuzzer
-from guardsim.ledger import EVENT_KINDS, SHAPES, EventRecord, _check_payload
-from guardsim.risk import RuleHit
+from guardsim.ledger import EVENT_KINDS, SHAPES, EventRecord, Ledger
 from guardsim.runner import run_scenario
 from guardsim.scenario import load_scenario
 from guardsim.sim import Simulation
@@ -53,21 +52,6 @@ class Items(list):
 def oracle_to_line(record: EventRecord) -> str:
     body = {"kind": record.kind, "payload": record.payload, "seq": record.seq, "time": record.time}
     return json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-
-
-def oracle_check_payload(value) -> None:
-    if isinstance(value, float):
-        raise TypeError("float in event payload; render it to a string first")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError("event payload keys must be strings")
-            oracle_check_payload(item)
-    elif isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):  # a NamedTuple record is no array
-        for item in value:
-            oracle_check_payload(item)
-    elif not (value is None or isinstance(value, (str, int, bool))):
-        raise TypeError(f"unsupported payload value: {value!r}")
 
 
 def oracle_to_units(value: str) -> int:
@@ -138,19 +122,20 @@ admitted_events = st.sampled_from(KEY_SETS).flatmap(
 )
 
 
-def slots(fields: dict, obj: dict):
-    """``(container, key, leaf kind)`` of every value in ``obj``, nested values and list items too."""
+def slots(fields: dict, obj: dict, at: str = ""):
+    """``(container, key, leaf kind, path)`` of every value in ``obj``, nested values and list items too."""
     for key, leaf in fields.items():
-        yield obj, key, leaf
+        path = at + key
+        yield obj, key, leaf, path
         value = obj[key]
         if leaf[0] == "[":
             item = leaf[1:-1]
             for index, element in enumerate(value):
-                yield value, index, item
+                yield value, index, item, f"{path}[{index}]"
                 if item in SHAPES:
-                    yield from slots(SHAPES[item], element)
+                    yield from slots(SHAPES[item], element, f"{path}[{index}].")
         elif leaf in SHAPES:
-            yield from slots(SHAPES[leaf], value)
+            yield from slots(SHAPES[leaf], value, path + ".")
 
 
 def refuse(data, record: EventRecord) -> tuple[str, EventRecord]:
@@ -158,7 +143,7 @@ def refuse(data, record: EventRecord) -> tuple[str, EventRecord]:
     payload = copy.deepcopy(record.payload)
     fields = next(fields for kind, fields in KEY_SETS if kind == record.kind and set(fields) == set(payload))
     found = list(slots(fields, payload))
-    dicts = [payload] + [value[key] for value, key, leaf in found if leaf in SHAPES]
+    dicts = [payload] + [value[key] for value, key, leaf, _path in found if leaf in SHAPES]
     ways = {
         "unknown kind": None,
         "extra key": dicts,
@@ -183,7 +168,7 @@ def refuse(data, record: EventRecord) -> tuple[str, EventRecord]:
     elif way == "extra key":
         target[data.draw(any_text.filter(lambda key: key not in target))] = data.draw(valid_leaves)
     else:
-        container, key, _leaf = target
+        container, key, _leaf, _path = target
         container[key] = {
             "bool in an int field": data.draw(st.booleans()),
             "int subclass in an int field": Count(data.draw(st.integers())),
@@ -268,18 +253,18 @@ def test_a_failed_encode_leaves_no_trace_for_the_next():
 
 def test_importing_generates_no_renderer():
     # renderers are made on a kind's first render, so a fresh interpreter's set-up pays for none
-    probe = "import guardsim.cli, guardsim.ledger as ledger; print(len(ledger._RENDERERS))"
+    probe = "import guardsim.cli, guardsim.ledger as ledger; print(len(ledger._GENERATED))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert done.stdout == "0\n", done.stderr
 
 
-def logged_events() -> list[EventRecord]:
-    """Every event of every `.tps` scenario and regression and of both pinned fuzz corpora."""
-    found = []
-    for path in sorted([*ROOT.glob("scenarios/*.tps"), *ROOT.glob("tests/regressions/*.tps")]):
-        found += run_scenario(load_scenario(path))[0].ledger.events
-    sims = []
+def logged_sims() -> list[Simulation]:
+    """The run of every `.tps` scenario and regression, then every sequence of both pinned fuzz corpora."""
+    sims = [
+        run_scenario(load_scenario(path))[0]
+        for path in sorted([*ROOT.glob("scenarios/*.tps"), *ROOT.glob("tests/regressions/*.tps")])
+    ]
     original = Simulation.__init__
 
     def recording_init(sim, *args, **kwargs):
@@ -290,7 +275,12 @@ def logged_events() -> list[EventRecord]:
         patch.setattr(Simulation, "__init__", recording_init)
         for seed in (1, 4242):
             Fuzzer(seed).run(8 * 400)
-    return found + [ev for sim in sims for ev in sim.ledger.events]
+    return sims
+
+
+def logged_events() -> list[EventRecord]:
+    """Every event of every `.tps` scenario and regression and of both pinned fuzz corpora."""
+    return [ev for sim in logged_sims() for ev in sim.ledger.events]
 
 
 def test_every_logged_event_renders_like_json_dumps():
@@ -303,6 +293,9 @@ def test_every_logged_event_renders_like_json_dumps():
 
 
 # -- payload check ---------------------------------------------------------------
+#
+# ``Ledger.append_event`` refuses a payload exactly when ``to_line`` does, names the field
+# it breaks and appends nothing; what it admits is what a plain walk of the table admits.
 
 any_leaves = valid_leaves | st.floats(allow_nan=False) | st.floats(allow_nan=False).map(Ratio) | st.binary(max_size=3)
 any_payloads = st.recursive(
@@ -317,19 +310,62 @@ any_payloads = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(any_payloads)
-@example(1.5)
-@example([1, Ratio(0.5)])
-@example({1: "int key"})
-@example({"k": b"bytes"})
-@example({"k": {1, 2}})
-@example({"k": [Count(3), ("a", None, True)]})
-@example(Record(k=Items([1, Ratio(0.5)])))
-@example(Record({2: "int key"}))
-@example({"k": [RuleHit("R1", "weak", "x")]})
-def test_check_payload_accepts_and_rejects_like_the_isinstance_check(value):
-    assert outcome(_check_payload, value) == outcome(oracle_check_payload, value)
+def admits(leaf: str, value) -> bool:
+    """Whether the table admits ``value`` for a field of ``leaf`` kind."""
+    if leaf == "int":
+        return type(value) is int
+    if leaf == "bool":
+        return type(value) is bool
+    if leaf[-1] == "?":
+        return value is None or admits(leaf[:-1], value)
+    if leaf[0] == "[":
+        return type(value) is list and all(admits(leaf[1:-1], item) for item in value)
+    if leaf in SHAPES:
+        fields = SHAPES[leaf]
+        return type(value) is dict and value.keys() == fields.keys() and all(admits(fields[k], value[k]) for k in fields)
+    return type(value) is str
+
+
+def placed(data, record: EventRecord) -> tuple[EventRecord, str, bool]:
+    """``record`` with an ``any_payloads`` value in one of its fields, that field's path, and whether
+    the table admits the value there."""
+    payload = copy.deepcopy(record.payload)
+    fields = next(fields for kind, fields in KEY_SETS if kind == record.kind and set(fields) == set(payload))
+    container, key, leaf, path = data.draw(st.sampled_from(list(slots(fields, payload))))
+    container[key] = data.draw(any_payloads)
+    return record._replace(payload=payload), path, admits(leaf, container[key])
+
+
+@settings(max_examples=500, deadline=None)
+@given(admitted_events, st.data())
+def test_append_refuses_exactly_what_to_line_refuses_and_names_the_field(record, data):
+    way = data.draw(st.sampled_from(["admitted", "refused", "placed"]))
+    if way == "refused":
+        way, record = refuse(data, record)
+    elif way == "placed":
+        record, path, admitted = placed(data, record)
+    note(way)
+    ledger = Ledger(seed=1)
+    ledger.create_account(0)
+    events, log = list(ledger.events), ledger.serialized()
+    try:
+        line = record.to_line()
+    except TypeError:
+        line = None
+    if line is None:
+        with pytest.raises(TypeError) as refused:
+            ledger.append_event(record.kind, record.payload)
+        assert ledger.events == events
+        assert ledger.serialized() == log
+    else:
+        assert line == oracle_to_line(record)
+        appended = ledger.append_event(record.kind, record.payload)
+        assert ledger.serialized() == log + appended.to_line().encode() + b"\n"
+    if way == "placed":
+        assert (line is not None) == admitted
+        if not admitted:  # the named field is the one written, or inside it, or the list holding it
+            named = re.search(r"field '([^']*)'", str(refused.value)).group(1)
+            assert named.startswith(path) or path.startswith(named + "["), (named, path)
 
 
 # -- amounts -----------------------------------------------------------------------

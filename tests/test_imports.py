@@ -12,7 +12,10 @@ referenced by name (a name, an attribute or an imported name) somewhere in
 tests and strings do not count; dunder methods are called implicitly.
 
 The kinds ``append_event`` is called with in ``src/`` must be exactly the kinds
-of ``ledger.EVENT_KINDS``, which renders no other.
+of ``ledger.EVENT_KINDS``, which renders no other. The log readers trust the
+table's keys, so every constant key the audit, ``explain`` and
+``risk.classify_payload`` subscript must be a field of the table: a misspelt
+one would be an uncaught ``KeyError``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import guardsim
-from guardsim.ledger import EVENT_KINDS
+from guardsim.ledger import EVENT_KINDS, SHAPES
 
 MODULES = sorted(p for p in Path(guardsim.__file__).parent.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,3 +175,45 @@ def test_the_check_sees_a_planted_unknown_kind():
     planted = logged_kinds(source)
     assert planted == {"Step", "Transfer", "Locked", "Planted", "?action.title()"}
     assert planted - set(EVENT_KINDS) == {"Planted", "?action.title()"}
+
+
+# (module, function) whose constant subscripts read event payloads; None reads the whole module.
+PAYLOAD_READERS = [
+    ("audit.py", None),
+    ("cli.py", "cmd_explain"),
+    ("cli.py", "_explanation"),
+    ("risk.py", "classify_payload"),
+]
+TABLE_FIELDS = {
+    field for spec in EVENT_KINDS.values() for fields in (spec if isinstance(spec, tuple) else (spec,)) for field in fields
+} | {field for fields in SHAPES.values() for field in fields}
+
+
+def subscripted_keys(source: str, function: str | None = None) -> set[str]:
+    """Every string constant subscripted in ``source``, or only in its module-level ``function``."""
+    tree = ast.parse(source)
+    if function is not None:
+        tree = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str)
+    }
+
+
+def test_every_payload_key_a_reader_subscripts_is_in_the_event_table():
+    package = Path(guardsim.__file__).parent
+    for module, function in PAYLOAD_READERS:
+        keys = subscripted_keys((package / module).read_text(), function)
+        assert keys and keys <= TABLE_FIELDS, (module, function, keys - TABLE_FIELDS)
+
+
+def test_the_check_sees_a_misspelt_payload_key():
+    source = (
+        "def read(p, hits):\n"
+        "    return p['token_id'], p['tokn_id'], f\"{hits[0]['rul']}\", p[0]\n\n"
+        "def other(p):\n    return p['elsewhere']\n"
+    )
+    assert subscripted_keys(source, "read") == {"token_id", "tokn_id", "rul"}
+    assert subscripted_keys(source, "read") - TABLE_FIELDS == {"tokn_id", "rul"}
+    assert subscripted_keys(source) - TABLE_FIELDS == {"tokn_id", "rul", "elsewhere"}

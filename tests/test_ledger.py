@@ -128,8 +128,9 @@ def test_canonical_lines_have_sorted_keys_and_no_floats():
 
 def test_float_payload_rejected_at_append():
     ledger = Ledger()
-    with pytest.raises(TypeError):
-        ledger.append_event("Bogus", {"x": 1.5})
+    with pytest.raises(TypeError, match="^TimeAdvanced event: field 'delta' is not an integer$"):
+        ledger.append_event("TimeAdvanced", {"delta": 1.5, "now": 0})
+    assert ledger.events == []
 
 
 def test_event_application_is_prefix_composable():

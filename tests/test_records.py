@@ -1,8 +1,9 @@
 """The immutable records built once per step, event or transfer.
 
-They are ``typing.NamedTuple`` classes. A tuple would pass the payload check
-and encode as a JSON array, so a record in a payload must still be refused,
-and no field of a record may be reassigned.
+They are ``typing.NamedTuple`` classes. A record is a tuple, which would encode
+as a JSON array; the event table's exact-type guards refuse it in any field, so
+a record in a payload is refused at append, naming the field, and no field of
+a record may be reassigned.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from guardsim.risk import SAFE, WEAK, RiskVerdict, RuleHit, TransferIntent
 from guardsim.runner import ReplayOutcome
 from guardsim.scenario import parse_step
 from guardsim.token import GuardResult, ProvenanceEntry, TransferOutcome
+from test_fast_paths import VERDICT as FULFILLED
 
 A, B = "0x" + "a" * 40, "0x" + "b" * 40
 HIT = RuleHit("R1_UNDERPRICED", WEAK, "price ratio 1/2")
@@ -20,7 +22,7 @@ VERDICT = RiskVerdict(SAFE, (HIT,), None)
 
 # (record, one of its fields)
 RECORDS = [
-    (EventRecord(1, 0, "K", {"n": 1}), "seq"),
+    (EventRecord(1, 0, "Unfrozen", {"token_id": 1}), "seq"),
     (parse_step("ADVANCE 1"), "verb"),
     (TransferIntent(A, A, B, 1, 0, 0), "caller"),
     (HIT, "rule_id"),
@@ -39,9 +41,13 @@ def test_a_record_in_a_payload_is_refused_and_logs_nothing(record):
     ledger = Ledger(seed=1)
     ledger.create_account(0)
     events, log = list(ledger.events), ledger.serialized()
-    for payload in ({"record": record}, {"records": [record]}, {"nested": {"pair": (1, record)}}):
-        with pytest.raises(TypeError, match="unsupported payload value"):
-            ledger.append_event("K", payload)
+    for kind, payload, field in (
+        ("Minted", {"token_id": record, "to": A}, "token_id"),
+        ("JuryEmpaneled", {"case_id": 1, "jury": [A, record]}, "jury"),
+        ("RiskFulfilled", {**FULFILLED, "hits": [record]}, r"hits\[0\]"),
+    ):
+        with pytest.raises(TypeError, match=f"^{kind} event: field '{field}' "):
+            ledger.append_event(kind, payload)
     assert ledger.events == events
     assert ledger.serialized() == log
 

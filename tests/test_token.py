@@ -177,7 +177,7 @@ def test_flagged_sender_transfer_reclaims_to_treasury(sim, parties):
 def test_safe_transfer_from_uses_distinct_event_kind(sim, parties):
     alice, bob, _ = parties
     sim.contract.mint(alice, 1)
-    sim.contract.safe_transfer_from(alice, alice, bob, 1, to_units(10))
+    sim.contract.transfer_from(alice, alice, bob, 1, to_units(10), safe_variant=True)
     kinds = [ev.kind for ev in sim.ledger.events]
     assert "SafeTransfer" in kinds and "Transfer" not in kinds
 
