@@ -8,10 +8,10 @@ renders each event to its canonical line once, when its log bytes are first
 asked for, and keeps those bytes for the digest, log files and replay checks.
 ``EVENT_KINDS`` is the one definition of an event, for writing and for
 reading: each kind's payload fields with their leaf kinds, and ``SHAPES`` the
-nested objects. From it, a kind's first use generates, per key set, one
-function of exact-type guards that checks a payload and renders its line with
-a single %-format, in the bytes of ``json.dumps(sort_keys=True,
-separators=(",", ":"), ensure_ascii=True)``. ``Ledger.append_event`` and the
+nested objects. From it, a kind's first use generates one function of
+exact-type guards that checks a payload and renders its line with a single
+%-format, in the bytes of ``json.dumps(sort_keys=True, separators=(",", ":"),
+ensure_ascii=True)``. ``Ledger.append_event`` and the
 log readers run its check (``check_event``): a payload it refuses (an unknown
 kind or key set, a value of another type or a subclass, a float, a null where
 none is allowed, a record, which is no list) is neither appended nor read,
@@ -77,7 +77,8 @@ class EventRecord(NamedTuple):
 # The event table: every event kind the program writes, each payload field with its leaf kind.
 # "address", "amount", "score", "ratio" and "text" are JSON strings, and a trailing "?" also
 # admits null; "int" is an integer and "bool" a boolean. A name in SHAPES is a nested object,
-# and "[x]" a list of x. A kind written with several key sets lists each of them.
+# and "[x]" a list of x. A kind written with several key sets lists each of them: its base set
+# first, then sets that each add one key of their own.
 SHAPES = {
     "config": dict.fromkeys(
         (
@@ -172,35 +173,45 @@ def _generated(kind: str):
     spec = EVENT_KINDS.get(kind)
     if spec is None:
         raise TypeError(f"unknown event kind {kind!r}")
-    if isinstance(spec, dict):
-        walk = _generate(kind, spec, line=True)
-    else:  # largest key set first: an admitted payload meets its own, a refused one the largest it has all keys of
-        spec = sorted(spec, key=len, reverse=True)
-        options = [(frozenset(fields), _generate(kind, fields, line=True)) for fields in spec]
-
-        def walk(p, seq=None, time=None):
-            for keys, option in options:
-                if type(p) is dict and p.keys() >= keys:
-                    break
-            return option(p, seq, time)  # none fits: the smallest key set names a key the payload lacks
-
-    _GENERATED[kind] = walk
+    walk = _GENERATED[kind] = _generate(kind, spec, line=True)
     return walk
 
 
-def _generate(name: str, fields: dict, line: bool = False):
-    """Compile the one function that checks an object of ``fields`` and renders it with a single %-format.
+def _generate(name: str, spec, line: bool = False):
+    """Compile the one function that checks an object of ``spec`` and renders it with a single %-format.
 
-    It returns ``(field, problem)`` for the first field the object breaks, with the field's path
-    (``"features.floor"``, ``"hits[0].rule"``; "" for the object itself); else, asked to render, the
-    object's JSON (for a ``line``, the line of a ``name`` event, given an integer seq and time); else
-    None. Like ``collections.namedtuple``, it builds source from the table alone.
+    ``spec`` is a dict of fields, or a tuple of key sets: a base set, then sets that each add one key
+    of their own. An object holding such a key is checked against its set, any other against the
+    base set. The function returns ``(field, problem)`` for the first field the object breaks, with
+    the field's path (``"features.floor"``, ``"hits[0].rule"``; "" for the object itself); else, asked
+    to render, the object's JSON (for a ``line``, the line of a ``name`` event, given an integer seq
+    and time); else None. Like ``collections.namedtuple``, it builds source from the table alone.
     """
-    namespace = {"esc": encode_basestring_ascii, "keys": frozenset(fields), "stray": _stray}
+    namespace = {"esc": encode_basestring_ascii, "stray": _stray}
+    base, *variants = spec if isinstance(spec, tuple) else (spec,)
+    if line:
+        source = ["def walk(p, seq=None, time=None):", "    render = type(seq) is int and type(time) is int"]
+    else:
+        source = ["def walk(p, render):"]
+    source += ["    if type(p) is not dict:", "        return '', 'is not an object'"]
+    for n, fields in enumerate(variants, start=1):
+        (key,) = fields.keys() - base.keys()  # the key of its own that picks this set
+        source += [f"    if {key!r} in p:", *(f"        {s}" for s in _block(name, fields, line, namespace, n))]
+    source += [f"    {s}" for s in _block(name, base, line, namespace, 0)]
+    exec("\n".join(source) + "\n", namespace)
+    return namespace["walk"]
+
+
+def _block(name: str, fields: dict, line: bool, namespace: dict, n: int) -> list[str]:
+    """The statements of ``_generate``'s function that check and render a dict of ``fields``.
+
+    The names they use are suffixed ``n`` and put in ``namespace``.
+    """
+    namespace[f"keys{n}"] = frozenset(fields)
     loads, checks, slots, values = [], [], [], []
     at = "" if line else "."  # a nested object's paths start with a dot, for its holder to prefix
     for i, key in enumerate(sorted(fields)):
-        leaf, v, s = fields[key], f"v{i}", f"s{i}"
+        leaf, v, s, c = fields[key], f"v{i}", f"s{i}", f"c{n}_{i}"
         loads.append(f"{v} = p[{key!r}]")
         guard = None
         if leaf == "int":  # not bool, whose %d is 1
@@ -216,45 +227,31 @@ def _generate(name: str, fields: dict, line: bool = False):
             guard, problem = f"(type({v}) is list and all(type(x) is str for x in {v}))", "is not a list of strings"
             slot, value = "[%s]", f"','.join(map(esc, {v}))"
         elif leaf[0] == "[":  # a list of SHAPES objects, each checked and rendered by its own function
-            namespace[f"c{i}"] = _generate(leaf[1:-1], SHAPES[leaf[1:-1]])
+            namespace[c] = _generate(leaf[1:-1], SHAPES[leaf[1:-1]])
             slot, value = "[%s]", f"','.join({s})"
             checks += [
                 f"if type({v}) is not list:", f"    return {at + key!r}, 'is not a list'", f"{s} = []",
-                f"for n, x in enumerate({v}):", f"    found = c{i}(x, render)", "    if type(found) is tuple:",
+                f"for n, x in enumerate({v}):", f"    found = {c}(x, render)", "    if type(found) is tuple:",
                 f"        return '%s[%d]%s' % ({at + key!r}, n, found[0]), found[1]", f"    {s}.append(found)",
             ]
         else:  # a SHAPES object
-            namespace[f"c{i}"] = _generate(leaf, SHAPES[leaf])
+            namespace[c] = _generate(leaf, SHAPES[leaf])
             slot, value = "%s", s
-            checks += [f"{s} = c{i}({v}, render)", f"if type({s}) is tuple:", f"    return {at + key!r} + {s}[0], {s}[1]"]
+            checks += [f"{s} = {c}({v}, render)", f"if type({s}) is tuple:", f"    return {at + key!r} + {s}[0], {s}[1]"]
         if guard is not None:
             checks += [f"if not {guard}:", f"    return {at + key!r}, {problem!r}"]
         slots.append(encode_basestring_ascii(key).replace("%", "%%") + ":" + slot)
         values.append(value)
     template = "{" + ",".join(slots) + "}"
-    head = "def walk(p, render):\n"
     if line:
         template = '{"kind":' + encode_basestring_ascii(name).replace("%", "%%") + ',"payload":' + template
         template += ',"seq":%d,"time":%d}'
-        head = "def walk(p, seq=None, time=None):\n    render = type(seq) is int and type(time) is int\n"
         values += ["seq", "time"]
-    source = (
-        head
-        + "    if type(p) is not dict:\n"
-        "        return '', 'is not an object'\n"
-        f"    if len(p) != {len(fields)}:\n"
-        f"        return stray(p, keys, {at!r})\n"
-        "    try:\n"
-        + "".join(f"        {load}\n" for load in loads)
-        + "    except KeyError:\n"
-        f"        return stray(p, keys, {at!r})\n"
-        + "".join(f"    {statement}\n" for statement in checks)
-        + "    if render:\n"
-        f"        return {template!r} % ({', '.join(values)},)\n"
-        "    return None\n"
-    )
-    exec(source, namespace)
-    return namespace["walk"]
+    return [
+        f"if len(p) != {len(fields)}:", f"    return stray(p, keys{n}, {at!r})", "try:",
+        *(f"    {load}" for load in loads), "except KeyError:", f"    return stray(p, keys{n}, {at!r})",
+        *checks, "if render:", f"    return {template!r} % ({', '.join(values)},)", "return None",
+    ]
 
 
 def _stray(p: dict, keys: frozenset, at: str) -> tuple[str, str]:

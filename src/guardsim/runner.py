@@ -7,13 +7,16 @@ failures are events, not aborts; attack scripts trip guards on purpose.
 ``execute_scenario`` and ``run_step`` are the one step loop: run, replay,
 report, state, case and the fuzzer all execute steps through them.
 
-Replay and report first decode only the Genesis and Step lines (keys are
-sorted, so a canonical line starts with its kind): a re-executed log equal to
-the recorded bytes shows every skipped line was canonical. Otherwise the whole
-log is parsed and compared line by line. Every parsed event must pass the
-event table's check, which the readers after the parse then trust; the first
-it refuses is a ReplayError naming its seq and field. State and case read the
-sim that replay re-executes.
+Replay and report first read only the first Genesis line, decoded and checked
+against the event table, and the command string of each line that starts as a
+canonical Step line, in file order (keys are sorted, so a canonical line
+starts with its kind). That read checks no Step event: a re-executed log
+equal to the recorded bytes is the program's own render of events the append
+check admitted, so it shows every line was canonical and in index order.
+Otherwise the whole log is parsed and compared line by line. Every parsed
+event must pass the event table's check, which the readers after the parse
+then trust; the first it refuses is a ReplayError naming its seq and field.
+State and case read the sim that replay re-executes.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from json.decoder import scanstring
 from pathlib import Path
 from typing import NamedTuple
 
@@ -219,14 +223,7 @@ def genesis_config(genesis: EventRecord) -> SimConfig:
 
 def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig]:
     """Reconstruct the command stream and effective config embedded in a log."""
-    genesis = next((ev for ev in events if ev.kind == "Genesis"), None)
-    if genesis is None:
-        raise ReplayError("log has no genesis event")
-    config = genesis_config(genesis)
-    seed = genesis.payload["seed"]
-    if seed not in SEEDS:
-        raise ReplayError(f"seq {genesis.seq}: Genesis seed {seed} is outside [0, 2**64)")
-    scenario = Scenario(name=genesis.payload["name"], seed=seed)
+    scenario, config = _genesis_scenario(next((ev for ev in events if ev.kind == "Genesis"), None))
     commands = sorted((ev.payload["index"], ev.payload["command"], ev.seq) for ev in events if ev.kind == "Step")
     for _index, command, seq in commands:
         try:
@@ -237,6 +234,17 @@ def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig
             raise ReplayError(f"seq {seq}: Step command {command!r} is not in normal form {step.raw!r}")
         scenario.steps.append(step)
     return scenario, config
+
+
+def _genesis_scenario(genesis: EventRecord | None) -> tuple[Scenario, SimConfig]:
+    """The stepless scenario and the config a log's Genesis event records."""
+    if genesis is None:
+        raise ReplayError("log has no genesis event")
+    config = genesis_config(genesis)
+    seed = genesis.payload["seed"]
+    if seed not in SEEDS:
+        raise ReplayError(f"seq {genesis.seq}: Genesis seed {seed} is outside [0, 2**64)")
+    return Scenario(name=genesis.payload["name"], seed=seed), config
 
 
 class ReplayOutcome(NamedTuple):
@@ -262,18 +270,30 @@ def _first_divergence(recorded: bytes, sim: Simulation) -> int | None:
     return None
 
 
-_FAST_KINDS = (b'{"kind":"Genesis",', b'{"kind":"Step",')
+_GENESIS = b'{"kind":"Genesis",'
+_STEP = b'{"kind":"Step","payload":{"command":"'  # keys are sorted: a canonical line starts with its kind
 
 
 def _fast_scenario(data: bytes) -> tuple[Scenario, SimConfig] | None:
-    """The command stream and config read from the lines that start as a canonical Genesis or Step
-    line, or None if they do not make one. Sound only once the re-executed bytes equal ``data``."""
-    lines = [line for line in data.split(b"\n") if line.startswith(_FAST_KINDS)]
+    """The command stream and config of the first line that starts as a canonical Genesis line and
+    the commands of those that start as a canonical Step line, in file order; None if they do not
+    make one. Sound only once the re-executed bytes equal ``data``."""
+    genesis, steps = None, []
     try:  # on a failure the full parse decodes the log again and names the bad line
-        bodies = json.loads(b"[" + b",".join(lines) + b"]")
-        return scenario_from_events([_event(body, 0) for body in bodies])
-    except (ValueError, ReplayError):
+        for line in data.split(b"\n"):
+            if line.startswith(_STEP):
+                command = scanstring(line.decode("ascii"), len(_STEP))[0]
+                step = parse_step(command)
+                if step.raw != command:
+                    return None
+                steps.append(step)
+            elif genesis is None and line.startswith(_GENESIS):
+                genesis = _event(json.loads(line), 0)
+        scenario, config = _genesis_scenario(genesis)
+    except (ValueError, ParseError, ReplayError):
         return None
+    scenario.steps = steps
+    return scenario, config
 
 
 def _reexecute(data: bytes) -> tuple[RunContext, list[EventRecord] | None]:

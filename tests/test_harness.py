@@ -15,6 +15,8 @@ from guardsim.sim import Simulation
 from guardsim.token import TokenState
 from guardsim.units import to_units
 
+from test_digests import FUZZ_CORPUS
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CANNED = sorted(SCENARIOS.glob("*.tps"))
 
@@ -437,3 +439,68 @@ def test_tampered_price_fails_replay_after_one_execution(tmp_path, monkeypatch):
     assert outcome.divergence_seq == target + 1
     assert rebuilt.violations[-1] == f"recorded log diverges from deterministic re-execution at seq {target + 1}"
     assert replay_calls == report_calls == (1, 1)
+
+
+def _corpus_logs(monkeypatch, seed: int) -> list[bytes]:
+    """The logs of the 8 sequences of 400 ops that ``Fuzzer(seed)`` runs for its pinned corpus."""
+    sims = []
+    original = Simulation.__init__
+
+    def recording_init(sim, *args, **kwargs):
+        original(sim, *args, **kwargs)
+        sims.append(sim)
+
+    monkeypatch.setattr(Simulation, "__init__", recording_init)
+    assert Fuzzer(seed).run(8 * 400).ok
+    return [sim.ledger.serialized() for sim in sims]
+
+
+TPS = sorted([*CANNED, *(SCENARIOS.parent / "tests" / "regressions").glob("*.tps")])
+
+
+@pytest.mark.parametrize("source", [*TPS, *sorted(FUZZ_CORPUS)], ids=lambda s: f"fuzz-{s}" if type(s) is int else s.stem)
+def test_the_fast_read_equals_the_full_parse(source, monkeypatch):
+    if type(source) is int:
+        logs = _corpus_logs(monkeypatch, source)
+    else:
+        logs = [run_scenario(load_scenario(source))[0].ledger.serialized()]
+    for data in logs:
+        fast = runner._fast_scenario(data)
+        scenario, config = runner.scenario_from_events(runner.parse_log(data))
+        assert fast is not None and scenario.steps
+        assert (fast[0].steps, fast[0].name, fast[0].seed, fast[1]) == (
+            scenario.steps, scenario.name, scenario.seed, config
+        )
+
+
+def test_an_escaped_evidence_text_is_read_by_the_fast_path(tmp_path, monkeypatch):
+    text = (SCENARIOS / "malicious_report.tps").read_text()
+    evidence = 'EVIDENCE bob 1 receipt "signed" at C:\\deals\\café 💥'
+    scenario = parse_scenario(text.replace("EVIDENCE bob 1 original purchase receipt", evidence))
+    sim, report = run_scenario(scenario)
+    log = tmp_path / "escaped.jsonl"
+    write_log(sim, log)
+    step = next(line for line in log.read_bytes().splitlines() if b"EVIDENCE bob" in line)
+    assert b'receipt \\"signed\\" at C:\\\\deals\\\\caf\\u00e9 \\ud83d\\udca5"' in step
+    assert not any(ev.kind == "StepRejected" for ev in sim.ledger.events)
+    outcome, replay_calls, rebuilt, report_calls = _replay_and_report_counted(monkeypatch, log)
+    assert outcome.passed, outcome
+    assert rebuilt.ok and rebuilt.digest == report.digest
+    assert replay_calls == report_calls == (0, 1)
+
+
+def test_swapped_step_lines_diverge_at_the_first_of_them(tmp_path, monkeypatch):
+    sim, _report = run_canned("hot_sale")
+    log = tmp_path / "hot_sale.jsonl"
+    write_log(sim, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    steps = [i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Step",')]
+    first, second = steps[0], next(i for i in steps if b"TRANSFER" in lines[i])
+    lines[first], lines[second] = lines[second], lines[first]
+    log.write_bytes(b"".join(lines))
+    outcome, replay_calls, rebuilt, report_calls = _replay_and_report_counted(monkeypatch, log)
+    assert not outcome.passed
+    assert outcome.divergence_seq == first + 1
+    assert rebuilt.violations[-1] == f"recorded log diverges from deterministic re-execution at seq {first + 1}"
+    # the fast read runs the steps in file order; the full parse sorts them by index and runs those
+    assert replay_calls == report_calls == (1, 2)
