@@ -119,8 +119,8 @@ class ArbitrationSystem:
         token = self.contract.token(token_id)
         floor = self.contract.collection_floor() or 0
         estimate = max(token.last_sale_price or 0, floor)
-        scaled = self.jury_config.deposit_rate * estimate
-        return max(self.jury_config.deposit_min, scaled.numerator // scaled.denominator)
+        rate = self.jury_config.deposit_rate
+        return max(self.jury_config.deposit_min, rate.numerator * estimate // rate.denominator)
 
     # -- case lifecycle -----------------------------------------------------------
 

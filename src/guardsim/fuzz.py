@@ -82,10 +82,10 @@ class Fuzzer:
         transfers = 0
         while done < total_ops:
             ops = min(self.ops_per_run, total_ops - done)
-            scenario, sim = self._generate_sequence(_sequence_seed(self.seed, sequences), ops)
+            scenario, sim, completed = self._generate_sequence(_sequence_seed(self.seed, sequences), ops)
             done += ops
             sequences += 1
-            transfers += sum(1 for ev in sim.ledger.events if ev.kind in ("Transfer", "SafeTransfer"))
+            transfers += completed
             violation = first_violation(sim)
             if violation is not None:
                 trace = format_scenario(replace(scenario, steps=self._minimize(scenario, violation)))
@@ -94,17 +94,20 @@ class Fuzzer:
 
     # -- one generated sequence -------------------------------------------
 
-    def _generate_sequence(self, seq_seed: int, ops: int) -> tuple[Scenario, Simulation]:
+    def _generate_sequence(self, seq_seed: int, ops: int) -> tuple[Scenario, Simulation, int]:
+        """Run ``ops`` generated steps after the header; returns the scenario, its sim and its completed transfers."""
         rng = random.Random(seq_seed)
         tokens: list[int] = []  # minted ids, 1, 2, ...
         scenario = Scenario(name=f"fuzz-{seq_seed}", seed=seq_seed, steps=list(_HEADER))
         ctx = execute_scenario(scenario)
         rev = {addr: name for name, addr in ctx.names.items()}  # fixed now: no generated verb binds a name
+        transfers = 0  # the header moves no token
         for _ in range(ops):
             step = parse_step(self._next_command(rng, tokens, ctx, rev))
-            run_step(ctx, len(scenario.steps), step)
+            for event in run_step(ctx, len(scenario.steps), step):
+                transfers += event.kind in ("Transfer", "SafeTransfer")
             scenario.steps.append(step)
-        return scenario, ctx.sim
+        return scenario, ctx.sim, transfers
 
     def _minimize(self, scenario: Scenario, violation: str) -> list[Step]:
         """Greedily drop steps while the first violation stays ``violation``, its ``seq N: `` aside."""

@@ -46,15 +46,6 @@ R5_PRIOR_ABNORMAL = "R5_PRIOR_ABNORMAL"
 WEAK = "weak"
 STRONG = "strong"
 
-RULE_SEVERITY = {
-    R1_UNDERPRICED: WEAK,
-    R2_HIGH_TURNOVER: WEAK,
-    R3_LOW_CREDIT: WEAK,
-    R4_FLAGGED_PARTY: STRONG,
-    R5_PRIOR_ABNORMAL: WEAK,
-}
-
-
 class TransferIntent(NamedTuple):
     """Immutable snapshot of one proposed transfer awaiting evaluation."""
 
@@ -148,31 +139,29 @@ def credit_score(address: Address, chain: TokenContract, config: RiskConfig) -> 
 
 
 def extract_features(intent: TransferIntent, chain: TokenContract, config: RiskConfig) -> FeatureVector:
+    horizon = chain.now - config.window_ticks  # an entry counts while its time is after the horizon
     token = chain.token(intent.token_id)
     floor = collection_floor(chain)
-    ratio = Fraction(intent.price, floor) if intent.price > 0 and floor else None
-    window = config.window_ticks
+    price = intent.price
     turnover = 0
     for entry in reversed(token.provenance):
-        if chain.now - entry.time >= window:
+        if entry.time <= horizon:
             break
         turnover += 1
-    prior_abnormal = any(chain.now - t < window for t in reversed(token.abnormal_times))
-    sender_acct = chain.account(intent.from_addr)
-    recipient_acct = chain.account(intent.to_addr)
+    abnormal = token.abnormal_times
     return FeatureVector(
-        sender=intent.from_addr,
-        recipient=intent.to_addr,
-        price=intent.price,
-        floor=floor,
-        price_ratio=ratio,
-        turnover_count=turnover,
-        sender_credit=credit_score(intent.from_addr, chain, config),
-        recipient_credit=credit_score(intent.to_addr, chain, config),
-        sender_flagged=sender_acct.explorer_flagged,
-        recipient_flagged=recipient_acct.explorer_flagged,
-        token_state=str(token.state.value),
-        prior_abnormal=prior_abnormal,
+        intent.from_addr,
+        intent.to_addr,
+        price,
+        floor,
+        Fraction(price, floor) if price > 0 and floor else None,
+        turnover,
+        credit_score(intent.from_addr, chain, config),
+        credit_score(intent.to_addr, chain, config),
+        chain.account(intent.from_addr).explorer_flagged,
+        chain.account(intent.to_addr).explorer_flagged,
+        token.state,
+        bool(abnormal) and any(t > horizon for t in abnormal),
     )
 
 
@@ -181,8 +170,9 @@ def extract_features(intent: TransferIntent, chain: TokenContract, config: RiskC
 
 def rule_hits(features: FeatureVector, config: RiskConfig) -> tuple[RuleHit, ...]:
     hits: list[RuleHit] = []
-    if features.price_ratio is not None and features.price_ratio < config.beta_underprice:
-        hits.append(RuleHit(R1_UNDERPRICED, WEAK, f"price ratio {fmt_fraction(features.price_ratio)}"))
+    ratio, beta = features.price_ratio, config.beta_underprice
+    if ratio is not None and ratio.numerator * beta.denominator < beta.numerator * ratio.denominator:
+        hits.append(RuleHit(R1_UNDERPRICED, WEAK, f"price ratio {fmt_fraction(ratio)}"))
     if features.turnover_count >= config.turnover_threshold:
         hits.append(RuleHit(R2_HIGH_TURNOVER, WEAK, f"{features.turnover_count} transfers in window"))
     if features.recipient_credit < config.credit_threshold:
@@ -197,9 +187,9 @@ def rule_hits(features: FeatureVector, config: RiskConfig) -> tuple[RuleHit, ...
 
 def classify(hits: Iterable[RuleHit], model_score: float, config: RiskConfig) -> str:
     hits = tuple(hits)
-    if any(h.severity == STRONG for h in hits) or model_score >= config.p_hacked:
+    if model_score >= config.p_hacked or (hits and any(h.severity == STRONG for h in hits)):
         return HACKED
-    if hits or model_score >= config.p_suspect:
+    if model_score >= config.p_suspect or hits:
         return MAY_LOST
     return SAFE
 
@@ -239,6 +229,8 @@ class TableScorer:
         self.entries[(sender, recipient)] = score
 
     def __call__(self, features: FeatureVector) -> float:
+        if not self.entries:
+            return 0.0
         for key in (
             (features.sender, features.recipient),
             (features.sender, "*"),

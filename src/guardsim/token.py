@@ -1,6 +1,7 @@
 """Supervised token contract: ownership, approvals and the OK/LOCKED/RECLAIMED machine.
 
-State rules enforced here:
+The states are the plain ``str`` constants of ``TokenState``, not an Enum, so
+payloads and ``state_line`` hold a token's state as it is. State rules enforced here:
   - OK is the only state that can transfer or approve, and only when any
     freeze deadline has passed (expiry is inclusive: now >= frozen_until).
   - Every received transfer lands LOCKED; mint is not a receipt and lands OK.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import (
@@ -54,7 +54,7 @@ EFFECT_KINDS = {
 }
 
 
-class TokenState(str, Enum):
+class TokenState:
     OK = "OK"
     LOCKED = "LOCKED"
     RECLAIMED = "RECLAIMED"
@@ -71,7 +71,7 @@ class ProvenanceEntry(NamedTuple):
 class TokenRecord:
     token_id: int
     owner: Address
-    state: TokenState = TokenState.OK
+    state: str = TokenState.OK
     approved: Address | None = None
     frozen_until: int | None = None
     provenance: list[ProvenanceEntry] = field(default_factory=list)
@@ -83,6 +83,9 @@ class TokenRecord:
 class GuardResult(NamedTuple):
     ok: bool
     reason: str | None = None
+
+
+_ALLOWED = GuardResult(True)  # immutable, so every allowed transfer shares it
 
 
 class TransferOutcome(NamedTuple):
@@ -155,12 +158,12 @@ class TokenContract:
         )
         if not authorized:
             return GuardResult(False, "NotAuthorized")
-        return GuardResult(True)
+        return _ALLOWED
 
     def state_line(self, token_id: int) -> str:
         token = self.token(token_id)
         frozen = "-" if token.frozen_until is None else str(token.frozen_until)
-        return f"token={token.token_id} owner={token.owner} state={token.state.value} frozen_until={frozen}"
+        return f"token={token.token_id} owner={token.owner} state={token.state} frozen_until={frozen}"
 
     # -- user entry points -----------------------------------------------------
 
@@ -235,9 +238,9 @@ class TokenContract:
                     "price": fmt_units(price),
                     "caller": caller,
                     "request_id": request_id,
-                    "guard_state": guard_state.value,
+                    "guard_state": guard_state,
                     "guard_frozen": guard_frozen,
-                    "new_state": token.state.value,
+                    "new_state": token.state,
                     "new_owner": token.owner,
                 },
             )
@@ -314,7 +317,7 @@ class TokenContract:
         token = self.check_dispatch(action, token_id, to)
         payload = {"token_id": token_id}
         if action == "lock":
-            payload["previous_state"] = token.state.value
+            payload["previous_state"] = token.state
             token.state = TokenState.LOCKED
             token.frozen_until = None
         elif action == "unlock":
@@ -331,7 +334,7 @@ class TokenContract:
             self._move(token, to)
             token.state = TokenState.LOCKED
             payload["to"] = to
-            payload["new_state"] = token.state.value
+            payload["new_state"] = token.state
         if action in ("reclaim", "return"):  # a token that changes hands keeps no approval or freeze
             token.approved = None
             token.frozen_until = None

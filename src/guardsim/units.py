@@ -84,10 +84,10 @@ def _exact(text: str) -> Fraction:
 
 
 def fmt_units(units: int) -> str:
-    """Render sub-units in the canonical fixed form with 18 fractional digits."""
-    sign = "-" if units < 0 else ""
-    mag = abs(units)
-    return f"{sign}{mag // UNIT}.{mag % UNIT:0{DECIMALS}d}"
+    """Render sub-units in the canonical fixed form with ``DECIMALS`` (18, as the format spells out) decimals."""
+    if units < 0:
+        return "-%d.%018d" % divmod(-units, UNIT)
+    return "%d.%018d" % divmod(units, UNIT)
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -250,7 +250,7 @@ def test_acceptance_7_malicious_report_economics():
     for index in range(sequences):
         from guardsim.fuzz import _sequence_seed, first_violation
 
-        _scenario, sim = fuzzer._generate_sequence(_sequence_seed(77, index), 500)
+        _scenario, sim, _transfers = fuzzer._generate_sequence(_sequence_seed(77, index), 500)
         violation = first_violation(sim)
         assert violation is None, violation
         for ev in sim.ledger.events:

@@ -1,8 +1,11 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from guardsim.arbitration import FOR_HOLDER, FOR_REPORTER, QuorumTally, select_jury
+from guardsim.arbitration import FOR_HOLDER, FOR_REPORTER, ArbitrationSystem, QuorumTally, select_jury
+from guardsim.config import JuryConfig
 from guardsim.errors import (
     AlreadyEmpaneled,
     AlreadyVoted,
@@ -14,10 +17,11 @@ from guardsim.errors import (
     NotJuror,
 )
 from guardsim.sim import Simulation
-from guardsim.token import TokenState
+from guardsim.token import TokenRecord, TokenState
 from guardsim.units import to_units
 
 from conftest import fund_accounts
+from riskgrid import StubView
 
 
 def arb_sim(juror_count=4, seed=0):
@@ -62,6 +66,26 @@ def test_deposit_monotone_in_last_sale_price():
     assert deposits == sorted(deposits)
     assert deposits[0] == to_units("0.05")  # max(0.01, 0.05 * 1)
     assert deposits[-1] == to_units(5)
+
+
+@given(
+    rate=st.fractions(min_value=0, max_value=10, max_denominator=10**30),
+    last_sale=st.integers(min_value=0, max_value=10**300),
+    floor=st.integers(min_value=0, max_value=10**300),
+    deposit_min=st.integers(min_value=0, max_value=10**20),
+)
+@example(rate=Fraction(0), last_sale=10**300, floor=0, deposit_min=0)
+@example(rate=Fraction(1, 3), last_sale=10**300, floor=10**300, deposit_min=1)
+@example(rate=Fraction(10**30 - 1, 10**30), last_sale=0, floor=10**300, deposit_min=0)
+def test_deposit_is_the_floor_of_the_exact_product(rate, last_sale, floor, deposit_min):
+    tokens = {1: TokenRecord(1, "0xa", last_sale_price=last_sale or None)}
+    if floor:
+        tokens[2] = TokenRecord(2, "0xb", last_sale_price=floor)
+    view = StubView(0, tokens, {})
+    config = JuryConfig(deposit_rate=rate, deposit_min=deposit_min)
+    arbitration = ArbitrationSystem(None, view, None, config, "0xescrow", "0xfees")
+    scaled = rate * max(last_sale, view.collection_floor() or 0)
+    assert arbitration.required_deposit(1) == max(deposit_min, scaled.numerator // scaled.denominator)
 
 
 # -- filing ----------------------------------------------------------------

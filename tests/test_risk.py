@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import guardsim.risk
 from guardsim.config import RiskConfig, SimConfig, apply_override
 from guardsim.ledger import Account
 from guardsim.risk import (
@@ -12,6 +13,8 @@ from guardsim.risk import (
     SAFE,
     STRONG,
     WEAK,
+    FeatureVector,
+    RiskEngine,
     RuleHit,
     TableScorer,
     TransferIntent,
@@ -24,7 +27,7 @@ from guardsim.risk import (
 )
 from guardsim.sim import Simulation
 from guardsim.token import ProvenanceEntry, TokenRecord, TokenState
-from guardsim.units import UNIT, to_units
+from guardsim.units import UNIT, fmt_fraction, to_units
 
 from conftest import fund_accounts
 from riskgrid import StubView, build_grid_view, grid_points, oracle_status
@@ -253,3 +256,142 @@ def test_evaluate_matches_rule_text_oracle_sample(point, sim):
     expected_status, expected_rules = oracle_status(*point)
     assert verdict.status == expected_status
     assert [h.rule_id for h in verdict.hits] == expected_rules
+
+
+# -- differential check against the exact-Fraction transcription -------------------
+
+
+def _reference_features(intent, chain, config):
+    """Feature extraction with every window test as ``now - time`` against the window."""
+    token = chain.token(intent.token_id)
+    floor = chain.collection_floor()
+    ratio = Fraction(intent.price, floor) if intent.price > 0 and floor else None
+    window = config.window_ticks
+    turnover = 0
+    for entry in reversed(token.provenance):
+        if chain.now - entry.time >= window:
+            break
+        turnover += 1
+    prior_abnormal = any(chain.now - t < window for t in reversed(token.abnormal_times))
+    return FeatureVector(
+        sender=intent.from_addr,
+        recipient=intent.to_addr,
+        price=intent.price,
+        floor=floor,
+        price_ratio=ratio,
+        turnover_count=turnover,
+        sender_credit=credit_score(intent.from_addr, chain, config),
+        recipient_credit=credit_score(intent.to_addr, chain, config),
+        sender_flagged=chain.account(intent.from_addr).explorer_flagged,
+        recipient_flagged=chain.account(intent.to_addr).explorer_flagged,
+        token_state=str(token.state),
+        prior_abnormal=prior_abnormal,
+    )
+
+
+def _reference_rule_hits(features, config):
+    """The rule table with R1 as a ``Fraction`` comparison."""
+    hits = []
+    if features.price_ratio is not None and features.price_ratio < config.beta_underprice:
+        hits.append(RuleHit("R1_UNDERPRICED", WEAK, f"price ratio {fmt_fraction(features.price_ratio)}"))
+    if features.turnover_count >= config.turnover_threshold:
+        hits.append(RuleHit("R2_HIGH_TURNOVER", WEAK, f"{features.turnover_count} transfers in window"))
+    if features.recipient_credit < config.credit_threshold:
+        hits.append(RuleHit("R3_LOW_CREDIT", WEAK, f"recipient credit {features.recipient_credit:.2f}"))
+    if features.sender_flagged or features.recipient_flagged:
+        side = "sender" if features.sender_flagged else "recipient"
+        hits.append(RuleHit("R4_FLAGGED_PARTY", STRONG, f"{side} explorer-flagged"))
+    if features.prior_abnormal:
+        hits.append(RuleHit("R5_PRIOR_ABNORMAL", WEAK, "abnormal verdict in window"))
+    return tuple(hits)
+
+
+def _reference_classify(hits, model_score, config):
+    if any(h.severity == STRONG for h in hits) or model_score >= config.p_hacked:
+        return HACKED
+    if hits or model_score >= config.p_suspect:
+        return MAY_LOST
+    return SAFE
+
+
+@st.composite
+def _risk_cases(draw):
+    """A stub chain, an intent and a config; tick lists in any order, with times on,
+    just inside and just outside the window's edge, and prices on R1's boundary."""
+    now = draw(st.integers(min_value=0, max_value=10**6))
+    window = draw(st.integers(min_value=0, max_value=500))
+    age = st.one_of(st.sampled_from((window - 1, window, window + 1)), st.integers(-3, 2 * window + 3))
+    ticks = st.lists(age.map(lambda a: now - a), max_size=8)
+    beta = draw(st.fractions(min_value=0, max_value=2, max_denominator=1000))
+    if beta and draw(st.booleans()):  # price * beta.den == beta.num * floor
+        k = draw(st.integers(min_value=1, max_value=10**12))
+        floor, price = beta.denominator * k, beta.numerator * k
+    else:
+        floor = draw(st.none() | st.integers(min_value=1, max_value=10**22))
+        price = draw(st.integers(min_value=0, max_value=10**22))
+    sender, recipient = "0xS", "0xR"
+    flagged = st.integers(0, 3).map(lambda n: n == 0)  # mostly unflagged, so verdicts without a strong hit are common
+    accounts = {
+        address: Account(address, 0, explorer_flagged=draw(flagged), created_at=draw(st.integers(0, now)))
+        for address in (sender, recipient)
+    }
+    state = draw(st.sampled_from((TokenState.OK, TokenState.LOCKED, TokenState.RECLAIMED)))
+    provenance = [ProvenanceEntry(sender, recipient, 0, t) for t in draw(ticks)]
+    tokens = {1: TokenRecord(1, sender, state=state, provenance=provenance, abnormal_times=draw(ticks))}
+    if floor is not None:
+        tokens[2] = TokenRecord(2, recipient, last_sale_price=floor)
+    p_suspect = draw(st.floats(min_value=0.0, max_value=1.0))
+    config = RiskConfig(
+        beta_underprice=beta,
+        turnover_threshold=draw(st.integers(min_value=0, max_value=9)),
+        window_ticks=window,
+        credit_threshold=draw(st.floats(min_value=-150.0, max_value=50.0)),
+        p_hacked=draw(st.floats(min_value=p_suspect, max_value=1.0)),
+        p_suspect=p_suspect,
+    )
+    model_score = draw(st.sampled_from((0.0, p_suspect, config.p_hacked)) | st.floats(min_value=0.0, max_value=1.0))
+    intent = TransferIntent(sender, sender, recipient, 1, price, now)
+    return intent, StubView(now, tokens, accounts), config, model_score
+
+
+@given(_risk_cases())
+def test_features_rules_and_verdict_equal_the_fraction_reference(case):
+    intent, view, config, model_score = case
+    features = extract_features(intent, view, config)
+    expected = _reference_features(intent, view, config)
+    assert features == expected
+    features.model_score = expected.model_score = model_score
+    assert features.to_payload() == expected.to_payload()
+    hits = rule_hits(features, config)
+    assert hits == _reference_rule_hits(expected, config)
+    assert classify(hits, model_score, config) == _reference_classify(hits, model_score, config)
+
+
+# -- the benchmark's risk spans ------------------------------------------------------------
+
+
+def test_one_evaluated_transfer_calls_each_risk_span_a_fixed_number_of_times(sim, monkeypatch):
+    """``bench/run.py --trace 1`` times these functions; their call counts per transfer stay fixed."""
+    alice, bob = fund_accounts(sim, 2)
+    sim.contract.mint(alice, 1)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(RiskEngine, "evaluate", counted("evaluate", RiskEngine.evaluate))
+    for name in ("extract_features", "collection_floor", "credit_score", "rule_hits", "classify"):
+        monkeypatch.setattr(guardsim.risk, name, counted(name, getattr(guardsim.risk, name)))
+    sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
+    assert calls == {
+        "evaluate": 1,
+        "extract_features": 1,
+        "collection_floor": 1,
+        "credit_score": 2,
+        "rule_hits": 1,
+        "classify": 1,
+    }

@@ -1,8 +1,9 @@
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, strategies as st
 
 from guardsim.errors import RejectedInput
-from guardsim.units import MAX_DIGITS, UNIT, fmt_fraction, fmt_units, parse_fraction, to_units
+from guardsim.units import DECIMALS, MAX_DIGITS, UNIT, fmt_fraction, fmt_units, parse_fraction, to_units
 
 
 def test_whole_numbers():
@@ -24,6 +25,28 @@ def test_round_trip_formatting():
     assert fmt_units(to_units("1.5")) == "1.500000000000000000"
     assert fmt_units(0) == "0.000000000000000000"
     assert fmt_units(-1) == "-0.000000000000000001"
+
+
+def _fmt_units_reference(units):
+    """Sign, then floor-divide and modulo the magnitude, with the digit count read from DECIMALS."""
+    sign = "-" if units < 0 else ""
+    mag = abs(units)
+    return f"{sign}{mag // UNIT}.{mag % UNIT:0{DECIMALS}d}"
+
+
+@given(st.integers(min_value=-(10**300) + 1, max_value=10**300 - 1))
+@example(0)
+@example(1)
+@example(-1)
+@example(UNIT - 1)
+@example(UNIT)
+@example(-UNIT)
+@example(10**300 - 1)
+@example(-(10**300) + 1)
+def test_fmt_units_matches_the_reference_and_round_trips(units):
+    assert fmt_units(units) == _fmt_units_reference(units)
+    if units >= 0:
+        assert to_units(fmt_units(units)) == units
 
 
 def test_rejects_too_fine_and_garbage():
