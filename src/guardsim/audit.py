@@ -41,72 +41,72 @@ def audit_events(events: list[EventRecord]) -> list[str]:
     previous: EventRecord | None = None
     try:
         for ev in events:
-            p = ev.payload
-            if ev.kind == "Genesis":
+            seq, _time, kind, p = ev
+            if kind == "Genesis":
                 gas_fee = to_units(p["config"]["gas_fee"])
-            elif ev.kind == "AccountCreated":
+            elif kind == "AccountCreated":
                 amount = to_units(p["balance"])
                 balances[p["address"]] = amount
                 minted += amount
-            elif ev.kind == "ValueTransferred":
+            elif kind == "ValueTransferred":
                 amount = to_units(p["amount"])
                 balances[p["from"]] = balances.get(p["from"], 0) - amount
                 balances[p["to"]] = balances.get(p["to"], 0) + amount
-                check_balance(ev.seq, p["from"], p["from_balance"])
-                check_balance(ev.seq, p["to"], p["to_balance"])
+                check_balance(seq, p["from"], p["from_balance"])
+                check_balance(seq, p["to"], p["to_balance"])
                 if balances[p["from"]] < 0:
-                    violations.append(f"seq {ev.seq}: balance of {p['from']} went negative")
-            elif ev.kind == "ValueMinted":
+                    violations.append(f"seq {seq}: balance of {p['from']} went negative")
+            elif kind == "ValueMinted":
                 amount = to_units(p["amount"])
                 balances[p["to"]] = balances.get(p["to"], 0) + amount
                 minted += amount
-                check_balance(ev.seq, p["to"], p["to_balance"])
+                check_balance(seq, p["to"], p["to_balance"])
                 if p["reason"] == "juror_reward":
                     reward_minted_total += amount
-            elif ev.kind == "RiskRequested":
+            elif kind == "RiskRequested":
                 request_ids.append(p["request_id"])
-            elif ev.kind == "RiskFulfilled":
+            elif kind == "RiskFulfilled":
                 fulfilled[p["request_id"]] = fulfilled.get(p["request_id"], 0) + 1
-            elif ev.kind == "HonorAwarded":
+            elif kind == "HonorAwarded":
                 honor_count += 1
                 if juror_reward_each is None:
                     juror_reward_each = to_units(p["reward"])
-            elif ev.kind == "CaseClosed":
+            elif kind == "CaseClosed":
                 if p["verdict"] == "FOR_REPORTER" and p["tally_reporter"] < p["quorum"]:
-                    violations.append(f"seq {ev.seq}: FOR_REPORTER verdict with only {p['tally_reporter']} votes")
+                    violations.append(f"seq {seq}: FOR_REPORTER verdict with only {p['tally_reporter']} votes")
                 if p["verdict"] == "FOR_HOLDER" and not p["auto"]:
                     # the reporter forfeits the deposit and pays the gas fee, capped by its balance
                     gas = to_units(p["gas_charged"])
                     owed = min(gas_fee, to_units(p["reporter_balance"]) + gas)
                     if to_units(p["refund"]) or gas != owed:
-                        violations.append(f"seq {ev.seq}: FOR_HOLDER closure did not charge the reporter")
+                        violations.append(f"seq {seq}: FOR_HOLDER closure did not charge the reporter")
 
             # token state machine checks
-            if ev.kind in _OWNERSHIP_KINDS:
+            if kind in _OWNERSHIP_KINDS:
                 token_id = p["token_id"]
-                if ev.kind == "Minted":
+                if kind == "Minted":
                     token_state[token_id] = "OK"
-                elif ev.kind in ("Transfer", "SafeTransfer"):
+                elif kind in ("Transfer", "SafeTransfer"):
                     if p["guard_state"] != "OK":
-                        violations.append(f"seq {ev.seq}: transfer completed on {p['guard_state']} token {token_id}")
+                        violations.append(f"seq {seq}: transfer completed on {p['guard_state']} token {token_id}")
                     if p["guard_frozen"]:
-                        violations.append(f"seq {ev.seq}: transfer completed on frozen token {token_id}")
+                        violations.append(f"seq {seq}: transfer completed on frozen token {token_id}")
                     if token_state.get(token_id) == "RECLAIMED":
-                        violations.append(f"seq {ev.seq}: reclaimed token {token_id} moved outside a verdict return")
+                        violations.append(f"seq {seq}: reclaimed token {token_id} moved outside a verdict return")
                     if p["new_state"] != "LOCKED":
-                        violations.append(f"seq {ev.seq}: received token {token_id} not locked on receipt")
+                        violations.append(f"seq {seq}: received token {token_id} not locked on receipt")
                     token_state[token_id] = p["new_state"]
-                elif ev.kind == "Reclaimed":
+                elif kind == "Reclaimed":
                     token_state[token_id] = "RECLAIMED"
-                elif ev.kind == "Returned":
+                elif kind == "Returned":
                     if token_state.get(token_id) != "RECLAIMED":
-                        violations.append(f"seq {ev.seq}: verdict return on token {token_id} that was not reclaimed")
+                        violations.append(f"seq {seq}: verdict return on token {token_id} that was not reclaimed")
                     if p["new_state"] != "LOCKED":
-                        violations.append(f"seq {ev.seq}: returned token {token_id} not locked on receipt")
+                        violations.append(f"seq {seq}: returned token {token_id} not locked on receipt")
                     token_state[token_id] = p["new_state"]
 
             # a dispatch and its effect event are adjacent, in both directions
-            action = _DISPATCHED_KINDS.get(ev.kind)
+            action = _DISPATCHED_KINDS.get(kind)
             dispatched = previous is not None and previous.kind == "OracleDispatch"
             paired = (
                 dispatched
@@ -114,7 +114,7 @@ def audit_events(events: list[EventRecord]) -> list[str]:
                 and previous.payload["token_id"] == p["token_id"]
             )
             if action is not None and not paired:
-                violations.append(f"seq {ev.seq}: {ev.kind} event without an immediately preceding dispatch")
+                violations.append(f"seq {seq}: {kind} event without an immediately preceding dispatch")
             if dispatched and not paired:
                 violations.append(f"seq {previous.seq}: OracleDispatch without its effect event immediately after")
             previous = ev

@@ -2,7 +2,9 @@
 
 Generates seeded random command sequences against fresh simulations, run step
 by step on the scenario runner, and audits the whole event stream after every
-sequence, with the live conservation check. Sequences share nothing, so total
+sequence, with the live conservation check. Each step is built from the values
+drawn for it, never parsed from text, and each sequence's simulation is freed
+as soon as its audit ends. Sequences share nothing, so total
 coverage is just the sum of many small runs. A failing sequence is greedily
 minimized by dropping steps while its first violation stays the reported one,
 apart from the seq it names; the surviving trace is a scenario script, with
@@ -19,12 +21,13 @@ from dataclasses import dataclass, replace
 from .audit import audit_events
 from .errors import RejectedInput
 from .runner import RunContext, execute_scenario, run_step
-from .scenario import Scenario, Step, format_scenario, parse_step
+from .scenario import Scenario, Step, format_scenario, make_step, parse_step
 from .sim import Simulation
 
 _PRICES = ("0", "1", "2", "3", "4", "6", "8", "10", "12")
 _MODEL_SCORES = ("0.0", "0.3", "0.65", "0.95")
 _USERS = [f"u{i}" for i in range(6)]
+_MODEL_PARTIES = (*_USERS, "*")
 _JURORS = [f"j{i}" for i in range(6)]
 _MAX_TOKENS = 24
 _SEQ_PREFIX = re.compile(r"\Aseq \d+: ")  # where an audit violation names its event
@@ -87,6 +90,7 @@ class Fuzzer:
             sequences += 1
             transfers += completed
             violation = first_violation(sim)
+            del sim  # free this sequence's simulation now, not when the next one replaces it
             if violation is not None:
                 trace = format_scenario(replace(scenario, steps=self._minimize(scenario, violation)))
                 return FuzzResult(done, sequences, transfers, violation, trace)
@@ -103,7 +107,7 @@ class Fuzzer:
         rev = {addr: name for name, addr in ctx.names.items()}  # fixed now: no generated verb binds a name
         transfers = 0  # the header moves no token
         for _ in range(ops):
-            step = parse_step(self._next_command(rng, tokens, ctx, rev))
+            step = self._next_step(rng, tokens, ctx, rev)
             for event in run_step(ctx, len(scenario.steps), step):
                 transfers += event.kind in ("Transfer", "SafeTransfer")
             scenario.steps.append(step)
@@ -129,97 +133,82 @@ class Fuzzer:
 
     # -- adaptive command generation ----------------------------------------
 
-    def _next_command(self, rng: random.Random, tokens: list[int], ctx: RunContext, rev: dict[str, str]) -> str:
+    def _next_step(self, rng: random.Random, tokens: list[int], ctx: RunContext, rev: dict[str, str]) -> Step:
         for _ in range(8):
             command = self._try_command(rng, tokens, ctx, rev)
             if command is not None:
-                return command
-        return f"ADVANCE {rng.randint(1, 600)}"
+                break
+        else:
+            command = ("ADVANCE", rng.randint(1, 600))
+        values = command[1:]
+        return make_step(command[0], tuple(map(str, values)), values)
 
     def _try_command(self, rng: random.Random, tokens: list[int], ctx: RunContext, rev: dict[str, str]):
+        """A drawn command as ``(verb, *values)``, each value what ``parse_step`` makes of its word:
+        an ``int`` for an INT argument, the word itself otherwise. None if the draw does not fit."""
         users = _USERS
         pick = rng.random()
-
-        def owner_name(token_id: int) -> str | None:
-            return rev.get(ctx.sim.contract.token(token_id).owner)
-
         if pick < 0.08:
-            return f"ADVANCE {rng.choice((1, 7, 60, 600, 3600, 7201, 86401))}"
+            return "ADVANCE", rng.choice((1, 7, 60, 600, 3600, 7201, 86401))
         if pick < 0.16:
             if len(tokens) >= _MAX_TOKENS:
                 return None
             tokens.append(len(tokens) + 1)
-            return f"MINT {rng.choice(users)} {tokens[-1]}"
-        if pick < 0.44:
+            return "MINT", rng.choice(users), tokens[-1]
+        if pick < 0.67:  # a verb on one minted token
             if not tokens:
                 return None
             token_id = rng.choice(tokens)
-            owner = owner_name(token_id)
-            caller = owner if owner and rng.random() < 0.8 else rng.choice(users)
-            source = owner if owner and rng.random() < 0.9 else rng.choice(users)
-            if caller is None or source is None:
-                return None
-            verb = "SAFE_TRANSFER" if rng.random() < 0.2 else "TRANSFER"
-            return f"{verb} {caller} {source} {rng.choice(users)} {token_id} {rng.choice(_PRICES)}"
-        if pick < 0.52:
-            if not tokens:
-                return None
-            token_id = rng.choice(tokens)
-            actor = owner_name(token_id) if rng.random() < 0.8 else rng.choice(users)
-            if actor is None:
-                return None
-            return f"LOCK {actor} {token_id}"
-        if pick < 0.62:
-            if not tokens:
-                return None
-            token_id = rng.choice(tokens)
-            actor = owner_name(token_id) if rng.random() < 0.85 else rng.choice(users)
-            if actor is None:
-                return None
-            verb = "UNLOCK_BAD" if rng.random() < 0.15 else "UNLOCK"
-            return f"{verb} {actor} {token_id}"
-        if pick < 0.67:
-            if not tokens:
-                return None
-            token_id = rng.choice(tokens)
-            actor = owner_name(token_id) or rng.choice(users)
-            return f"APPROVE {actor} {rng.choice(users)} {token_id}"
+            owner = rev.get(ctx.sim.contract.token(token_id).owner)  # None once reclaimed to the treasury
+            if pick < 0.44:
+                caller = owner if owner and rng.random() < 0.8 else rng.choice(users)
+                source = owner if owner and rng.random() < 0.9 else rng.choice(users)
+                verb = "SAFE_TRANSFER" if rng.random() < 0.2 else "TRANSFER"
+                return verb, caller, source, rng.choice(users), token_id, rng.choice(_PRICES)
+            if pick < 0.52:
+                actor = owner if rng.random() < 0.8 else rng.choice(users)
+                if actor is None:
+                    return None
+                return "LOCK", actor, token_id
+            if pick < 0.62:
+                actor = owner if rng.random() < 0.85 else rng.choice(users)
+                if actor is None:
+                    return None
+                return "UNLOCK_BAD" if rng.random() < 0.15 else "UNLOCK", actor, token_id
+            return "APPROVE", owner or rng.choice(users), rng.choice(users), token_id
         if pick < 0.71:
             onoff = "on" if rng.random() < 0.7 else "off"
-            return f"APPROVE_ALL {rng.choice(users)} {rng.choice(users)} {onoff}"
+            return "APPROVE_ALL", rng.choice(users), rng.choice(users), onoff
         if pick < 0.75:
             onoff = "on" if rng.random() < 0.6 else "off"
-            return f"FLAG {rng.choice(users)} {onoff}"
+            return "FLAG", rng.choice(users), onoff
         if pick < 0.77:
-            return f"BLACKLIST {rng.choice(users)}"
+            return "BLACKLIST", rng.choice(users)
         if pick < 0.79:
-            sender = rng.choice(users + ["*"])
-            recipient = rng.choice(users + ["*"])
-            return f"MODEL {sender} {recipient} {rng.choice(_MODEL_SCORES)}"
+            return "MODEL", rng.choice(_MODEL_PARTIES), rng.choice(_MODEL_PARTIES), rng.choice(_MODEL_SCORES)
         if pick < 0.83:
-            return f"PAY {rng.choice(users)} {rng.choice(users)} {rng.choice(('0.1', '0.5', '1'))}"
+            return "PAY", rng.choice(users), rng.choice(users), rng.choice(("0.1", "0.5", "1"))
         if pick < 0.88:
             if not tokens:
                 return None
-            return f"REPORT {rng.choice(users)} {rng.choice(tokens)}"
-        open_cases = [c for c in ctx.sim.arbitration.cases.values() if c.status == "open"]
-        voting_cases = [c for c in ctx.sim.arbitration.cases.values() if c.status == "voting"]
-        if pick < 0.90:
+            return "REPORT", rng.choice(users), rng.choice(tokens)
+        cases = ctx.sim.arbitration.cases.values()
+        if pick < 0.93:
+            open_cases = [c for c in cases if c.status == "open"]
             if not open_cases:
                 return None
             case = rng.choice(open_cases)
+            if pick >= 0.90:
+                return "EMPANEL", case.case_id
             party = rev.get(case.reporter)
             if party is None:
                 return None
-            return f"EVIDENCE {party} {case.case_id} blob{rng.randint(0, 999)}"
-        if pick < 0.93:
-            if not open_cases:
-                return None
-            return f"EMPANEL {rng.choice(open_cases).case_id}"
+            return "EVIDENCE", party, case.case_id, f"blob{rng.randint(0, 999)}"
+        voting_cases = [c for c in cases if c.status == "voting"]
         if voting_cases:
             case = rng.choice(voting_cases)
             pending = [rev[j] for j in case.jury if j not in case.tally.votes and j in rev]
             if not pending:
                 return None
-            return f"VOTE {rng.choice(pending)} {case.case_id} {rng.choice('RH')}"
+            return "VOTE", rng.choice(pending), case.case_id, rng.choice("RH")
         return None

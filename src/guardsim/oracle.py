@@ -15,6 +15,8 @@ is logged as an OracleDispatch and handed to the contract's one effect entry,
 
 from __future__ import annotations
 
+import weakref
+
 from .errors import InvalidRequest, NotOracle
 from .ledger import Ledger
 from .risk import HACKED, MAY_LOST, RiskEngine, RiskVerdict, TransferIntent
@@ -32,12 +34,14 @@ class OracleBridge:
         self.ledger = ledger
         self.contract = contract
         self.engine = engine
-        self._arbitration = None
+        self._arbitration = lambda: None  # a weakref.ref once attached; see attach_arbitration
         self._pending: dict[int, TransferIntent] = {}
         self._next_request_id = 1
 
     def attach_arbitration(self, arbitration) -> None:
-        self._arbitration = arbitration
+        """Link the bridge to arbitration without owning it: arbitration holds the bridge,
+        so a strong link back would be a reference cycle."""
+        self._arbitration = weakref.ref(arbitration)
 
     def request_risk_check(self, intent: TransferIntent) -> tuple[int, RiskVerdict]:
         request_id = self._next_request_id
@@ -79,8 +83,9 @@ class OracleBridge:
         elif verdict.status == HACKED:
             self.contract.mark_abnormal(intent.token_id, by=self)
             self.privileged_dispatch("reclaim", origin="drm", token_id=intent.token_id)
-            if self._arbitration is not None:
-                self._arbitration.open_auto_case(intent.token_id, reporter=intent.from_addr)
+            arbitration = self._arbitration()
+            if arbitration is not None:
+                arbitration.open_auto_case(intent.token_id, reporter=intent.from_addr)
 
     def privileged_dispatch(self, action: str, *, origin: str, token_id: int, **kwargs) -> None:
         """Route one protected contract call; any other origin is rejected.

@@ -149,14 +149,13 @@ def build_report(ctx: RunContext) -> RunReport:
     events = sim.ledger.events
     steps_total = steps_rejected = 0
     verdict_counts: dict[str, int] = {}
-    for ev in events:
-        kind = ev.kind
+    for _seq, _time, kind, payload in events:
         if kind == "Step":
             steps_total += 1
         elif kind == "StepRejected":
             steps_rejected += 1
         elif kind == "RiskFulfilled":
-            verdict_counts[ev.payload["status"]] = verdict_counts.get(ev.payload["status"], 0) + 1
+            verdict_counts[payload["status"]] = verdict_counts.get(payload["status"], 0) + 1
     outcomes = [
         {"case_id": case.case_id, "verdict": case.verdict, "auto": case.auto_opened}
         for case in sim.arbitration.cases.values()

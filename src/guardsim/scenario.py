@@ -177,7 +177,14 @@ def _parse_words(parts: list[str], line_no: int) -> Step:
             values[pos] = _int(values[pos])
         except ValueError:
             raise ParseError(line_no, f"{verb} arg {pos + 1} must be an integer in [0, 2**63)") from None
-    return Step(line_no, verb, args, tuple(values), " ".join((verb, *args)))
+    return make_step(verb, args, tuple(values), line_no)
+
+
+def make_step(verb: str, args: tuple[str, ...], values: tuple, line_no: int = 0) -> Step:
+    """The step of ``verb`` with argument words ``args`` and their ``values``; its normal form
+    joins the verb and the words by single spaces. ``values`` must be what ``parse_step`` makes
+    of the words, which the fuzzer's steps are tested against."""
+    return Step(line_no, verb, args, values, " ".join((verb, *args)))
 
 
 def parse_scenario(text: str, default_name: str = "") -> Scenario:

@@ -1,6 +1,11 @@
 """Simulation assembly: wires the ledger, token contract, oracle bridge, risk
 engine, access control and arbitration into one deterministic instance.
 
+A ``Simulation`` owns its components. The two links back up that ownership,
+the contract's to its oracle bridge and the bridge's to arbitration, are weak,
+so a simulation holds no reference cycle: dropping its last reference frees it
+and its components at once, by reference counting.
+
 Genesis creates three protocol accounts (treasury, fee sink, deposit escrow)
 and logs the effective configuration, the seed and the scenario name, making
 every log self-describing for replay.

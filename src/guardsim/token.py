@@ -21,6 +21,7 @@ amortized O(log T) instead of a scan over all T tokens.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -108,10 +109,18 @@ class TokenContract:
         self._portfolio: dict[Address, int] = {}  # owner -> sum of its tokens' last sale prices
         self._price_count: dict[int, int] = {}  # nonzero last sale price -> tokens at that price
         self._price_heap: list[int] = []  # min-heap over _price_count; stale entries dropped lazily
-        self._bridge = None
+        self._bridge = lambda: None  # a weakref.ref once bound; see bind_bridge
 
     def bind_bridge(self, bridge) -> None:
-        self._bridge = bridge
+        """Link to the oracle bridge without owning it: the bridge holds the contract, so a strong
+        link back would be a reference cycle. Once the bridge is gone, bridge-only calls raise NotOracle."""
+        self._bridge = weakref.ref(bridge)
+
+    def _oracle(self):
+        bridge = self._bridge()
+        if bridge is None:
+            raise NotOracle("the oracle bridge is gone")
+        return bridge
 
     # -- reads ---------------------------------------------------------------
 
@@ -191,7 +200,7 @@ class TokenContract:
     def set_approval_for_all(self, caller: Address, operator: Address, approved: bool) -> None:
         self.ledger.account(caller)
         flagged = self.ledger.account(operator).explorer_flagged
-        if approved and (flagged or self._bridge.engine.is_phishing_operator(operator)):
+        if approved and (flagged or self._oracle().engine.is_phishing_operator(operator)):
             self.ledger.append_event(
                 "SupervisionBlocked", {"owner": caller, "operator": operator, "reason": "PhishingOperatorBlocked"}
             )
@@ -221,7 +230,7 @@ class TokenContract:
             raise NotOwner(from_addr)
         self.ledger.account(to_addr)
         intent = TransferIntent(caller, from_addr, to_addr, token_id, price, self.ledger.time)
-        request_id, verdict = self._bridge.request_risk_check(intent)
+        request_id, verdict = self._oracle().request_risk_check(intent)
         if verdict.status == SAFE:
             self._move(token, to_addr, price)
             token.state = TokenState.LOCKED
@@ -249,7 +258,7 @@ class TokenContract:
     # -- bridge-only entry points ---------------------------------------------
 
     def _require_bridge(self, by) -> None:
-        if by is None or by is not self._bridge:
+        if by is None or by is not self._bridge():
             raise NotOracle("token state transitions require the oracle bridge")
 
     def check_dispatch(self, action: str, token_id: int, to: Address | None = None) -> TokenRecord:

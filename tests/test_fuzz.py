@@ -5,9 +5,11 @@ import pytest
 from guardsim import fuzz
 from guardsim.errors import RejectedInput
 from guardsim.fuzz import Fuzzer
-from guardsim.runner import run_scenario
-from guardsim.scenario import parse_scenario
+from guardsim.runner import run_scenario, run_step
+from guardsim.scenario import parse_scenario, parse_step
 from guardsim.token import GuardResult, TokenContract
+
+from test_digests import FUZZ_CORPUS
 
 
 def test_fuzz_clean_at_moderate_scale():
@@ -72,3 +74,18 @@ def test_fuzzer_rejects_a_non_positive_sequence_length(ops_per_run):
     # Fuzzer.run would never finish with such a length, so only the constructor is exercised
     with pytest.raises(RejectedInput):
         Fuzzer(seed=1, ops_per_run=ops_per_run)
+
+
+@pytest.mark.parametrize("seed", sorted(FUZZ_CORPUS))
+def test_every_fuzz_step_equals_the_parse_of_its_command(seed, monkeypatch):
+    # the fuzzer builds each step from its drawn values; parsing the logged command must give the same step
+    steps = []
+
+    def recording_run_step(ctx, index, step):
+        steps.append(step)
+        return run_step(ctx, index, step)
+
+    monkeypatch.setattr(fuzz, "run_step", recording_run_step)
+    result = Fuzzer(seed).run(8 * 400)
+    assert result.ok and len(steps) == 8 * 400
+    assert [step for step in steps if step != parse_step(step.raw)] == []
