@@ -6,6 +6,9 @@ of truth for replay: two runs agree if and only if their serialized logs are
 byte-identical, which `log_digest` condenses to a single hash. The ledger
 renders each event to its canonical line once, when its log bytes are first
 asked for, and keeps those bytes for the digest, log files and replay checks.
+``Ledger.matches`` checks a recorded log against the events a chunk at a time
+and, on a match, keeps the recorded bytes as the log's, so a replay holds one
+copy of the log.
 ``EVENT_KINDS`` is the one definition of an event, for writing and for
 reading: each kind's payload fields with their leaf kinds, and ``SHAPES`` the
 nested objects. From it, a kind's first use generates one function of
@@ -262,6 +265,10 @@ def _stray(p: dict, keys: frozenset, at: str) -> tuple[str, str]:
     return at + str(next(key for key in p if key not in keys)), "is not in the event table"
 
 
+# Events ``Ledger.matches`` renders at a time: about 40 KB of log lines, so a check never holds a second log.
+_CHUNK = 256
+
+
 def serialize_events(events: list[EventRecord]) -> bytes:
     return "".join([ev.to_line() + "\n" for ev in events]).encode("ascii")
 
@@ -300,6 +307,24 @@ class Ledger:
             self._log += serialize_events(self.events[self._rendered :])
             self._rendered = len(self.events)
         return self._log
+
+    def matches(self, recorded: bytes) -> bool:
+        """Whether ``recorded`` is the log's canonical bytes, rendered and compared ``_CHUNK`` events at a time.
+
+        On a match the ledger keeps ``recorded`` as its log bytes, so no second copy of the log is built.
+        """
+        if not recorded.startswith(self._log):
+            return False
+        pos, events = len(self._log), self.events
+        for start in range(self._rendered, len(events), _CHUNK):
+            chunk = serialize_events(events[start : start + _CHUNK])
+            if not recorded.startswith(chunk, pos):
+                return False
+            pos += len(chunk)
+        if pos != len(recorded):
+            return False
+        self._log, self._rendered = recorded, len(events)
+        return True
 
     def log_digest(self) -> bytes:
         return hashlib.sha256(self.serialized()).digest()
@@ -369,9 +394,6 @@ class Ledger:
 
     # -- audits ----------------------------------------------------------------
 
-    def total_balance(self) -> int:
-        return sum(acct.balance for acct in self.accounts.values())
-
     def conservation_holds(self) -> bool:
         """All value in accounts must equal everything ever minted."""
-        return self.total_balance() == self.minted_total
+        return sum(acct.balance for acct in self.accounts.values()) == self.minted_total

@@ -9,14 +9,17 @@ report, state, case and the fuzzer all execute steps through them.
 
 Replay and report first read only the first Genesis line, decoded and checked
 against the event table, and the command string of each line that starts as a
-canonical Step line, in file order (keys are sorted, so a canonical line
-starts with its kind). That read checks no Step event: a re-executed log
-equal to the recorded bytes is the program's own render of events the append
-check admitted, so it shows every line was canonical and in index order.
-Otherwise the whole log is parsed and compared line by line. Every parsed
-event must pass the event table's check, which the readers after the parse
-then trust; the first it refuses is a ReplayError naming its seq and field.
-State and case read the sim that replay re-executes.
+canonical Step line, in file order, each read as execution reaches it (keys
+are sorted, so a canonical line starts with its kind). That read checks no
+Step event: a re-executed log equal to the recorded bytes is the program's own
+render of events the append check admitted, so it shows every line was
+canonical and in index order. The ledger compares the two a chunk of events
+at a time and, on a match, keeps the recorded bytes as its log, so neither
+the command stream nor the log is ever held twice. Otherwise the whole log is
+parsed and compared line by line. Every parsed event must pass the event
+table's check, which the readers after the parse then trust; the first it
+refuses is a ReplayError naming its seq and field. State and case read the
+sim that replay re-executes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from json.decoder import scanstring
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .audit import audit_events
 from .config import SimConfig, apply_override, config_from_payload
@@ -255,14 +258,14 @@ class ReplayOutcome(NamedTuple):
 def _first_divergence(recorded: bytes, sim: Simulation) -> int | None:
     """1-based seq of the first recorded line that differs from the re-executed log, or None.
 
-    Equal bytes pass at once; only on a mismatch are both sides split into
-    lines, and blank recorded lines are ignored.
+    Equal bytes pass, compared a chunk at a time; only on a mismatch are both sides split
+    into lines, and blank recorded lines are ignored.
     """
-    regenerated = sim.ledger.serialized()
-    if recorded == regenerated:
+    ledger = sim.ledger
+    if ledger.matches(recorded):
         return None
     have = [line for line in recorded.split(b"\n") if line]
-    want = regenerated.split(b"\n")[:-1]
+    want = ledger.serialized().split(b"\n")[:-1]
     for seq, (have_line, want_line) in enumerate(zip_longest(have, want), start=1):
         if have_line != want_line:
             return seq
@@ -273,26 +276,41 @@ _GENESIS = b'{"kind":"Genesis",'
 _STEP = b'{"kind":"Step","payload":{"command":"'  # keys are sorted: a canonical line starts with its kind
 
 
+def _lines(data: bytes, prefix: bytes) -> Iterator[bytes]:
+    """Each line of ``data`` that starts with ``prefix``, in file order, found without splitting ``data``."""
+    marker = b"\n" + prefix
+    start = 0 if data.startswith(prefix) else data.find(marker) + 1 or -1  # -1: no line left
+    while start >= 0:
+        end = data.find(b"\n", start)
+        yield data[start:end] if end >= 0 else data[start:]
+        start = data.find(marker, start) + 1 or -1
+
+
 def _fast_scenario(data: bytes) -> tuple[Scenario, SimConfig] | None:
-    """The command stream and config of the first line that starts as a canonical Genesis line and
-    the commands of those that start as a canonical Step line, in file order; None if they do not
-    make one. Sound only once the re-executed bytes equal ``data``."""
-    genesis, steps = None, []
+    """The stepless scenario and the config of the first line that starts as a canonical Genesis
+    line, with ``_fast_steps`` as its steps; None if that line is missing or does not make one."""
     try:  # on a failure the full parse decodes the log again and names the bad line
-        for line in data.split(b"\n"):
-            if line.startswith(_STEP):
-                command = scanstring(line.decode("ascii"), len(_STEP))[0]
-                step = parse_step(command)
-                if step.raw != command:
-                    return None
-                steps.append(step)
-            elif genesis is None and line.startswith(_GENESIS):
-                genesis = _event(json.loads(line), 0)
-        scenario, config = _genesis_scenario(genesis)
-    except (ValueError, ParseError, ReplayError):
+        scenario, config = _genesis_scenario(_event(json.loads(next(_lines(data, _GENESIS))), 0))
+    except (StopIteration, ValueError, ReplayError):
         return None
-    scenario.steps = steps
+    scenario.steps = _fast_steps(data)
     return scenario, config
+
+
+def _fast_steps(data: bytes) -> Iterator[Step]:
+    """The step of each line that starts as a canonical Step line, in file order, each read as
+    execution reaches it. The stream ends before a command that does not decode or parse or is not
+    in normal form: a run of it logs no such line, so it cannot re-execute ``data``. Sound only once
+    the re-executed bytes equal ``data``."""
+    for line in _lines(data, _STEP):
+        try:
+            command = scanstring(line.decode("ascii"), len(_STEP))[0]
+            step = parse_step(command)
+        except (ValueError, ParseError):
+            return
+        if step.raw != command:
+            return
+        yield step
 
 
 def _reexecute(data: bytes) -> tuple[RunContext, list[EventRecord] | None]:
@@ -304,12 +322,12 @@ def _reexecute(data: bytes) -> tuple[RunContext, list[EventRecord] | None]:
     fast = _fast_scenario(data)
     if fast is not None:
         ctx = execute_scenario(fast[0], base_config=fast[1])
-        del fast  # rendering the log is replay's peak of memory; the fallback decodes the stream again
-        if ctx.sim.ledger.serialized() == data:
+        if ctx.sim.ledger.matches(data):
             return ctx, None
+        fast[0].steps = list(_fast_steps(data))  # the stream the fast run executed
     events = parse_log(data)
     parsed = scenario_from_events(events)
-    if parsed != _fast_scenario(data):
+    if parsed != fast:
         ctx = execute_scenario(parsed[0], base_config=parsed[1])
     return ctx, events
 

@@ -233,6 +233,36 @@ def test_unparseable_step_command_exit_2(replevin_log, capsys):
     assert err.count(f"seq {target + 1}: bad Step command 'BOGUS a 1'") == 2
 
 
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        ("TRANSFER", "transfer", "seq 17: Step command 'transfer alice alice bob 2 10' is not in normal form "
+         "'TRANSFER alice alice bob 2 10'"),
+        ("TRANSFER ", "TRANSFER  ", "seq 17: Step command 'TRANSFER  alice alice bob 2 10' is not in normal form "
+         "'TRANSFER alice alice bob 2 10'"),
+        ("TRANSFER", "TRANSFERX", "seq 17: bad Step command 'TRANSFERX alice alice bob 2 10' (unknown verb 'TRANSFERX')"),
+        ("TRANSFER", "\\xTRANSFER", "line 17: not a canonical event record (Invalid \\escape: line 1 column 38 (char 37))"),
+    ],
+    ids=["lower-case-verb", "two-spaces", "unknown-verb", "bad-escape"],
+)
+def test_a_bad_step_line_abandons_the_fast_run_for_the_full_parse(tmp_path, capsys, old, new, error):
+    log = tmp_path / "hot_sale.jsonl"
+    assert main(["run", str(SCENARIOS / "hot_sale.tps"), "--out", str(log)]) == 0
+    lines = log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Step","payload":{"command":"TRANSFER'))
+    assert target + 1 == 17
+    lines[target] = lines[target].replace(f'"command":"{old}'.encode(), f'"command":"{new}'.encode(), 1)
+    log.write_bytes(b"".join(lines))
+    # the fast stream ends at the bad line, so its run cannot re-execute the log
+    steps = [step.raw for step in runner._fast_scenario(log.read_bytes())[0].steps]
+    assert steps == [json.loads(line)["payload"]["command"] for line in lines[:target] if b'"kind":"Step"' in line]
+    capsys.readouterr()
+    for command in ("replay", "report", "state"):
+        argv = [command, str(log)] + ([] if command in ("replay", "report") else ["1"])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"{command} error: {error}\n"
+
+
 def test_non_utf8_byte_in_a_log_exit_2(replevin_log, capsys):
     lines = replevin_log.read_bytes().splitlines(keepends=True)
     target = next(i for i, line in enumerate(lines) if b'"kind":"Step"' in line)

@@ -468,7 +468,7 @@ def test_the_fast_read_equals_the_full_parse(source, monkeypatch):
         fast = runner._fast_scenario(data)
         scenario, config = runner.scenario_from_events(runner.parse_log(data))
         assert fast is not None and scenario.steps
-        assert (fast[0].steps, fast[0].name, fast[0].seed, fast[1]) == (
+        assert (list(fast[0].steps), fast[0].name, fast[0].seed, fast[1]) == (
             scenario.steps, scenario.name, scenario.seed, config
         )
 

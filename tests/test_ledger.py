@@ -185,3 +185,25 @@ def test_serialized_renders_new_events_on_demand():
     assert ledger.serialized() == serialize_events(ledger.events)  # a repeated call adds nothing
     ledger.mint_value(b, to_units(1), reason="juror_reward")
     assert ledger.log_digest() == hashlib.sha256(serialize_events(ledger.events)).digest()
+
+
+def _ledger_of(events: int) -> Ledger:
+    ledger = Ledger(seed=5)
+    for n in range(events):
+        ledger.create_account(n)
+    return ledger
+
+
+def test_matches_compares_a_recorded_log_across_chunks_and_keeps_it():
+    want = serialize_events(_ledger_of(600).events)  # three chunks of 256 events
+    late = want.rindex(b"AccountCreated")  # in the last chunk
+    for recorded in (want[:-1], want + b"\n", want[:late] + b"X" + want[late + 1 :], b"", b"\n" + want):
+        assert not _ledger_of(600).matches(recorded)
+    ledger = _ledger_of(600)
+    assert ledger.matches(want)
+    assert ledger.serialized() is want  # the recorded bytes became the log's
+    assert ledger.matches(want)
+    ledger.advance_time(1)
+    assert ledger.serialized() == serialize_events(ledger.events)
+    assert not ledger.matches(want)
+    assert _ledger_of(0).matches(b"")
