@@ -27,7 +27,6 @@ from .risk import (
     RiskEngine,
     RiskVerdict,
     RuleHit,
-    TableScorer,
     TransferIntent,
     classify,
     classify_payload,
@@ -39,6 +38,6 @@ from .risk import (
 from .runner import RunReport, replay_log, report_from_log, run_scenario, write_log
 from .scenario import Scenario, Step, format_scenario, load_scenario, parse_scenario
 from .sim import Simulation
-from .token import GuardResult, TokenContract, TokenRecord, TokenState, TransferOutcome
+from .token import TokenContract, TokenRecord, TokenState, TransferOutcome
 
 __version__ = "0.1.0"

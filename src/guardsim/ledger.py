@@ -7,8 +7,9 @@ byte-identical, which `log_digest` condenses to a single hash. The ledger
 renders each event to its canonical line once, when its log bytes are first
 asked for, and keeps those bytes for the digest, log files and replay checks.
 ``Ledger.matches`` checks a recorded log against the events a chunk at a time
-and, on a match, keeps the recorded bytes as the log's, so a replay holds one
-copy of the log.
+and keeps the recorded bytes of the chunks that matched as the log's, so a
+replay holds one copy of the log and renders each event once, apart from the
+chunk that failed.
 ``EVENT_KINDS`` is the one definition of an event, for writing and for
 reading: each kind's payload fields with their leaf kinds, and ``SHAPES`` the
 nested objects. From it, a kind's first use generates one function of
@@ -311,20 +312,20 @@ class Ledger:
     def matches(self, recorded: bytes) -> bool:
         """Whether ``recorded`` is the log's canonical bytes, rendered and compared ``_CHUNK`` events at a time.
 
-        On a match the ledger keeps ``recorded`` as its log bytes, so no second copy of the log is built.
+        The ledger keeps the recorded bytes of every chunk that matched as its log bytes: on a match
+        that is ``recorded`` itself, so no second copy of the log is built, and after a mismatch only
+        the events past the kept prefix are left to render.
         """
         if not recorded.startswith(self._log):
             return False
-        pos, events = len(self._log), self.events
-        for start in range(self._rendered, len(events), _CHUNK):
+        pos, rendered, events = len(self._log), self._rendered, self.events
+        for start in range(rendered, len(events), _CHUNK):
             chunk = serialize_events(events[start : start + _CHUNK])
             if not recorded.startswith(chunk, pos):
-                return False
-            pos += len(chunk)
-        if pos != len(recorded):
-            return False
-        self._log, self._rendered = recorded, len(events)
-        return True
+                break
+            pos, rendered = pos + len(chunk), min(start + _CHUNK, len(events))
+        self._log, self._rendered = recorded[:pos], rendered  # a slice of all of ``recorded`` is ``recorded``
+        return rendered == len(events) and pos == len(recorded)
 
     def log_digest(self) -> bytes:
         return hashlib.sha256(self.serialized()).digest()

@@ -3,6 +3,8 @@
 Every proposed transfer is reduced to a deterministic feature vector drawn
 from the chain snapshot, run through five rule filters plus a table-driven
 model score, and mapped to one of three verdicts: safe, may_lost, hacked.
+The vector is an immutable ``FeatureVector`` built once, with the score that
+the engine's (sender, recipient) table gives the transfer as its last field.
 
 The whole pipeline is a pure function of (intent, snapshot, config), and the
 feature vector is logged with each verdict so that any verdict in any log can
@@ -22,9 +24,8 @@ otherwise any weak hit or model score >= p_suspect -> may_lost; else safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import RiskConfig
 from .ledger import Address
@@ -66,9 +67,8 @@ class RuleHit(NamedTuple):
         return {"rule": self.rule_id, "severity": self.severity, "detail": self.detail}
 
 
-@dataclass
-class FeatureVector:
-    """Everything the verdict depends on, in offline-recomputable form."""
+class FeatureVector(NamedTuple):
+    """Everything the verdict depends on, in offline-recomputable form; built once, with its model score."""
 
     sender: Address
     recipient: Address
@@ -82,7 +82,7 @@ class FeatureVector:
     recipient_flagged: bool
     token_state: str
     prior_abnormal: bool
-    model_score: float = 0.0
+    model_score: float
 
     def to_payload(self) -> dict:
         return {
@@ -138,7 +138,9 @@ def credit_score(address: Address, chain: TokenContract, config: RiskConfig) -> 
     return score
 
 
-def extract_features(intent: TransferIntent, chain: TokenContract, config: RiskConfig) -> FeatureVector:
+def extract_features(
+    intent: TransferIntent, chain: TokenContract, config: RiskConfig, model_score: float
+) -> FeatureVector:
     horizon = chain.now - config.window_ticks  # an entry counts while its time is after the horizon
     token = chain.token(intent.token_id)
     floor = collection_floor(chain)
@@ -162,6 +164,7 @@ def extract_features(intent: TransferIntent, chain: TokenContract, config: RiskC
         chain.account(intent.to_addr).explorer_flagged,
         token.state,
         bool(abnormal) and any(t > horizon for t in abnormal),
+        model_score,
     )
 
 
@@ -185,8 +188,7 @@ def rule_hits(features: FeatureVector, config: RiskConfig) -> tuple[RuleHit, ...
     return tuple(hits)
 
 
-def classify(hits: Iterable[RuleHit], model_score: float, config: RiskConfig) -> str:
-    hits = tuple(hits)
+def classify(hits: tuple[RuleHit, ...], model_score: float, config: RiskConfig) -> str:
     if model_score >= config.p_hacked or (hits and any(h.severity == STRONG for h in hits)):
         return HACKED
     if model_score >= config.p_suspect or hits:
@@ -219,45 +221,29 @@ def classify_payload(features_payload: dict, config: RiskConfig) -> tuple[str, l
 # -- scoring model -------------------------------------------------------------
 
 
-@dataclass
-class TableScorer:
-    """Deterministic scenario scorer keyed by (sender, recipient); '*' wildcards."""
-
-    entries: dict[tuple[str, str], float] = field(default_factory=dict)
-
-    def set_entry(self, sender: str, recipient: str, score: float) -> None:
-        self.entries[(sender, recipient)] = score
-
-    def __call__(self, features: FeatureVector) -> float:
-        if not self.entries:
-            return 0.0
-        for key in (
-            (features.sender, features.recipient),
-            (features.sender, "*"),
-            ("*", features.recipient),
-            ("*", "*"),
-        ):
-            if key in self.entries:
-                return self.entries[key]
-        return 0.0
-
-
 class RiskEngine:
-    """Bundles config, the model's score table and the phishing-operator list."""
+    """Bundles config, the model's score table and the phishing-operator list.
+
+    ``model`` maps (sender, recipient) to a score, with '*' as a wildcard on
+    either side; ``phishing_operators`` is the set of listed operators.
+    """
 
     def __init__(self, config: RiskConfig):
         self.config = config
-        self.scorer = TableScorer()
-        self._phishing_operators: set[Address] = set()
+        self.model: dict[tuple[str, str], float] = {}
+        self.phishing_operators: set[Address] = set()
+
+    def model_score(self, sender: Address, recipient: Address) -> float:
+        """The table's score for the pair: exact, then sender, then recipient, then both wildcards; else 0."""
+        model = self.model
+        if not model:
+            return 0.0
+        for key in ((sender, recipient), (sender, "*"), ("*", recipient), ("*", "*")):
+            if key in model:
+                return model[key]
+        return 0.0
 
     def evaluate(self, intent: TransferIntent, chain: TokenContract) -> RiskVerdict:
-        features = extract_features(intent, chain, self.config)
-        features.model_score = self.scorer(features)
+        features = extract_features(intent, chain, self.config, self.model_score(intent.from_addr, intent.to_addr))
         hits = rule_hits(features, self.config)
         return RiskVerdict(classify(hits, features.model_score, self.config), hits, features)
-
-    def blacklist_operator(self, address: Address) -> None:
-        self._phishing_operators.add(address)
-
-    def is_phishing_operator(self, address: Address) -> bool:
-        return address in self._phishing_operators

@@ -14,9 +14,10 @@ are sorted, so a canonical line starts with its kind). That read checks no
 Step event: a re-executed log equal to the recorded bytes is the program's own
 render of events the append check admitted, so it shows every line was
 canonical and in index order. The ledger compares the two a chunk of events
-at a time and, on a match, keeps the recorded bytes as its log, so neither
-the command stream nor the log is ever held twice. Otherwise the whole log is
-parsed and compared line by line. Every parsed event must pass the event
+at a time and keeps the recorded bytes of every chunk that matched as its log,
+so neither the command stream nor the log is ever held twice. Otherwise the
+whole log is parsed and compared line by line, in the same pass, which renders
+only the events after the kept prefix. Every parsed event must pass the event
 table's check, which the readers after the parse then trust; the first it
 refuses is a ReplayError naming its seq and field. State and case read the
 sim that replay re-executes.
@@ -255,23 +256,6 @@ class ReplayOutcome(NamedTuple):
     detail: str = ""
 
 
-def _first_divergence(recorded: bytes, sim: Simulation) -> int | None:
-    """1-based seq of the first recorded line that differs from the re-executed log, or None.
-
-    Equal bytes pass, compared a chunk at a time; only on a mismatch are both sides split
-    into lines, and blank recorded lines are ignored.
-    """
-    ledger = sim.ledger
-    if ledger.matches(recorded):
-        return None
-    have = [line for line in recorded.split(b"\n") if line]
-    want = ledger.serialized().split(b"\n")[:-1]
-    for seq, (have_line, want_line) in enumerate(zip_longest(have, want), start=1):
-        if have_line != want_line:
-            return seq
-    return None
-
-
 _GENESIS = b'{"kind":"Genesis",'
 _STEP = b'{"kind":"Step","payload":{"command":"'  # keys are sorted: a canonical line starts with its kind
 
@@ -313,23 +297,32 @@ def _fast_steps(data: bytes) -> Iterator[Step]:
         yield step
 
 
-def _reexecute(data: bytes) -> tuple[RunContext, list[EventRecord] | None]:
-    """Execute the command stream a log embeds, under its genesis seed and config.
+def _reexecute(data: bytes) -> tuple[RunContext, int | None, list[EventRecord] | None]:
+    """Execute the command stream a log embeds, under its genesis seed and config, and compare.
 
-    Returns the run's context, and None if the recorded bytes are the canonical log, else
-    every recorded event. The fast run is reused when the full parse reads the same stream.
+    Returns the run's context, the 1-based seq of the first recorded line that differs from the
+    re-executed log (None if no line does), and the recorded events (None if the recorded bytes
+    are the canonical log). Equal bytes pass, compared a chunk at a time; only on a mismatch are
+    both sides split into lines, and blank recorded lines are ignored. The fast run is reused when
+    the full parse reads the same stream.
     """
     fast = _fast_scenario(data)
     if fast is not None:
         ctx = execute_scenario(fast[0], base_config=fast[1])
         if ctx.sim.ledger.matches(data):
-            return ctx, None
+            return ctx, None, None
         fast[0].steps = list(_fast_steps(data))  # the stream the fast run executed
     events = parse_log(data)
     parsed = scenario_from_events(events)
     if parsed != fast:
         ctx = execute_scenario(parsed[0], base_config=parsed[1])
-    return ctx, events
+    del fast, parsed  # free both command streams before the line split
+    have = [line for line in data.split(b"\n") if line]
+    want = ctx.sim.ledger.serialized().split(b"\n")[:-1]  # renders only what no matched chunk kept
+    for seq, (have_line, want_line) in enumerate(zip_longest(have, want), start=1):
+        if have_line != want_line:
+            return ctx, seq, events
+    return ctx, None, events
 
 
 def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
@@ -337,12 +330,10 @@ def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
 
     Any surviving single-byte difference names its seq.
     """
-    data = Path(path).read_bytes()
-    sim = _reexecute(data)[0].sim
-    seq = _first_divergence(data, sim)
+    ctx, seq, _events = _reexecute(Path(path).read_bytes())
     if seq is not None:
-        return ReplayOutcome(False, seq, "event diverges from deterministic re-execution"), sim
-    return ReplayOutcome(True), sim
+        return ReplayOutcome(False, seq, "event diverges from deterministic re-execution"), ctx.sim
+    return ReplayOutcome(True), ctx.sim
 
 
 def report_from_log(path: str | Path) -> RunReport:
@@ -351,10 +342,8 @@ def report_from_log(path: str | Path) -> RunReport:
     Recorded bytes equal to the re-run's canonical bytes are the same events, so
     the recorded events are audited on their own only when the two diverge.
     """
-    data = Path(path).read_bytes()
-    ctx, events = _reexecute(data)
+    ctx, seq, events = _reexecute(Path(path).read_bytes())
     report = build_report(ctx)
-    seq = _first_divergence(data, ctx.sim)
     if seq is not None:
         recorded = [v for v in audit_events(events) if v not in report.violations]
         report.violations.extend(recorded)

@@ -55,11 +55,11 @@ class Simulation:
         )
 
     def install_model_entry(self, sender: str, recipient: str, score: float) -> None:
-        self.engine.scorer.set_entry(sender, recipient, score)
+        self.engine.model[(sender, recipient)] = score
         self.ledger.append_event(
             "ModelTableSet", {"sender": sender, "recipient": recipient, "score": repr(score)}
         )
 
     def blacklist_operator(self, operator: Address) -> None:
-        self.engine.blacklist_operator(operator)
+        self.engine.phishing_operators.add(operator)
         self.ledger.append_event("PhishingListed", {"operator": operator})

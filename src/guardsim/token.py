@@ -81,14 +81,6 @@ class TokenRecord:
     pre_reclaim_owner: Address | None = None
 
 
-class GuardResult(NamedTuple):
-    ok: bool
-    reason: str | None = None
-
-
-_ALLOWED = GuardResult(True)  # immutable, so every allowed transfer shares it
-
-
 class TransferOutcome(NamedTuple):
     request_id: int
     verdict: RiskVerdict
@@ -151,23 +143,23 @@ class TokenContract:
     def is_operator(self, owner: Address, operator: Address) -> bool:
         return self.operator_approvals.get((owner, operator), False)
 
-    def transfer_guard(self, token_id: int, caller: Address) -> GuardResult:
-        """Pure legality check; never mutates anything."""
+    def transfer_guard(self, token_id: int, caller: Address) -> str | None:
+        """Pure legality check: the refusal code, or None if ``caller`` may move the token."""
         token = self.token(token_id)
         if token.state is TokenState.LOCKED:
-            return GuardResult(False, "Locked")
+            return "Locked"
         if token.state is TokenState.RECLAIMED:
-            return GuardResult(False, "Reclaimed")
+            return "Reclaimed"
         if token.frozen_until is not None and self.ledger.time < token.frozen_until:
-            return GuardResult(False, "Frozen")
+            return "Frozen"
         authorized = (
             caller == token.owner
             or caller == token.approved
             or self.is_operator(token.owner, caller)
         )
         if not authorized:
-            return GuardResult(False, "NotAuthorized")
-        return _ALLOWED
+            return "NotAuthorized"
+        return None
 
     def state_line(self, token_id: int) -> str:
         token = self.token(token_id)
@@ -186,9 +178,9 @@ class TokenContract:
         self.ledger.append_event("Minted", {"token_id": token_id, "to": to_addr})
 
     def approve(self, caller: Address, to_addr: Address, token_id: int) -> None:
-        guard = self.transfer_guard(token_id, caller)
-        if not guard.ok:
-            raise GuardRejected(guard.reason)
+        refusal = self.transfer_guard(token_id, caller)
+        if refusal is not None:
+            raise GuardRejected(refusal)
         self.ledger.account(to_addr)
         token = self.token(token_id)
         # EIP-721: only the owner or an operator of the owner may approve, not an approved address
@@ -200,7 +192,7 @@ class TokenContract:
     def set_approval_for_all(self, caller: Address, operator: Address, approved: bool) -> None:
         self.ledger.account(caller)
         flagged = self.ledger.account(operator).explorer_flagged
-        if approved and (flagged or self._oracle().engine.is_phishing_operator(operator)):
+        if approved and (flagged or operator in self._oracle().engine.phishing_operators):
             self.ledger.append_event(
                 "SupervisionBlocked", {"owner": caller, "operator": operator, "reason": "PhishingOperatorBlocked"}
             )
@@ -223,9 +215,9 @@ class TokenContract:
         token = self.token(token_id)
         guard_state = token.state
         guard_frozen = token.frozen_until is not None and self.ledger.time < token.frozen_until
-        guard = self.transfer_guard(token_id, caller)
-        if not guard.ok:
-            raise GuardRejected(guard.reason)
+        refusal = self.transfer_guard(token_id, caller)
+        if refusal is not None:
+            raise GuardRejected(refusal)
         if token.owner != from_addr:
             raise NotOwner(from_addr)
         self.ledger.account(to_addr)

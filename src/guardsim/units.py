@@ -24,10 +24,10 @@ UNIT = 10**DECIMALS
 MAX_DIGITS = 300
 
 
-def to_units(value: int | str | Decimal | Fraction) -> int:
+def to_units(value: int | str) -> int:
     """Convert a whole number or decimal string to integer sub-units.
 
-    Rejects anything that does not land exactly on the 18-digit grid, NaN,
+    Rejects any other type, anything that does not land exactly on the 18-digit grid, NaN,
     the infinities and spellings with more than ``MAX_DIGITS`` digits on
     either side of the point. A plain ASCII ``digits[.digits]`` string with at most 18 digits on
     each side of the point is converted with integer arithmetic; every other
@@ -48,15 +48,9 @@ def to_units(value: int | str | Decimal | Fraction) -> int:
         return value * UNIT
     if isinstance(value, float):
         raise RejectedInput("float amounts are not accepted; pass a string")
-    if isinstance(value, Decimal):
-        frac = Fraction(value)
-    elif isinstance(value, Fraction):
-        frac = value
-    elif isinstance(value, str):
-        frac = _exact(value)
-    else:
+    if not isinstance(value, str):
         raise RejectedInput(f"not a value amount: {value!r}")
-    scaled = frac * UNIT
+    scaled = _exact(value) * UNIT
     if scaled.denominator != 1:
         raise RejectedInput(f"amount finer than {DECIMALS} decimal digits: {value!r}")
     return scaled.numerator

@@ -7,7 +7,7 @@ from guardsim.errors import RejectedInput
 from guardsim.fuzz import Fuzzer
 from guardsim.runner import run_scenario, run_step
 from guardsim.scenario import parse_scenario, parse_step
-from guardsim.token import GuardResult, TokenContract
+from guardsim.token import TokenContract
 
 from test_digests import FUZZ_CORPUS
 
@@ -27,7 +27,7 @@ def test_fuzz_different_seeds_different_traces():
 
 def test_fuzzer_catches_a_seeded_guard_bug_and_minimizes(monkeypatch):
     # disable the guard entirely: locked/reclaimed tokens become transferable
-    monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: GuardResult(True))
+    monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: None)
     result = Fuzzer(seed=7, ops_per_run=300).run(3000)
     assert not result.ok
     # the audit at the end of the first sequence catches it
@@ -45,7 +45,7 @@ def test_fuzzer_catches_a_seeded_guard_bug_and_minimizes(monkeypatch):
 
 
 def test_fuzz_trace_runs_under_the_failing_sequence_seed(monkeypatch):
-    monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: GuardResult(True))
+    monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: None)
     result = Fuzzer(seed=7, ops_per_run=300).run(3000)
     assert not result.ok
     trace = parse_scenario(result.trace)
@@ -58,7 +58,7 @@ def test_fuzz_trace_runs_under_the_failing_sequence_seed(monkeypatch):
 @pytest.mark.parametrize("seed", [7, 1, 3])
 def test_the_minimized_trace_reproduces_the_reported_violation(monkeypatch, seed):
     # each seed's sequence holds several guard bugs; a trace that drops the reported one is no repro
-    monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: GuardResult(True))
+    monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: None)
     result = Fuzzer(seed, ops_per_run=300).run(3000)
     _sim, report = run_scenario(parse_scenario(result.trace))
 

@@ -346,6 +346,24 @@ def test_each_execution_renders_each_event_once(tmp_path, monkeypatch):
     assert calls[0] == 3 * len(sim.ledger.events)
 
 
+def test_a_tampered_log_renders_each_event_about_once(tmp_path, monkeypatch):
+    # a failed byte check keeps every chunk that matched, so the line comparison renders only the rest
+    text = "ACCOUNT a 10\n" + "".join(f"MINT a {token_id}\n" for token_id in range(1, 6001))
+    lines = run_scenario(parse_scenario(text))[0].ledger.serialized().splitlines(keepends=True)
+    assert lines[-1].startswith(b'{"kind":"Minted",') and b'"token_id":6000}' in lines[-1]
+    lines[-1] = lines[-1].replace(b'"token_id":6000}', b'"token_id":6001}')
+    log = tmp_path / "mints.jsonl"
+    log.write_bytes(b"".join(lines))
+    calls = _count_renders(monkeypatch)
+    outcome, _resim = replay_log(log)
+    assert (outcome.passed, outcome.divergence_seq) == (False, len(lines))
+    replay_renders, calls[0] = calls[0], 0
+    rebuilt = report_from_log(log)
+    assert rebuilt.violations[-1] == f"recorded log diverges from deterministic re-execution at seq {len(lines)}"
+    assert replay_renders < 1.5 * len(lines), replay_renders / len(lines)
+    assert calls[0] < 1.5 * len(lines), calls[0] / len(lines)
+
+
 def test_fuzzing_renders_no_line(monkeypatch):
     calls = _count_renders(monkeypatch)
     assert Fuzzer(0).run(400).ok

@@ -16,6 +16,10 @@ of ``ledger.EVENT_KINDS``, which renders no other. The log readers trust the
 table's keys, so every constant key the audit, ``explain`` and
 ``risk.classify_payload`` subscript must be a field of the table: a misspelt
 one would be an uncaught ``KeyError``.
+
+Every ``runner.<name>`` that ``bench/run.py`` or ``bench/fresh_setup.py``
+names must exist: the benchmark runs on the committed sources, so deleting
+one of its entry points would fail the benchmark, not a test.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import guardsim
+from guardsim.fuzz import Fuzzer
 from guardsim.ledger import EVENT_KINDS, SHAPES
 
 MODULES = sorted(p for p in Path(guardsim.__file__).parent.glob("*.py") if p.name != "__init__.py")
@@ -217,3 +222,36 @@ def test_the_check_sees_a_misspelt_payload_key():
     assert subscripted_keys(source, "read") == {"token_id", "tokn_id", "rul"}
     assert subscripted_keys(source, "read") - TABLE_FIELDS == {"tokn_id", "rul"}
     assert subscripted_keys(source) - TABLE_FIELDS == {"tokn_id", "rul", "elsewhere"}
+
+
+def runner_names(source: str) -> set[str]:
+    """Each name ``source`` reads from the runner module: ``runner.<name>`` or ``<x>.runner.<name>`` in
+    code, and each ``"runner.<name>"`` entry of a ``SPANS`` list."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "runner") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "runner"
+            ):
+                names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets):
+            names |= {item.value.split(".", 1)[1] for item in node.value.elts if item.value.startswith("runner.")}
+    return names
+
+
+def test_every_runner_function_the_benchmark_names_exists():
+    names = set().union(*(runner_names((ROOT / "bench" / name).read_text()) for name in ("run.py", "fresh_setup.py")))
+    assert {"read_log", "scenario_from_events", "replay_log", "report_from_log", "write_log"} <= names
+    assert sorted(name for name in names if not hasattr(guardsim.runner, name)) == []
+    # the attributes the benchmark reads from what those functions return
+    assert {"passed", "divergence_seq"} <= set(guardsim.runner.ReplayOutcome._fields)
+    assert Fuzzer(0).ops_per_run > 0
+
+
+def test_the_check_sees_a_missing_runner_function():
+    source = (
+        'SPANS = ["risk.classify", "runner.gone_span"]\n'
+        "def go(self, runner):\n    return runner.replay_log, self.runner.gone_call, other.report\n"
+    )
+    assert runner_names(source) == {"gone_span", "replay_log", "gone_call"}

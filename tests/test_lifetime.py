@@ -18,7 +18,7 @@ from guardsim.fuzz import Fuzzer, _sequence_seed
 from guardsim.runner import replay_log, run_scenario, write_log
 from guardsim.scenario import load_scenario
 from guardsim.sim import Simulation
-from guardsim.token import EFFECT_KINDS, GuardResult, TokenContract
+from guardsim.token import EFFECT_KINDS, TokenContract
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.tps"))
 
@@ -73,7 +73,7 @@ def test_a_replayed_sim_with_an_auto_case_is_freed_when_dropped(tmp_path):
 
 def test_each_fuzz_sim_is_freed_before_the_next_is_built(monkeypatch):
     # with the guard off, seed 7's first sequence fails and is minimized: one sim per candidate
-    monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: GuardResult(True))
+    monkeypatch.setattr(TokenContract, "transfer_guard", lambda self, tid, caller: None)
     refs, alive_at_build = [], []
     original = Simulation.__init__
 

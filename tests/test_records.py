@@ -13,7 +13,7 @@ from guardsim.ledger import EventRecord, Ledger
 from guardsim.risk import SAFE, WEAK, RiskVerdict, RuleHit, TransferIntent
 from guardsim.runner import ReplayOutcome
 from guardsim.scenario import parse_step
-from guardsim.token import GuardResult, ProvenanceEntry, TransferOutcome
+from guardsim.token import ProvenanceEntry, TransferOutcome
 from test_fast_paths import VERDICT as FULFILLED
 
 A, B = "0x" + "a" * 40, "0x" + "b" * 40
@@ -28,7 +28,6 @@ RECORDS = [
     (HIT, "rule_id"),
     (VERDICT, "status"),
     (ProvenanceEntry(A, B, 0, 0), "from_addr"),
-    (GuardResult(False, "Locked"), "ok"),
     (TransferOutcome(1, VERDICT), "request_id"),
     (UnlockAttestation(A, B, 1, 0, 0, b"\x00" * 32), "main"),
     (ReplayOutcome(False, 3, "diverges"), "passed"),

@@ -16,7 +16,6 @@ from guardsim.risk import (
     FeatureVector,
     RiskEngine,
     RuleHit,
-    TableScorer,
     TransferIntent,
     classify,
     classify_payload,
@@ -107,7 +106,7 @@ def test_credit_on_live_chain_matches_raw_state_recompute(sim):
 
 def test_gift_has_undefined_ratio_and_no_r1():
     intent, view = build_grid_view(0, 10, 0, False, False, True)
-    features = extract_features(intent, view, CFG)
+    features = extract_features(intent, view, CFG, 0.0)
     assert features.price_ratio is None
     assert all(h.rule_id != "R1_UNDERPRICED" for h in rule_hits(features, CFG))
 
@@ -123,7 +122,7 @@ def test_turnover_counts_window_entries_brute_force(sim):
         sim.bridge.privileged_dispatch("unlock", origin="dac", token_id=1)  # undo lock-on-receipt
         sim.ledger.advance_time(10)
     intent = TransferIntent(bob, bob, carol, 1, to_units(9), sim.ledger.time)
-    features = extract_features(intent, sim.contract, CFG)
+    features = extract_features(intent, sim.contract, CFG, 0.0)
     brute = sum(1 for e in sim.contract.token(1).provenance if sim.ledger.time - e.time < CFG.window_ticks)
     assert features.turnover_count == brute == 4
     assert any(h.rule_id == "R2_HIGH_TURNOVER" for h in rule_hits(features, CFG))
@@ -136,10 +135,10 @@ def test_prior_abnormal_set_by_may_lost_and_ages_out(sim):
     sim.contract.transfer_from(alice, alice, bob, 2, to_units(10))
     sim.contract.transfer_from(alice, alice, carol, 1, to_units(4))  # may_lost
     intent = TransferIntent(alice, alice, carol, 1, to_units(10), sim.ledger.time)
-    assert extract_features(intent, sim.contract, CFG).prior_abnormal is True
+    assert extract_features(intent, sim.contract, CFG, 0.0).prior_abnormal is True
     sim.ledger.advance_time(CFG.window_ticks + 1)
     intent = TransferIntent(alice, alice, carol, 1, to_units(10), sim.ledger.time)
-    assert extract_features(intent, sim.contract, CFG).prior_abnormal is False
+    assert extract_features(intent, sim.contract, CFG, 0.0).prior_abnormal is False
 
 
 # -- verdict mapping -------------------------------------------------------------
@@ -165,14 +164,14 @@ def test_model_thresholds_are_inclusive():
 
 def test_rule_boundaries():
     intent, view = build_grid_view(5, 10, 0, False, False, True)
-    features = extract_features(intent, view, CFG)
+    features = extract_features(intent, view, CFG, 0.0)
     assert features.price_ratio == Fraction(1, 2)
     assert rule_hits(features, CFG) == ()  # exactly beta * floor is not "below"
     intent, view = build_grid_view(4, 10, 0, False, False, True)
-    hits = rule_hits(extract_features(intent, view, CFG), CFG)
+    hits = rule_hits(extract_features(intent, view, CFG, 0.0), CFG)
     assert [h.rule_id for h in hits] == ["R1_UNDERPRICED"]
     intent, view = build_grid_view(10, 10, 3, False, False, True)
-    hits = rule_hits(extract_features(intent, view, CFG), CFG)
+    hits = rule_hits(extract_features(intent, view, CFG, 0.0), CFG)
     assert [h.rule_id for h in hits] == ["R2_HIGH_TURNOVER"]  # threshold is inclusive
 
 
@@ -211,16 +210,19 @@ def test_default_scorer_returns_zero(sim):
     assert outcome.verdict.features.model_score == 0.0
 
 
-def test_table_scorer_lookup_and_purity():
-    scorer = TableScorer()
-    scorer.set_entry("0xmallory", "*", 0.95)
-    intent, view = build_grid_view(10, None, 0, False, False, True)
-    features = extract_features(intent, view, CFG)
-    features.sender = "0xmallory"
-    assert scorer(features) == 0.95
-    assert scorer(features) == 0.95  # pure: same features, same score
-    features.sender = "0xsomeone"
-    assert scorer(features) == 0.0
+def test_model_score_lookup_and_purity():
+    engine = RiskEngine(CFG)
+    assert engine.model_score("0xmallory", "0xbob") == 0.0  # an empty table scores 0
+    engine.model[("0xmallory", "*")] = 0.95
+    assert engine.model_score("0xmallory", "0xbob") == 0.95
+    assert engine.model_score("0xmallory", "0xbob") == 0.95  # pure: same pair, same score
+    assert engine.model_score("0xsomeone", "0xbob") == 0.0
+    # lookup order: the pair, then (sender, *), then (*, recipient), then (*, *)
+    engine.model.update({("*", "0xbob"): 0.5, ("*", "*"): 0.25, ("0xmallory", "0xbob"): 0.75})
+    assert engine.model_score("0xmallory", "0xbob") == 0.75
+    assert engine.model_score("0xmallory", "0xcarol") == 0.95
+    assert engine.model_score("0xsomeone", "0xbob") == 0.5
+    assert engine.model_score("0xsomeone", "0xcarol") == 0.25
 
 
 def test_model_score_escalates_verdict(sim):
@@ -261,7 +263,7 @@ def test_evaluate_matches_rule_text_oracle_sample(point, sim):
 # -- differential check against the exact-Fraction transcription -------------------
 
 
-def _reference_features(intent, chain, config):
+def _reference_features(intent, chain, config, model_score):
     """Feature extraction with every window test as ``now - time`` against the window."""
     token = chain.token(intent.token_id)
     floor = chain.collection_floor()
@@ -286,6 +288,7 @@ def _reference_features(intent, chain, config):
         recipient_flagged=chain.account(intent.to_addr).explorer_flagged,
         token_state=str(token.state),
         prior_abnormal=prior_abnormal,
+        model_score=model_score,
     )
 
 
@@ -357,10 +360,9 @@ def _risk_cases(draw):
 @given(_risk_cases())
 def test_features_rules_and_verdict_equal_the_fraction_reference(case):
     intent, view, config, model_score = case
-    features = extract_features(intent, view, config)
-    expected = _reference_features(intent, view, config)
+    features = extract_features(intent, view, config, model_score)
+    expected = _reference_features(intent, view, config, model_score)
     assert features == expected
-    features.model_score = expected.model_score = model_score
     assert features.to_payload() == expected.to_payload()
     hits = rule_hits(features, config)
     assert hits == _reference_rule_hits(expected, config)

@@ -46,16 +46,15 @@ def test_token_count_matches_mints(sim, parties):
 def test_guard_owner_on_ok_token_passes(sim, parties):
     alice, bob, _ = parties
     sim.contract.mint(alice, 1)
-    assert sim.contract.transfer_guard(1, alice).ok
-    assert sim.contract.transfer_guard(1, bob).reason == "NotAuthorized"
+    assert sim.contract.transfer_guard(1, alice) is None
+    assert sim.contract.transfer_guard(1, bob) == "NotAuthorized"
 
 
 def test_guard_rejects_locked_even_for_owner(sim, parties):
     alice, _, _ = parties
     sim.contract.mint(alice, 1)
     sim.access.lock(alice, 1)
-    result = sim.contract.transfer_guard(1, alice)
-    assert (result.ok, result.reason) == (False, "Locked")
+    assert sim.contract.transfer_guard(1, alice) == "Locked"
 
 
 def test_guard_freeze_expiry_is_inclusive(sim, parties):
@@ -63,11 +62,11 @@ def test_guard_freeze_expiry_is_inclusive(sim, parties):
     sim.contract.mint(alice, 1)
     now = sim.ledger.time
     sim.contract.token(1).frozen_until = now + 50
-    assert sim.contract.transfer_guard(1, alice).reason == "Frozen"
+    assert sim.contract.transfer_guard(1, alice) == "Frozen"
     sim.ledger.advance_time(49)
-    assert sim.contract.transfer_guard(1, alice).reason == "Frozen"
+    assert sim.contract.transfer_guard(1, alice) == "Frozen"
     sim.ledger.advance_time(1)  # now == frozen_until
-    assert sim.contract.transfer_guard(1, alice).ok
+    assert sim.contract.transfer_guard(1, alice) is None
 
 
 def test_guard_is_pure(sim, parties):
@@ -107,7 +106,7 @@ def test_operator_approval_flow(sim, parties):
     alice, bob, carol = parties
     sim.contract.mint(alice, 1)
     sim.contract.set_approval_for_all(alice, bob, True)
-    assert sim.contract.transfer_guard(1, bob).ok
+    assert sim.contract.transfer_guard(1, bob) is None
     outcome = sim.contract.transfer_from(bob, alice, carol, 1, to_units(10))
     assert outcome.status == "safe"
 
@@ -210,12 +209,12 @@ def test_every_dispatchable_action_has_an_effect_event():
 def test_lock_unlock_round_trip_restores_guard(sim, parties):
     alice, bob, _ = parties
     sim.contract.mint(alice, 1)
-    baseline = [(sim.contract.transfer_guard(1, who).ok, sim.contract.transfer_guard(1, who).reason) for who in parties]
+    baseline = [sim.contract.transfer_guard(1, who) for who in parties]
     sim.bridge.privileged_dispatch("lock", origin="dac", token_id=1)
     assert sim.contract.token(1).state is TokenState.LOCKED
     sim.bridge.privileged_dispatch("unlock", origin="dac", token_id=1)
     assert sim.contract.token(1).state is TokenState.OK
-    after = [(sim.contract.transfer_guard(1, who).ok, sim.contract.transfer_guard(1, who).reason) for who in parties]
+    after = [sim.contract.transfer_guard(1, who) for who in parties]
     assert after == baseline
 
 

@@ -1,4 +1,5 @@
 import pytest
+from decimal import Decimal
 from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
@@ -56,6 +57,12 @@ def test_rejects_too_fine_and_garbage():
         to_units("abc")
     with pytest.raises(RejectedInput):
         to_units(0.5)  # floats are banned from the money path
+
+
+@pytest.mark.parametrize("value", [Decimal("1"), Fraction(1)], ids=["Decimal", "Fraction"])
+def test_rejects_any_type_but_int_and_str(value):
+    with pytest.raises(RejectedInput, match="^not a value amount: "):
+        to_units(value)
 
 
 @pytest.mark.parametrize(
