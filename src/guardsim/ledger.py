@@ -4,12 +4,11 @@ Accounts, value balances, logical time and contract events all funnel through
 one append-only log. The log's canonical line-delimited JSON form is the unit
 of truth for replay: two runs agree if and only if their serialized logs are
 byte-identical, which `log_digest` condenses to a single hash. The ledger
-renders each event to its canonical line once, when its log bytes are first
-asked for, and keeps those bytes for the digest, log files and replay checks.
-``Ledger.matches`` checks a recorded log against the events a chunk at a time
-and keeps the recorded bytes of the chunks that matched as the log's, so a
-replay holds one copy of the log and renders each event once, apart from the
-chunk that failed.
+renders each event to its canonical line once, a chunk of events at a time,
+when its log bytes are first asked for, and keeps those bytes for the digest
+and log files. Replay and report keep neither: they check each chunk of
+re-executed events against the recorded log and then ``drop_checked`` it, after
+which the ledger has no log bytes to give.
 ``EVENT_KINDS`` is the one definition of an event, for writing and for
 reading: each kind's payload fields with their leaf kinds, and ``SHAPES`` the
 nested objects. From it, a kind's first use generates one function of
@@ -266,7 +265,7 @@ def _stray(p: dict, keys: frozenset, at: str) -> tuple[str, str]:
     return at + str(next(key for key in p if key not in keys)), "is not in the event table"
 
 
-# Events ``Ledger.matches`` renders at a time: about 40 KB of log lines, so a check never holds a second log.
+# Events rendered at a time: about 40 KB of log lines, so neither a render nor a check holds a second log.
 _CHUNK = 256
 
 
@@ -285,7 +284,7 @@ class Ledger:
         self.minted_total = 0
         self._next_seq = 1
         self._creation_counter = 0
-        self._log = b""  # canonical bytes of events[:_rendered]
+        self._log: bytes | None = b""  # canonical bytes of events[:_rendered]; None once events are dropped
         self._rendered = 0
 
     # -- event log ---------------------------------------------------------
@@ -303,29 +302,19 @@ class Ledger:
         return record
 
     def serialized(self) -> bytes:
-        """The log's canonical bytes; renders only the events appended since the last call."""
+        """The log's canonical bytes; renders only the events appended since the last call, ``_CHUNK`` at a time."""
+        if self._log is None:
+            raise RuntimeError("this ledger dropped events checked against a recorded log; it has no log bytes")
         if self._rendered < len(self.events):
-            self._log += serialize_events(self.events[self._rendered :])
+            starts = range(self._rendered, len(self.events), _CHUNK)
+            self._log += b"".join([serialize_events(self.events[start : start + _CHUNK]) for start in starts])
             self._rendered = len(self.events)
         return self._log
 
-    def matches(self, recorded: bytes) -> bool:
-        """Whether ``recorded`` is the log's canonical bytes, rendered and compared ``_CHUNK`` events at a time.
-
-        The ledger keeps the recorded bytes of every chunk that matched as its log bytes: on a match
-        that is ``recorded`` itself, so no second copy of the log is built, and after a mismatch only
-        the events past the kept prefix are left to render.
-        """
-        if not recorded.startswith(self._log):
-            return False
-        pos, rendered, events = len(self._log), self._rendered, self.events
-        for start in range(rendered, len(events), _CHUNK):
-            chunk = serialize_events(events[start : start + _CHUNK])
-            if not recorded.startswith(chunk, pos):
-                break
-            pos, rendered = pos + len(chunk), min(start + _CHUNK, len(events))
-        self._log, self._rendered = recorded[:pos], rendered  # a slice of all of ``recorded`` is ``recorded``
-        return rendered == len(events) and pos == len(recorded)
+    def drop_checked(self, count: int) -> None:
+        """Drop the first ``count`` events, checked against a recorded log; the log's bytes are then gone."""
+        del self.events[:count]
+        self._log = None
 
     def log_digest(self) -> bytes:
         return hashlib.sha256(self.serialized()).digest()

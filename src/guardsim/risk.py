@@ -85,20 +85,21 @@ class FeatureVector(NamedTuple):
     model_score: float
 
     def to_payload(self) -> dict:
+        sender, recipient, price, floor, ratio, turnover, s_credit, r_credit, s_flag, r_flag, state, abnormal, model = self
         return {
-            "sender": self.sender,
-            "recipient": self.recipient,
-            "price": fmt_units(self.price),
-            "floor": None if self.floor is None else fmt_units(self.floor),
-            "price_ratio": None if self.price_ratio is None else fmt_fraction(self.price_ratio),
-            "turnover_count": self.turnover_count,
-            "sender_credit": repr(self.sender_credit),
-            "recipient_credit": repr(self.recipient_credit),
-            "sender_flagged": self.sender_flagged,
-            "recipient_flagged": self.recipient_flagged,
-            "token_state": self.token_state,
-            "prior_abnormal": self.prior_abnormal,
-            "model_score": repr(self.model_score),
+            "sender": sender,
+            "recipient": recipient,
+            "price": fmt_units(price),
+            "floor": None if floor is None else fmt_units(floor),
+            "price_ratio": None if ratio is None else fmt_fraction(ratio),
+            "turnover_count": turnover,
+            "sender_credit": repr(s_credit),
+            "recipient_credit": repr(r_credit),
+            "sender_flagged": s_flag,
+            "recipient_flagged": r_flag,
+            "token_state": state,
+            "prior_abnormal": abnormal,
+            "model_score": repr(model),
         }
 
 

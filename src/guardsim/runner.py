@@ -7,35 +7,39 @@ failures are events, not aborts; attack scripts trip guards on purpose.
 ``execute_scenario`` and ``run_step`` are the one step loop: run, replay,
 report, state, case and the fuzzer all execute steps through them.
 
-Replay and report first read only the first Genesis line, decoded and checked
-against the event table, and the command string of each line that starts as a
-canonical Step line, in file order, each read as execution reaches it (keys
-are sorted, so a canonical line starts with its kind). That read checks no
+Replay and report stream a log front to back. Of its lines they decode only
+the first Genesis line, checked against the event table, and the command
+string of each line after it that starts as a canonical Step line, each read
+as execution reaches it (keys are sorted, so a canonical line starts with its
+kind). After a step, once a chunk of events is held, they are rendered and
+compared with the file's next unchecked bytes, report folds its counts, audit
+and digest over them, and they are dropped. So neither command holds the
+event history or the recorded file, and a replayed ledger has no log bytes.
+That read checks no
 Step event: a re-executed log equal to the recorded bytes is the program's own
 render of events the append check admitted, so it shows every line was
-canonical and in index order. The ledger compares the two a chunk of events
-at a time and keeps the recorded bytes of every chunk that matched as its log,
-so neither the command stream nor the log is ever held twice. Otherwise the
-whole log is parsed and compared line by line, in the same pass, which renders
-only the events after the kept prefix. Every parsed event must pass the event
-table's check, which the readers after the parse then trust; the first it
-refuses is a ReplayError naming its seq and field. State and case read the
-sim that replay re-executes.
+canonical and in index order. Otherwise the whole file is read again, parsed
+and compared line by line after the prefix that matched. Every parsed event
+must pass the event table's check, which the readers after the parse then
+trust; the first it refuses is a ReplayError naming its seq and field. State
+and case read the sim that replay re-executes.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from json.decoder import scanstring
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
-from .audit import audit_events
+from .audit import Audit, audit_events
 from .config import SimConfig, apply_override, config_from_payload
 from .errors import ParseError, RejectedInput, ReplayError, SimError, UnknownName
-from .ledger import SEEDS, EventRecord, check_event
+from .ledger import _CHUNK, SEEDS, EventRecord, Ledger, check_event, serialize_events
 from .scenario import VERBS, Scenario, Step, parse_step
 from .sim import Simulation
 
@@ -148,32 +152,25 @@ def run_step(ctx: RunContext, index: int, step: Step) -> list[EventRecord]:
     return ledger.events[before:]
 
 
-def build_report(ctx: RunContext) -> RunReport:
+def build_report(ctx: RunContext, audit: Audit | None = None, digest: str | None = None) -> RunReport:
+    """The report of a run. ``audit`` has folded the run's events and ``digest`` is its log's, for a
+    ledger that dropped them as they were checked; by default both come from the ledger's events."""
     sim = ctx.sim
-    events = sim.ledger.events
-    steps_total = steps_rejected = 0
-    verdict_counts: dict[str, int] = {}
-    for _seq, _time, kind, payload in events:
-        if kind == "Step":
-            steps_total += 1
-        elif kind == "StepRejected":
-            steps_rejected += 1
-        elif kind == "RiskFulfilled":
-            verdict_counts[payload["status"]] = verdict_counts.get(payload["status"], 0) + 1
+    audit = Audit(sim.ledger.events) if audit is None else audit
     outcomes = [
         {"case_id": case.case_id, "verdict": case.verdict, "auto": case.auto_opened}
         for case in sim.arbitration.cases.values()
     ]
     return RunReport(
         name=sim.name,
-        steps_total=steps_total,
-        steps_rejected=steps_rejected,
+        steps_total=audit.steps,
+        steps_rejected=audit.rejected,
         final_tokens=[sim.contract.state_line(tid) for tid in sorted(sim.contract.tokens)],
-        verdict_counts=verdict_counts,
+        verdict_counts=audit.verdicts,
         case_outcomes=outcomes,
         conservation_ok=sim.ledger.conservation_holds(),
-        violations=audit_events(events),
-        digest=sim.ledger.log_digest().hex(),
+        violations=audit.finish(),
+        digest=digest or sim.ledger.log_digest().hex(),
         names=dict(ctx.names),
     )
 
@@ -260,33 +257,28 @@ _GENESIS = b'{"kind":"Genesis",'
 _STEP = b'{"kind":"Step","payload":{"command":"'  # keys are sorted: a canonical line starts with its kind
 
 
-def _lines(data: bytes, prefix: bytes) -> Iterator[bytes]:
-    """Each line of ``data`` that starts with ``prefix``, in file order, found without splitting ``data``."""
-    marker = b"\n" + prefix
-    start = 0 if data.startswith(prefix) else data.find(marker) + 1 or -1  # -1: no line left
-    while start >= 0:
-        end = data.find(b"\n", start)
-        yield data[start:end] if end >= 0 else data[start:]
-        start = data.find(marker, start) + 1 or -1
-
-
-def _fast_scenario(data: bytes) -> tuple[Scenario, SimConfig] | None:
-    """The stepless scenario and the config of the first line that starts as a canonical Genesis
-    line, with ``_fast_steps`` as its steps; None if that line is missing or does not make one."""
+def _fast_scenario(lines: Iterator[bytes]) -> tuple[Scenario, SimConfig] | None:
+    """The stepless scenario and the config of the first of ``lines`` that starts as a canonical
+    Genesis line, read up to that line, with ``_fast_steps`` of the lines after it as its steps; None
+    if that line is missing or does not make one. A Step line before it cannot match a run, which
+    logs its Genesis event before any step."""
+    genesis = next((line for line in lines if line.startswith(_GENESIS)), b"")
     try:  # on a failure the full parse decodes the log again and names the bad line
-        scenario, config = _genesis_scenario(_event(json.loads(next(_lines(data, _GENESIS))), 0))
-    except (StopIteration, ValueError, ReplayError):
+        scenario, config = _genesis_scenario(_event(json.loads(genesis), 0))
+    except (ValueError, ReplayError):
         return None
-    scenario.steps = _fast_steps(data)
+    scenario.steps = _fast_steps(lines)
     return scenario, config
 
 
-def _fast_steps(data: bytes) -> Iterator[Step]:
-    """The step of each line that starts as a canonical Step line, in file order, each read as
+def _fast_steps(lines: Iterable[bytes]) -> Iterator[Step]:
+    """The step of each of ``lines`` that starts as a canonical Step line, in order, each read as
     execution reaches it. The stream ends before a command that does not decode or parse or is not
-    in normal form: a run of it logs no such line, so it cannot re-execute ``data``. Sound only once
-    the re-executed bytes equal ``data``."""
-    for line in _lines(data, _STEP):
+    in normal form: a run of it logs no such line, so it cannot re-execute the log. Sound only once
+    the re-executed bytes equal the log's."""
+    for line in lines:
+        if not line.startswith(_STEP):
+            continue
         try:
             command = scanstring(line.decode("ascii"), len(_STEP))[0]
             step = parse_step(command)
@@ -297,32 +289,88 @@ def _fast_steps(data: bytes) -> Iterator[Step]:
         yield step
 
 
-def _reexecute(data: bytes) -> tuple[RunContext, int | None, list[EventRecord] | None]:
+class _Check:
+    """The re-executed events, checked against the recorded file as the run reads it.
+
+    After a step, once ``_CHUNK`` events are held, ``check`` renders them and compares them with
+    the file's next unchecked bytes, read without moving the step stream's place in the file. A
+    chunk that matches is folded into ``audit`` and ``digest`` (given ``fold``) and dropped from
+    the ledger; at the first that differs, checking stops and the ledger keeps every later event.
+    """
+
+    def __init__(self, file: BinaryIO | None, fold: bool):
+        self.file, self.audit, self.digest = file, Audit() if fold else None, hashlib.sha256()
+        self.ok = True  # no chunk differed
+        self.lines = self.bytes = 0  # the recorded lines that matched, and their size
+
+    def on_step(self, ctx: RunContext, _step: Step, _events) -> None:
+        if self.ok and len(ctx.sim.ledger.events) >= _CHUNK:
+            self.check(ctx.sim.ledger)
+
+    def check(self, ledger: Ledger) -> None:
+        events, file = ledger.events, self.file
+        chunk = serialize_events(events)
+        resume = file.tell()
+        file.seek(self.bytes)
+        self.ok = file.read(len(chunk)) == chunk
+        file.seek(resume)
+        if self.ok:
+            self.fold(events, chunk)
+            self.lines, self.bytes = self.lines + len(events), self.bytes + len(chunk)
+            ledger.drop_checked(len(events))
+
+    def fold(self, events: list[EventRecord], rendered: bytes) -> None:
+        if self.audit is not None:
+            for ev in events:
+                self.audit.add(ev)
+            self.digest.update(rendered)
+
+    def matched(self, ledger: Ledger) -> bool:
+        """Whether the file holds the events checked and those the ledger holds, and nothing more."""
+        if self.ok:
+            self.check(ledger)
+        self.file.seek(self.bytes)
+        return self.ok and not self.file.read(1)
+
+
+def _reexecute(path: str | Path, fold: bool = False) -> tuple[RunContext, int | None, list[EventRecord] | None, _Check]:
     """Execute the command stream a log embeds, under its genesis seed and config, and compare.
 
     Returns the run's context, the 1-based seq of the first recorded line that differs from the
-    re-executed log (None if no line does), and the recorded events (None if the recorded bytes
-    are the canonical log). Equal bytes pass, compared a chunk at a time; only on a mismatch are
-    both sides split into lines, and blank recorded lines are ignored. The fast run is reused when
-    the full parse reads the same stream.
+    re-executed log (None if no line does), the recorded events (None if the recorded bytes are the
+    canonical log), and the check, whose ``audit`` (given ``fold``) and ``digest`` have folded the
+    run's whole log. The run streams the file's Step lines while ``_Check`` compares its events
+    with the file a chunk at a time; a pipe is read whole first. Only on a mismatch is the whole
+    file read: the full parse, the fast run reused when the parse reads the same stream, and the
+    line split after the prefix that matched, with blank recorded lines ignored.
     """
-    fast = _fast_scenario(data)
-    if fast is not None:
-        ctx = execute_scenario(fast[0], base_config=fast[1])
-        if ctx.sim.ledger.matches(data):
-            return ctx, None, None
-        fast[0].steps = list(_fast_steps(data))  # the stream the fast run executed
+    with open(path, "rb") as file:
+        if not file.seekable():  # a pipe: read it whole
+            file = io.BytesIO(file.read())
+        check = _Check(file, fold)
+        fast = _fast_scenario(file)
+        if fast is not None:
+            ctx = execute_scenario(fast[0], base_config=fast[1], on_step=check.on_step)
+            if check.matched(ctx.sim.ledger):
+                return ctx, None, None, check
+            file.seek(0)
+            fast[0].steps = list(_fast_scenario(file)[0].steps)  # the stream the fast run executed
+        file.seek(0)
+        data = file.read()
     events = parse_log(data)
     parsed = scenario_from_events(events)
     if parsed != fast:
         ctx = execute_scenario(parsed[0], base_config=parsed[1])
+        check = _Check(None, fold)  # nothing of this run was checked
     del fast, parsed  # free both command streams before the line split
-    have = [line for line in data.split(b"\n") if line]
-    want = ctx.sim.ledger.serialized().split(b"\n")[:-1]  # renders only what no matched chunk kept
-    for seq, (have_line, want_line) in enumerate(zip_longest(have, want), start=1):
+    have = [line for line in data[check.bytes :].split(b"\n") if line]
+    rest = serialize_events(ctx.sim.ledger.events)  # the events no chunk check dropped
+    check.fold(ctx.sim.ledger.events, rest)
+    want = rest.split(b"\n")[:-1]
+    for seq, (have_line, want_line) in enumerate(zip_longest(have, want), start=check.lines + 1):
         if have_line != want_line:
-            return ctx, seq, events
-    return ctx, None, events
+            return ctx, seq, events, check
+    return ctx, None, events, check
 
 
 def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
@@ -330,7 +378,7 @@ def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
 
     Any surviving single-byte difference names its seq.
     """
-    ctx, seq, _events = _reexecute(Path(path).read_bytes())
+    ctx, seq, _events, _check = _reexecute(path)
     if seq is not None:
         return ReplayOutcome(False, seq, "event diverges from deterministic re-execution"), ctx.sim
     return ReplayOutcome(True), ctx.sim
@@ -342,8 +390,8 @@ def report_from_log(path: str | Path) -> RunReport:
     Recorded bytes equal to the re-run's canonical bytes are the same events, so
     the recorded events are audited on their own only when the two diverge.
     """
-    ctx, seq, events = _reexecute(Path(path).read_bytes())
-    report = build_report(ctx)
+    ctx, seq, events, check = _reexecute(path, fold=True)
+    report = build_report(ctx, check.audit, check.digest.hexdigest())
     if seq is not None:
         recorded = [v for v in audit_events(events) if v not in report.violations]
         report.violations.extend(recorded)

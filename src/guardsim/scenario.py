@@ -132,12 +132,12 @@ VERBS: dict[str, Verb] = {
 }
 
 _DIRECTIVES = {"NAME", "SEED", "CONFIG"}
+_VERB_NAMES = {verb: verb for verb in VERBS}
 
 
 class Step(NamedTuple):
     line_no: int
-    verb: str
-    args: tuple[str, ...]
+    verb: str  # the key of its ``VERBS`` entry, shared by every step of the verb
     values: tuple  # one per kind: ints converted, trailing text joined, defaults filled in
     raw: str  # the verb and its args joined by single spaces: the step's normal form
 
@@ -184,7 +184,7 @@ def make_step(verb: str, args: tuple[str, ...], values: tuple, line_no: int = 0)
     """The step of ``verb`` with argument words ``args`` and their ``values``; its normal form
     joins the verb and the words by single spaces. ``values`` must be what ``parse_step`` makes
     of the words, which the fuzzer's steps are tested against."""
-    return Step(line_no, verb, args, values, " ".join((verb, *args)))
+    return Step(line_no, _VERB_NAMES[verb], values, " ".join((verb, *args)))
 
 
 def parse_scenario(text: str, default_name: str = "") -> Scenario:

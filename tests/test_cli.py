@@ -254,7 +254,8 @@ def test_a_bad_step_line_abandons_the_fast_run_for_the_full_parse(tmp_path, caps
     lines[target] = lines[target].replace(f'"command":"{old}'.encode(), f'"command":"{new}'.encode(), 1)
     log.write_bytes(b"".join(lines))
     # the fast stream ends at the bad line, so its run cannot re-execute the log
-    steps = [step.raw for step in runner._fast_scenario(log.read_bytes())[0].steps]
+    with log.open("rb") as file:
+        steps = [step.raw for step in runner._fast_scenario(file)[0].steps]
     assert steps == [json.loads(line)["payload"]["command"] for line in lines[:target] if b'"kind":"Step"' in line]
     capsys.readouterr()
     for command in ("replay", "report", "state"):

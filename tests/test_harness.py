@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from guardsim.audit import Audit
 from guardsim.config import SimConfig, apply_override, load_config
 from guardsim.errors import RejectedInput, ReplayError
 from guardsim.fuzz import Fuzzer
@@ -189,7 +191,16 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
 
 
 def _count_audits(monkeypatch) -> list[int]:
-    return _count_calls(monkeypatch, "audit_events")
+    """Count the audit folds begun, by ``audit_events`` or by a report's check, in a one-element list."""
+    calls = [0]
+    original = Audit.__init__
+
+    def counting(audit, *events):
+        calls[0] += 1
+        original(audit, *events)
+
+    monkeypatch.setattr(Audit, "__init__", counting)
+    return calls
 
 
 def _replay_and_report_counted(monkeypatch, log):
@@ -347,7 +358,7 @@ def test_each_execution_renders_each_event_once(tmp_path, monkeypatch):
 
 
 def test_a_tampered_log_renders_each_event_about_once(tmp_path, monkeypatch):
-    # a failed byte check keeps every chunk that matched, so the line comparison renders only the rest
+    # the chunks that matched are dropped as they are checked, so the line comparison renders only the rest
     text = "ACCOUNT a 10\n" + "".join(f"MINT a {token_id}\n" for token_id in range(1, 6001))
     lines = run_scenario(parse_scenario(text))[0].ledger.serialized().splitlines(keepends=True)
     assert lines[-1].startswith(b'{"kind":"Minted",') and b'"token_id":6000}' in lines[-1]
@@ -483,7 +494,7 @@ def test_the_fast_read_equals_the_full_parse(source, monkeypatch):
     else:
         logs = [run_scenario(load_scenario(source))[0].ledger.serialized()]
     for data in logs:
-        fast = runner._fast_scenario(data)
+        fast = runner._fast_scenario(io.BytesIO(data))
         scenario, config = runner.scenario_from_events(runner.parse_log(data))
         assert fast is not None and scenario.steps
         assert (list(fast[0].steps), fast[0].name, fast[0].seed, fast[1]) == (

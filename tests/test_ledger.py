@@ -194,16 +194,15 @@ def _ledger_of(events: int) -> Ledger:
     return ledger
 
 
-def test_matches_compares_a_recorded_log_across_chunks_and_keeps_it():
-    want = serialize_events(_ledger_of(600).events)  # three chunks of 256 events
-    late = want.rindex(b"AccountCreated")  # in the last chunk
-    for recorded in (want[:-1], want + b"\n", want[:late] + b"X" + want[late + 1 :], b"", b"\n" + want):
-        assert not _ledger_of(600).matches(recorded)
-    ledger = _ledger_of(600)
-    assert ledger.matches(want)
-    assert ledger.serialized() is want  # the recorded bytes became the log's
-    assert ledger.matches(want)
+def test_serialized_renders_across_chunks_and_raises_once_events_are_dropped():
+    ledger = _ledger_of(600)  # three chunks of 256 events
+    want = serialize_events(ledger.events)
+    assert ledger.serialized() == want
     ledger.advance_time(1)
     assert ledger.serialized() == serialize_events(ledger.events)
-    assert not ledger.matches(want)
-    assert _ledger_of(0).matches(b"")
+    ledger.drop_checked(600)
+    assert [ev.kind for ev in ledger.events] == ["TimeAdvanced"]
+    with pytest.raises(RuntimeError, match="no log bytes"):
+        ledger.serialized()
+    with pytest.raises(RuntimeError, match="no log bytes"):
+        ledger.log_digest()

@@ -1,9 +1,10 @@
-"""Replay and report hold one copy of the log.
+"""Replay and report hold neither the log nor the event history.
 
-They re-execute a log and check the new events against the recorded bytes a
-chunk at a time, and on a match the ledger keeps the recorded bytes as its
-log. So replay's peak memory exceeds what its result holds by a small part of
-the log's size, and report's peak exceeds it by about one log.
+They stream a log front to back and check the re-executed events against the
+file a chunk at a time; a chunk that matches is dropped (report folds its
+counts, audit and digest over it first). So what they
+use beyond the state they hold, the replayed simulation and report's result,
+stays about the same as the log grows: it is the chunks in flight, not the log.
 """
 
 import gc
@@ -14,17 +15,22 @@ import pytest
 from guardsim.runner import replay_log, report_from_log, run_scenario, write_log
 from guardsim.scenario import parse_scenario
 
+MB = 1_000_000
+
 
 @pytest.fixture(scope="module")
-def mint_log(tmp_path_factory):
-    """A log of 6,000 MINTs, about 1.2 MB."""
-    text = "ACCOUNT a 10\n" + "".join(f"MINT a {token_id}\n" for token_id in range(1, 6001))
-    sim, report = run_scenario(parse_scenario(text))
-    assert report.ok and report.steps_rejected == 0
-    log = tmp_path_factory.mktemp("memory") / "mints.jsonl"
-    write_log(sim, log)
-    assert log.stat().st_size > 1_000_000
-    return log
+def mint_logs(tmp_path_factory):
+    """Logs of 3,000 and 6,000 MINTs, about 0.6 and 1.2 MB."""
+    logs = []
+    for mints in (3000, 6000):
+        text = "ACCOUNT a 10\n" + "".join(f"MINT a {token_id}\n" for token_id in range(1, mints + 1))
+        sim, report = run_scenario(parse_scenario(text))
+        assert report.ok and report.steps_rejected == 0
+        log = tmp_path_factory.mktemp("memory") / f"mints-{mints}.jsonl"
+        write_log(sim, log)
+        logs.append(log)
+    assert logs[-1].stat().st_size > MB
+    return logs
 
 
 def traced(call, *args):
@@ -40,13 +46,30 @@ def traced(call, *args):
     return result, held - before, peak - before
 
 
-def test_replay_and_report_build_no_second_copy_of_the_log(mint_log):
-    size = mint_log.stat().st_size
-    (outcome, sim), replay_held, replay_peak = traced(replay_log, mint_log)
+def net_peaks(log) -> tuple[int, int]:
+    """The peaks of replay and report above the state each holds: the replayed simulation, and report's result."""
+    (outcome, sim), replay_held, replay_peak = traced(replay_log, log)
     assert outcome.passed
-    assert sim.ledger.serialized() == mint_log.read_bytes()
     del sim
-    assert replay_peak - replay_held < 0.25 * size, (replay_peak - replay_held) / size
-    report, _held, report_peak = traced(report_from_log, mint_log)
+    report, report_held, report_peak = traced(report_from_log, log)
     assert report.ok
-    assert report_peak < replay_held + 1.5 * size, (report_peak - replay_held) / size
+    return replay_peak - replay_held, report_peak - replay_held - report_held
+
+
+def test_replay_and_report_build_no_second_copy_of_the_log(mint_logs):
+    # nor a first: what they use beyond their state does not grow with the log
+    sizes = [log.stat().st_size for log in mint_logs]
+    (replay_small, report_small), (replay_large, report_large) = map(net_peaks, mint_logs)
+    added = (sizes[1] - sizes[0]) / MB
+    assert (replay_large - replay_small) / MB <= 0.25 * added, (replay_small, replay_large)
+    assert (report_large - report_small) / MB <= 0.25 * added, (report_small, report_large)
+    for size, replay, report in zip(sizes, (replay_small, replay_large), (report_small, report_large)):
+        assert replay < 0.5 * size and report < 0.5 * size, (size, replay, report)
+    assert replay_large < 0.25 * sizes[1], replay_large / sizes[1]
+
+
+def test_a_replayed_ledger_keeps_no_log(mint_logs):
+    outcome, sim = replay_log(mint_logs[0])
+    assert outcome.passed and sim.ledger.events == []
+    with pytest.raises(RuntimeError, match="no log bytes"):
+        sim.ledger.serialized()

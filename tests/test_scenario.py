@@ -39,8 +39,9 @@ def test_arity_and_int_validation():
 
 def test_parse_step_reads_one_line():
     step = parse_step("mint  a 1_000   # comment", 7)
-    assert (step.line_no, step.verb, step.args, step.values) == (7, "MINT", ("a", "1_000"), ("a", 1000))
+    assert (step.line_no, step.verb, step.values) == (7, "MINT", ("a", 1000))
     assert step.raw == "MINT a 1_000"  # the logged command keeps the integer as written
+    assert step.verb is parse_step("MINT b 2").verb  # one verb string per verb, not one per line
     assert parse_step("FLAG a").values == ("a", "on")
     assert parse_step("FLAG a off").values == ("a", "off")
     assert parse_step("EVIDENCE a 1").values == ("a", 1, "")
