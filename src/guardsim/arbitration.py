@@ -23,7 +23,6 @@ from .errors import (
     CaseClosedError,
     DuplicateCase,
     InsufficientJurors,
-    NoVerdict,
     NotAParty,
     NotJuror,
     UnknownCase,
@@ -211,10 +210,6 @@ class ArbitrationSystem:
 
     def close_case(self, case_id: int) -> None:
         case = self.case(case_id)
-        if case.status == CLOSED:
-            raise CaseClosedError(str(case_id))
-        if case.verdict is None:
-            raise NoVerdict(str(case_id))
         token = self.contract.token(case.token_id)
         cfg = self.jury_config
         aligned = [j for j in case.tally.votes if case.tally.votes[j] == case.verdict]

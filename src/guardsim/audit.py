@@ -40,8 +40,9 @@ class Audit:
     def __init__(self, events: Iterable[EventRecord] = ()):
         self.violations: list[str] = []
         self.balances: dict[str, int] = {}
-        self.request_ids: list[int] = []
-        self.fulfilled: dict[int, int] = {}
+        # the number of risk requests so far, whether the n-th had id n, and the last one's id
+        self.requests, self.gap_free, self.last_request = 0, True, None
+        self.unpaired: dict[int, str] | None = {}  # request id -> the kind of its one event so far; None once broken
         self.reclaimed: set[int] = set()  # the tokens whose last ownership event left them RECLAIMED
         self.juror_reward_each: int | None = None
         self.gas_fee = JuryConfig().gas_fee  # replaced by the genesis config
@@ -54,6 +55,18 @@ class Audit:
     def _check_balance(self, seq: int, addr: str, recorded: str) -> None:
         if self.balances.get(addr, 0) != to_units(recorded):
             self.violations.append(f"seq {seq}: recorded balance for {addr} diverges from refolded history")
+
+    def _pair(self, request_id: int, kind: str) -> None:
+        """Fold a RiskRequested or RiskFulfilled event into the pairing check: request ids rise strictly,
+        and each is fulfilled once, before or after its request. An id at or below the last request
+        that no unpaired event holds can never pair, so it breaks pairing for good."""
+        unpaired, last = self.unpaired, self.last_request
+        if unpaired is not None:
+            half = unpaired.pop(request_id, None)
+            if half == kind or (last is not None and request_id <= last and (half is None or kind == "RiskRequested")):
+                self.unpaired = None
+            elif half is None:
+                unpaired[request_id] = kind
 
     def add(self, ev: EventRecord) -> None:
         seq, _time, kind, p = ev
@@ -85,9 +98,12 @@ class Audit:
                 if p["reason"] == "juror_reward":
                     self.reward_minted_total += amount
             elif kind == "RiskRequested":
-                self.request_ids.append(p["request_id"])
+                self.requests += 1
+                self.gap_free = self.gap_free and p["request_id"] == self.requests
+                self._pair(p["request_id"], kind)
+                self.last_request = p["request_id"]
             elif kind == "RiskFulfilled":
-                self.fulfilled[p["request_id"]] = self.fulfilled.get(p["request_id"], 0) + 1
+                self._pair(p["request_id"], kind)
                 self.verdicts[p["status"]] = self.verdicts.get(p["status"], 0) + 1
             elif kind == "HonorAwarded":
                 self.honor_count += 1
@@ -145,9 +161,9 @@ class Audit:
             violations.append(f"seq {self.previous.seq}: OracleDispatch without its effect event immediately after")
         if sum(self.balances.values()) != self.minted:
             violations.append("conservation: account balances do not equal total minted value")
-        if sorted(self.fulfilled) != self.request_ids or any(n != 1 for n in self.fulfilled.values()):
+        if self.unpaired is None or self.unpaired:
             violations.append("request/fulfill pairing broken")
-        if self.request_ids != list(range(1, len(self.request_ids) + 1)):
+        if not self.gap_free:
             violations.append("request ids are not gap-free")
         if self.juror_reward_each is not None and self.reward_minted_total != self.honor_count * self.juror_reward_each:
             violations.append("minted juror rewards do not match honor awards")

@@ -120,10 +120,6 @@ class AlreadyEmpaneled(SimError):
     code = "AlreadyEmpaneled"
 
 
-class NoVerdict(SimError):
-    code = "NoVerdict"
-
-
 class UnknownCase(SimError):
     code = "UnknownCase"
 

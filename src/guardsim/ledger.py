@@ -4,11 +4,13 @@ Accounts, value balances, logical time and contract events all funnel through
 one append-only log. The log's canonical line-delimited JSON form is the unit
 of truth for replay: two runs agree if and only if their serialized logs are
 byte-identical, which `log_digest` condenses to a single hash. The ledger
-renders each event to its canonical line once, a chunk of events at a time,
-when its log bytes are first asked for, and keeps those bytes for the digest
-and log files. Replay and report keep neither: they check each chunk of
-re-executed events against the recorded log and then ``drop_checked`` it, after
-which the ledger has no log bytes to give.
+renders each event to its canonical line once, ``_CHUNK`` events a chunk, when
+its log's bytes are first asked for. It hashes each chunk as it is rendered and
+keeps the chunks, never joined, only until ``write`` puts them in a file: then
+it drops them and keeps the digest, so the file is the log's only copy, and a
+later request for bytes renders the whole log again. Replay and report keep
+neither: they check each chunk of re-executed events against the recorded log
+and then ``drop_checked`` it, after which the ledger has no log bytes to give.
 ``EVENT_KINDS`` is the one definition of an event, for writing and for
 reading: each kind's payload fields with their leaf kinds, and ``SHAPES`` the
 nested objects. From it, a kind's first use generates one function of
@@ -34,7 +36,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from .errors import InsufficientFunds, RejectedInput, UnknownAccount
 from .units import fmt_units
@@ -284,8 +286,9 @@ class Ledger:
         self.minted_total = 0
         self._next_seq = 1
         self._creation_counter = 0
-        self._log: bytes | None = b""  # canonical bytes of events[:_rendered]; None once events are dropped
-        self._rendered = 0
+        self._chunks: list[bytes] | None = []  # canonical bytes of events[:_hashed]; None once written
+        self._hash = hashlib.sha256()  # of the canonical bytes of events[:_hashed]
+        self._hashed: int | None = 0  # None once checked events are dropped
 
     # -- event log ---------------------------------------------------------
 
@@ -301,23 +304,34 @@ class Ledger:
         self.events.append(record)
         return record
 
-    def serialized(self) -> bytes:
-        """The log's canonical bytes; renders only the events appended since the last call, ``_CHUNK`` at a time."""
-        if self._log is None:
+    def _render(self) -> list[bytes]:
+        """The log's canonical bytes, ``_CHUNK`` events a chunk; renders and hashes only the events not yet hashed."""
+        if self._hashed is None:
             raise RuntimeError("this ledger dropped events checked against a recorded log; it has no log bytes")
-        if self._rendered < len(self.events):
-            starts = range(self._rendered, len(self.events), _CHUNK)
-            self._log += b"".join([serialize_events(self.events[start : start + _CHUNK]) for start in starts])
-            self._rendered = len(self.events)
-        return self._log
+        if self._chunks is None:  # written: render and hash the whole log again
+            self._chunks, self._hash, self._hashed = [], hashlib.sha256(), 0
+        for start in range(self._hashed, len(self.events), _CHUNK):
+            chunk = serialize_events(self.events[start : start + _CHUNK])
+            self._chunks.append(chunk)
+            self._hash.update(chunk)
+        self._hashed = len(self.events)
+        return self._chunks
 
     def drop_checked(self, count: int) -> None:
         """Drop the first ``count`` events, checked against a recorded log; the log's bytes are then gone."""
         del self.events[:count]
-        self._log = None
+        self._hashed = None
 
     def log_digest(self) -> bytes:
-        return hashlib.sha256(self.serialized()).digest()
+        """The log's SHA-256; renders nothing if no event was appended since the last digest or write."""
+        if self._hashed != len(self.events):
+            self._render()
+        return self._hash.digest()
+
+    def write(self, file: BinaryIO) -> None:
+        """Write the log's canonical bytes to ``file``, then drop them: the file is their only copy."""
+        file.writelines(self._render())
+        self._chunks = None
 
     # -- accounts and value ------------------------------------------------
 

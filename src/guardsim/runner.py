@@ -179,7 +179,8 @@ def build_report(ctx: RunContext, audit: Audit | None = None, digest: str | None
 
 
 def write_log(sim: Simulation, path: str | Path) -> None:
-    Path(path).write_bytes(sim.ledger.serialized())
+    with open(path, "wb") as file:
+        sim.ledger.write(file)
 
 
 def read_log(path: str | Path) -> list[EventRecord]:

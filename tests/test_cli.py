@@ -7,7 +7,7 @@ import pytest
 from guardsim import cli, runner
 from guardsim.cli import main
 from guardsim.fuzz import Fuzzer
-from guardsim.ledger import EVENT_KINDS
+from guardsim.ledger import EVENT_KINDS, serialize_events
 from guardsim.runner import ReplayOutcome, run_scenario, write_log
 from guardsim.scenario import load_scenario
 from test_fast_paths import logged_sims
@@ -343,7 +343,7 @@ def first_logs() -> dict[str, tuple[bytes, dict]]:
     for sim in logged_sims():
         for ev in sim.ledger.events:
             if ev.kind not in logs:
-                logs[ev.kind] = (sim.ledger.serialized(), ev.payload)
+                logs[ev.kind] = (serialize_events(sim.ledger.events), ev.payload)
     return logs
 
 

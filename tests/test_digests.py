@@ -13,6 +13,7 @@ import pytest
 
 from guardsim.cli import main
 from guardsim.fuzz import Fuzzer
+from guardsim.ledger import serialize_events
 from guardsim.scenario import VERBS
 from guardsim.sim import Simulation
 
@@ -28,6 +29,7 @@ GOLDEN = {
     "tests/regressions/bad_amounts.tps": "b3e780d87ddc5e932a20645df2a635a15d4a5d042007a21d69acf334ab24350a",
     "tests/regressions/dangling_dispatch.tps": "7998fdf06cc0bd4b5edfc92466d59c39875dddf7d137112b1712b7c2a06580df",
     "tests/regressions/huge_ticks.tps": "90cec27be1d7ab9fd1e26a3c6eb30b012ff83993f93aa981bda5d482edeaf219",
+    "tests/regressions/unreached_refusals.tps": "d0a7c93fb8eacbaa1ffc7cccdf217e3df38408dd585662733800c7fa843dbc85",
     "tests/regressions/zero_economics.tps": "a4c11395b65a69176dd3cae268233ab69668b22180e7e9dbdda48c0e61956b4c",
 }
 
@@ -65,7 +67,7 @@ def test_fuzz_corpus_digest_is_pinned(seed, monkeypatch):
     monkeypatch.setattr(Simulation, "__init__", recording_init)
     result = Fuzzer(seed).run(8 * 400)
     assert result.ok and len(sims) == result.sequences == 8
-    digest = hashlib.sha256(b"".join(sim.ledger.serialized() for sim in sims)).hexdigest()
+    digest = hashlib.sha256(b"".join(serialize_events(sim.ledger.events) for sim in sims)).hexdigest()
     assert (digest, result.transfers_checked) == FUZZ_CORPUS[seed]
     # every verb of the DSL is generated: a new verb without a generator fails here
     commands = {ev.payload["command"] for sim in sims for ev in sim.ledger.events if ev.kind == "Step"}

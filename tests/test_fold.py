@@ -12,11 +12,11 @@ import threading
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guardsim.audit import Audit, audit_events
-from guardsim.ledger import EventRecord
+from guardsim.ledger import EventRecord, serialize_events
 from guardsim.runner import parse_log, replay_log, report_from_log, run_scenario, scenario_from_events
 from guardsim.scenario import load_scenario
 
@@ -33,7 +33,7 @@ def fuzz_logs():
 def _logs(source, fuzz_logs) -> list[bytes]:
     if type(source) is int:
         return fuzz_logs[source]
-    return [run_scenario(load_scenario(source))[0].ledger.serialized()]
+    return [serialize_events(run_scenario(load_scenario(source))[0].ledger.events)]
 
 
 def _rerun(data: bytes):
@@ -178,6 +178,65 @@ def test_the_audit_keeps_only_the_reclaimed_tokens_and_flags_what_every_state_wo
     token_checks = ("reclaimed token", "not locked on receipt", "that was not reclaimed")
     found = [v for v in audit_events(events) if any(check in v for check in token_checks)]
     assert found == _token_state_violations(moves)
+
+
+_RISK = ("RiskRequested", "RiskFulfilled")
+_PAIRING = ("request/fulfill pairing broken", "request ids are not gap-free")
+
+
+def _pairing_violations(stream) -> list[str]:
+    """The request/fulfil checks on the list of request ids and a count per fulfilled id."""
+    request_ids, fulfilled = [], {}
+    for kind, request_id in stream:
+        if kind == "RiskRequested":
+            request_ids.append(request_id)
+        else:
+            fulfilled[request_id] = fulfilled.get(request_id, 0) + 1
+    found = []
+    if sorted(fulfilled) != request_ids or any(n != 1 for n in fulfilled.values()):
+        found.append(_PAIRING[0])
+    if request_ids != list(range(1, len(request_ids) + 1)):
+        found.append(_PAIRING[1])
+    return found
+
+
+@st.composite
+def _risk_streams(draw):
+    """Requests 1..n, each followed by its fulfil, then edited: an event dropped, one with any id
+    inserted, or two neighbours swapped. So ids repeat, go missing or backwards, are never
+    requested, or are fulfilled before they are requested."""
+    n = draw(st.integers(0, 6))
+    stream = [(kind, request_id) for request_id in range(1, n + 1) for kind in _RISK]
+    for _ in range(draw(st.integers(0, 3))):
+        edit, at = draw(st.sampled_from(("drop", "insert", "swap"))), draw(st.integers(0, len(stream)))
+        if edit == "insert":
+            stream.insert(at, (draw(st.sampled_from(_RISK)), draw(st.integers(-1, n + 2))))
+        elif edit == "drop" and at < len(stream):
+            del stream[at]
+        elif at + 1 < len(stream):
+            stream[at], stream[at + 1] = stream[at + 1], stream[at]
+    return stream
+
+
+@settings(max_examples=500, deadline=None)
+@given(_risk_streams())
+@example([("RiskRequested", 0), ("RiskFulfilled", 0)])  # pairs, though no id 0 is ever requested in a run
+def test_the_audit_pairs_requests_as_it_reads_them_as_the_whole_lists_would(stream):
+    events = [
+        EventRecord(seq, 0, kind, {"request_id": request_id, **({"status": "safe"} if kind == "RiskFulfilled" else {})})
+        for seq, (kind, request_id) in enumerate(stream, start=1)
+    ]
+    assert [v for v in audit_events(events) if v in _PAIRING] == _pairing_violations(stream)
+
+
+def test_the_audit_holds_only_the_open_requests():
+    audit = Audit()
+    for request_id in range(1, 1001):
+        audit.add(EventRecord(2 * request_id - 1, 0, "RiskRequested", {"request_id": request_id}))
+        assert audit.unpaired == {request_id: "RiskRequested"}
+        audit.add(EventRecord(2 * request_id, 0, "RiskFulfilled", {"request_id": request_id, "status": "safe"}))
+        assert audit.unpaired == {}
+    assert audit.finish() == []
 
 
 @pytest.mark.parametrize("seed", sorted(FUZZ_CORPUS))

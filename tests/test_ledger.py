@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from guardsim import ledger as ledger_module
 from guardsim.errors import InsufficientFunds, RejectedInput
 from guardsim.ledger import Ledger, derive_address, serialize_events
 from guardsim.units import to_units
@@ -172,17 +173,25 @@ def test_conservation_across_mixed_operations():
     assert hashlib.sha256(serialize_events(ledger.events)).digest() == ledger.log_digest()
 
 
-def test_serialized_renders_new_events_on_demand():
+def _written(ledger: Ledger, path) -> bytes:
+    """The bytes ``ledger.write`` puts in a new file at ``path``."""
+    with open(path, "wb") as file:
+        ledger.write(file)
+    return path.read_bytes()
+
+
+def test_the_log_renders_new_events_on_demand(tmp_path):
     ledger = Ledger(seed=5)
-    assert ledger.serialized() == b""
+    assert ledger.log_digest() == hashlib.sha256(b"").digest()
     a = ledger.create_account(to_units(5))
-    assert ledger.serialized() == serialize_events(ledger.events)
+    assert _written(ledger, tmp_path / "log") == serialize_events(ledger.events)
     b = ledger.create_account(0)
     ledger.advance_time(7)
     assert ledger.log_digest() == hashlib.sha256(serialize_events(ledger.events)).digest()
     ledger.transfer_value(a, b, to_units(2))
-    assert ledger.serialized() == serialize_events(ledger.events)
-    assert ledger.serialized() == serialize_events(ledger.events)  # a repeated call adds nothing
+    assert ledger.log_digest() == hashlib.sha256(serialize_events(ledger.events)).digest()
+    assert _written(ledger, tmp_path / "log") == serialize_events(ledger.events)
+    assert _written(ledger, tmp_path / "again") == serialize_events(ledger.events)  # a second write, whole
     ledger.mint_value(b, to_units(1), reason="juror_reward")
     assert ledger.log_digest() == hashlib.sha256(serialize_events(ledger.events)).digest()
 
@@ -194,15 +203,34 @@ def _ledger_of(events: int) -> Ledger:
     return ledger
 
 
-def test_serialized_renders_across_chunks_and_raises_once_events_are_dropped():
+def test_the_log_renders_across_chunks_and_raises_once_events_are_dropped(tmp_path):
     ledger = _ledger_of(600)  # three chunks of 256 events
-    want = serialize_events(ledger.events)
-    assert ledger.serialized() == want
+    assert ledger.log_digest() == hashlib.sha256(serialize_events(ledger.events)).digest()
     ledger.advance_time(1)
-    assert ledger.serialized() == serialize_events(ledger.events)
+    assert _written(ledger, tmp_path / "log") == serialize_events(ledger.events)
     ledger.drop_checked(600)
     assert [ev.kind for ev in ledger.events] == ["TimeAdvanced"]
     with pytest.raises(RuntimeError, match="no log bytes"):
-        ledger.serialized()
+        _written(ledger, tmp_path / "dropped")
     with pytest.raises(RuntimeError, match="no log bytes"):
         ledger.log_digest()
+
+
+def test_each_event_is_rendered_once_until_the_log_is_written(tmp_path, monkeypatch):
+    renders = []  # the number of events of each call that renders lines
+
+    def counting(events):
+        renders.append(len(events))
+        return serialize_events(events)
+
+    monkeypatch.setattr(ledger_module, "serialize_events", counting)
+    ledger = _ledger_of(600)
+    digest = ledger.log_digest()
+    assert renders == [256, 256, 88]
+    ledger.advance_time(1)
+    assert ledger.log_digest() != digest and renders[3:] == [1]  # only the new event
+    log = _written(ledger, tmp_path / "log")
+    assert log == serialize_events(ledger.events) and len(renders) == 4  # the write reuses the digest's chunks
+    assert ledger.log_digest() == hashlib.sha256(log).digest() and len(renders) == 4
+    assert ledger._chunks is None  # the file is the only copy
+    assert _written(ledger, tmp_path / "again") == log and renders[4:] == [256, 256, 89]

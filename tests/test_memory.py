@@ -1,30 +1,41 @@
-"""Replay and report hold neither the log nor the event history.
+"""A run holds at most one rendering of its log, and only until it is written;
+replay and report hold neither the log nor the event history.
 
-They stream a log front to back and check the re-executed events against the
-file a chunk at a time; a chunk that matches is dropped (report folds its
-counts, audit and digest over it first). So what they
-use beyond the state they hold, the replayed simulation and report's result,
-stays about the same as the log grows: it is the chunks in flight, not the log.
+A run renders its log a chunk at a time when its digest or its write first
+asks for it, and keeps the chunks, never joined, until ``write_log`` puts them
+in the file; then the ledger keeps only the digest. Replay and report stream a
+log front to back and check the re-executed events against the file a chunk
+at a time; a chunk that matches is dropped (report folds its counts, audit and
+digest over it first). So what they use beyond the state they hold, the
+replayed simulation and report's result, stays about the same as the log
+grows: it is the chunks in flight, not the log.
 """
 
 import gc
+import hashlib
 import tracemalloc
 
 import pytest
 
-from guardsim.runner import replay_log, report_from_log, run_scenario, write_log
+from guardsim.runner import execute_scenario, replay_log, report_from_log, run_scenario, write_log
 from guardsim.scenario import parse_scenario
 
+from test_harness import _count_renders
+
 MB = 1_000_000
+MINTS = (3000, 6000)
+
+
+def mint_scenario(mints: int):
+    return parse_scenario("ACCOUNT a 10\n" + "".join(f"MINT a {token_id}\n" for token_id in range(1, mints + 1)))
 
 
 @pytest.fixture(scope="module")
 def mint_logs(tmp_path_factory):
     """Logs of 3,000 and 6,000 MINTs, about 0.6 and 1.2 MB."""
     logs = []
-    for mints in (3000, 6000):
-        text = "ACCOUNT a 10\n" + "".join(f"MINT a {token_id}\n" for token_id in range(1, mints + 1))
-        sim, report = run_scenario(parse_scenario(text))
+    for mints in MINTS:
+        sim, report = run_scenario(mint_scenario(mints))
         assert report.ok and report.steps_rejected == 0
         log = tmp_path_factory.mktemp("memory") / f"mints-{mints}.jsonl"
         write_log(sim, log)
@@ -72,4 +83,34 @@ def test_a_replayed_ledger_keeps_no_log(mint_logs):
     outcome, sim = replay_log(mint_logs[0])
     assert outcome.passed and sim.ledger.events == []
     with pytest.raises(RuntimeError, match="no log bytes"):
-        sim.ledger.serialized()
+        sim.ledger.log_digest()
+
+
+def run_and_write(scenario, log):
+    """A run of ``scenario`` whose log is written to ``log``: its sim and its report."""
+    sim, report = run_scenario(scenario)
+    write_log(sim, log)
+    return sim, report
+
+
+@pytest.mark.parametrize("mints", MINTS)
+def test_a_run_and_its_write_peak_at_one_rendering_of_the_log(mints, tmp_path):
+    # above the sim and report, which hold no log bytes once written (the next test): the chunks,
+    # never joined, and one chunk in flight
+    (_sim, _report), held, peak = traced(run_and_write, mint_scenario(mints), tmp_path / "mints.jsonl")
+    size = (tmp_path / "mints.jsonl").stat().st_size
+    assert peak - held < 1.25 * size, (peak - held) / size
+
+
+@pytest.mark.parametrize("mints", MINTS)
+def test_once_written_a_run_holds_no_log_bytes(mints, tmp_path, monkeypatch):
+    scenario, log = mint_scenario(mints), tmp_path / "mints.jsonl"
+    unrendered, unrendered_held, _peak = traced(lambda: execute_scenario(scenario).sim)
+    del unrendered
+    sim, held, _peak = traced(lambda: run_and_write(scenario, log)[0])
+    size = log.stat().st_size
+    assert held - unrendered_held <= 0.1 * size, (held - unrendered_held) / size
+    renders = _count_renders(monkeypatch)
+    digest, digest_held, _peak = traced(sim.ledger.log_digest)
+    assert digest == hashlib.sha256(log.read_bytes()).digest()
+    assert renders[0] == 0 and digest_held < 1000

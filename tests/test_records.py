@@ -9,7 +9,7 @@ a record may be reassigned.
 import pytest
 
 from guardsim.access_control import UnlockAttestation
-from guardsim.ledger import EventRecord, Ledger
+from guardsim.ledger import EventRecord, Ledger, serialize_events
 from guardsim.risk import SAFE, WEAK, RiskVerdict, RuleHit, TransferIntent
 from guardsim.runner import ReplayOutcome
 from guardsim.scenario import parse_step
@@ -39,7 +39,7 @@ IDS = [type(record).__name__ for record, _ in RECORDS]
 def test_a_record_in_a_payload_is_refused_and_logs_nothing(record):
     ledger = Ledger(seed=1)
     ledger.create_account(0)
-    events, log = list(ledger.events), ledger.serialized()
+    events, log = list(ledger.events), serialize_events(ledger.events)
     for kind, payload, field in (
         ("Minted", {"token_id": record, "to": A}, "token_id"),
         ("JuryEmpaneled", {"case_id": 1, "jury": [A, record]}, "jury"),
@@ -48,7 +48,7 @@ def test_a_record_in_a_payload_is_refused_and_logs_nothing(record):
         with pytest.raises(TypeError, match=f"^{kind} event: field '{field}' "):
             ledger.append_event(kind, payload)
     assert ledger.events == events
-    assert ledger.serialized() == log
+    assert serialize_events(ledger.events) == log
 
 
 @pytest.mark.parametrize(("record", "field"), RECORDS, ids=IDS)

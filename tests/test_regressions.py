@@ -50,6 +50,19 @@ def test_bad_amounts_are_rejected_steps():
     assert report.ok, report.violations
 
 
+def test_refusals_no_other_scenario_reaches_are_logged_steps():
+    sim, report = _run(REGRESSIONS / "unreached_refusals.tps")
+    rejected = [ev.payload for ev in sim.ledger.events if ev.kind == "StepRejected"]
+    assert [(p["index"], p["error"], p["detail"]) for p in rejected] == [
+        (17, "RejectedInput", "token id must be positive"),
+        (18, "RejectedInput", "amount must be >= 0"),
+        (19, "CaseClosed", "1"),
+        (20, "CaseClosed", "1"),
+    ]
+    assert report.case_outcomes == [{"case_id": 1, "verdict": "FOR_HOLDER", "auto": False}]
+    assert report.ok, report.violations
+
+
 def test_time_stays_below_2_to_the_63():
     sim, report = _run(REGRESSIONS / "huge_ticks.tps")
     top = 2**63 - 1
