@@ -16,7 +16,7 @@ from .errors import ParseError, RejectedInput, ReplayError, SimError
 from .fuzz import Fuzzer
 from .ledger import SEEDS
 from .risk import classify_payload
-from .runner import genesis_config, read_log, replay_log, report_from_log, run_scenario, write_log
+from .runner import genesis_config, read_events, replay_log, report_from_log, run_scenario, write_log
 from .scenario import load_scenario
 from .units import fmt_units
 
@@ -87,9 +87,13 @@ def cmd_case(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    events = read_log(args.log)
-    genesis = next((ev for ev in events if ev.kind == "Genesis"), None)
-    match = next((ev for ev in events if ev.kind == "RiskFulfilled" and ev.payload["request_id"] == args.request_id), None)
+    genesis = match = None
+    with open(args.log, "rb") as file:  # every line is decoded: one the table refuses is an error
+        for ev in read_events(file):
+            if ev.kind == "Genesis":
+                genesis = genesis or ev
+            elif ev.kind == "RiskFulfilled" and ev.payload["request_id"] == args.request_id:
+                match = match or ev
     if genesis is None or match is None:
         print(f"no fulfilled risk request {args.request_id} in {args.log}", file=sys.stderr)
         return 2

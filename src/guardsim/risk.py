@@ -142,13 +142,13 @@ def credit_score(address: Address, chain: TokenContract, config: RiskConfig) -> 
 def extract_features(
     intent: TransferIntent, chain: TokenContract, config: RiskConfig, model_score: float
 ) -> FeatureVector:
-    horizon = chain.now - config.window_ticks  # an entry counts while its time is after the horizon
+    horizon = chain.now - config.window_ticks  # a sale or an abnormal mark counts while its tick is after it
     token = chain.token(intent.token_id)
     floor = collection_floor(chain)
     price = intent.price
     turnover = 0
-    for entry in reversed(token.provenance):
-        if entry.time <= horizon:
+    for tick in reversed(token.provenance):
+        if tick <= horizon:
             break
         turnover += 1
     abnormal = token.abnormal_times

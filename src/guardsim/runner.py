@@ -7,22 +7,25 @@ failures are events, not aborts; attack scripts trip guards on purpose.
 ``execute_scenario`` and ``run_step`` are the one step loop: run, replay,
 report, state, case and the fuzzer all execute steps through them.
 
-Replay and report stream a log front to back. Of its lines they decode only
-the first Genesis line, checked against the event table, and the command
-string of each line after it that starts as a canonical Step line, each read
-as execution reaches it (keys are sorted, so a canonical line starts with its
-kind). After a step, once a chunk of events is held, they are rendered and
-compared with the file's next unchecked bytes, report folds its counts, audit
-and digest over them, and they are dropped. So neither command holds the
-event history or the recorded file, and a replayed ledger has no log bytes.
-That read checks no
-Step event: a re-executed log equal to the recorded bytes is the program's own
-render of events the append check admitted, so it shows every line was
-canonical and in index order. Otherwise the whole file is read again, parsed
-and compared line by line after the prefix that matched. Every parsed event
-must pass the event table's check, which the readers after the parse then
-trust; the first it refuses is a ReplayError naming its seq and field. State
-and case read the sim that replay re-executes.
+Replay and report read a log in one forward pass, whether or not it matches.
+They decode each line up to the first Genesis event, checking it against the
+event table, and take the seed, name and config from that event. After it they
+execute the command of each canonical Step line, in file order, as execution
+reaches it (keys are sorted, so a canonical line starts with its kind); any
+other line is only compared. After a step, once a chunk of events is held, it
+is rendered and compared with the file's next unchecked bytes, report folds
+its counts, audit and digest over it, and it is dropped. While chunks match,
+the rest of the file is neither decoded nor checked: bytes equal to the
+program's own render of events the append check admitted are canonical. From
+the first chunk that differs, the comparison goes line by line, blank lines
+ignored: each recorded line is decoded and checked against the event table
+as it is read, which makes a line the table refuses a ReplayError naming its
+seq and field, and report audits the recorded events from a copy of its fold
+of the prefix that matched. A Step command that does not parse or is not in
+normal form ends the run there; it is a ReplayError once the whole file has
+been read. So neither command holds the event history or the recorded file,
+and a replayed ledger has no log bytes. State and case read the sim that
+replay re-executes.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from copy import deepcopy
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from json.decoder import scanstring
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
-from .audit import Audit, audit_events
+from .audit import Audit
 from .config import SimConfig, apply_override, config_from_payload
 from .errors import ParseError, RejectedInput, ReplayError, SimError, UnknownName
 from .ledger import _CHUNK, SEEDS, EventRecord, Ledger, check_event, serialize_events
@@ -188,23 +191,26 @@ def read_log(path: str | Path) -> list[EventRecord]:
 
 
 def parse_log(data: bytes) -> list[EventRecord]:
-    events: list[EventRecord] = []
-    for line_no, line in enumerate(data.split(b"\n"), start=1):
-        if not line:
-            continue
-        try:
-            body = json.loads(line)
-        except ValueError as exc:  # bad JSON and bad UTF-8
-            raise ReplayError(f"line {line_no}: not a canonical event record ({exc})") from None
-        events.append(_event(body, line_no))
-    return events
+    return list(read_events(data.split(b"\n")))
+
+
+def read_events(lines: Iterable[bytes]) -> Iterator[EventRecord]:
+    """The record of each non-blank line of ``lines``, with or without its newline, each decoded as it is
+    read; a line that is not JSON the event table admits is a ReplayError naming it."""
+    for line_no, line in enumerate(lines, start=1):
+        if line := line.rstrip(b"\n"):
+            yield _decode(line, line_no)
 
 
 _BODY_KEYS = {"kind", "payload", "seq", "time"}
 
 
-def _event(body, line_no: int) -> EventRecord:
-    """The record of one decoded log line; a ReplayError unless the event table admits it."""
+def _decode(line: bytes, line_no: int) -> EventRecord:
+    """The record of one non-blank log line without its newline; a ReplayError unless the event table admits it."""
+    try:
+        body = json.loads(line)
+    except ValueError as exc:  # bad JSON and bad UTF-8
+        raise ReplayError(f"line {line_no}: not a canonical event record ({exc})") from None
     envelope = type(body) is dict and body.keys() == _BODY_KEYS
     if not (envelope and type(body["seq"]) is int and type(body["time"]) is int):
         raise ReplayError(f"line {line_no}: not a canonical event record")
@@ -223,18 +229,24 @@ def genesis_config(genesis: EventRecord) -> SimConfig:
 
 
 def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig]:
-    """Reconstruct the command stream and effective config embedded in a log."""
+    """Reconstruct the command stream, its Step events in log order, and the effective config embedded in a log."""
     scenario, config = _genesis_scenario(next((ev for ev in events if ev.kind == "Genesis"), None))
-    commands = sorted((ev.payload["index"], ev.payload["command"], ev.seq) for ev in events if ev.kind == "Step")
-    for _index, command, seq in commands:
-        try:
-            step = parse_step(command)
-        except ParseError as exc:
-            raise ReplayError(f"seq {seq}: bad Step command {command!r} ({exc.reason})") from None
-        if step.raw != command:
-            raise ReplayError(f"seq {seq}: Step command {command!r} is not in normal form {step.raw!r}")
-        scenario.steps.append(step)
+    for ev in events:
+        if ev.kind == "Step":
+            step = _normal_step(ev.payload["command"])
+            if type(step) is str:
+                raise ReplayError(f"seq {ev.seq}: {step}")
+            scenario.steps.append(step)
     return scenario, config
+
+
+def _normal_step(command: str) -> Step | str:
+    """The step of a Step event's command, else why it has none: it does not parse or is not in normal form."""
+    try:
+        step = parse_step(command)
+    except ParseError as exc:
+        return f"bad Step command {command!r} ({exc.reason})"
+    return step if step.raw == command else f"Step command {command!r} is not in normal form {step.raw!r}"
 
 
 def _genesis_scenario(genesis: EventRecord | None) -> tuple[Scenario, SimConfig]:
@@ -254,38 +266,34 @@ class ReplayOutcome(NamedTuple):
     detail: str = ""
 
 
-_GENESIS = b'{"kind":"Genesis",'
 _STEP = b'{"kind":"Step","payload":{"command":"'  # keys are sorted: a canonical line starts with its kind
 
 
-def _fast_scenario(lines: Iterator[bytes]) -> tuple[Scenario, SimConfig] | None:
-    """The stepless scenario and the config of the first of ``lines`` that starts as a canonical
-    Genesis line, read up to that line, with ``_fast_steps`` of the lines after it as its steps; None
-    if that line is missing or does not make one. A Step line before it cannot match a run, which
-    logs its Genesis event before any step."""
-    genesis = next((line for line in lines if line.startswith(_GENESIS)), b"")
-    try:  # on a failure the full parse decodes the log again and names the bad line
-        scenario, config = _genesis_scenario(_event(json.loads(genesis), 0))
-    except (ValueError, ReplayError):
-        return None
-    scenario.steps = _fast_steps(lines)
+def _log_scenario(file: BinaryIO, check: _Check) -> tuple[Scenario, SimConfig]:
+    """The stepless scenario and the config of the log's first Genesis event, every line up to it
+    decoded and checked, with ``_fast_steps`` of the lines after it as its steps."""
+    scenario, config = _genesis_scenario(next((ev for ev in read_events(file) if ev.kind == "Genesis"), None))
+    scenario.steps = _fast_steps(file, check)
     return scenario, config
 
 
-def _fast_steps(lines: Iterable[bytes]) -> Iterator[Step]:
-    """The step of each of ``lines`` that starts as a canonical Step line, in order, each read as
-    execution reaches it. The stream ends before a command that does not decode or parse or is not
-    in normal form: a run of it logs no such line, so it cannot re-execute the log. Sound only once
-    the re-executed bytes equal the log's."""
+def _fast_steps(lines: Iterable[bytes], check: _Check) -> Iterator[Step]:
+    """The step of each of ``lines`` that is a canonical Step line, in order, each read as execution
+    reaches it; another line is only compared. The stream ends before a command that is not JSON,
+    which the check reports, or that does not parse or is not in normal form, which ``check``
+    reports once it has read the whole file: a run logs no such line."""
     for line in lines:
         if not line.startswith(_STEP):
             continue
         try:
             command = scanstring(line.decode("ascii"), len(_STEP))[0]
-            step = parse_step(command)
-        except (ValueError, ParseError):
+        except UnicodeDecodeError:  # not canonical
+            continue
+        except ValueError:  # not JSON, which the check reports
             return
-        if step.raw != command:
+        step = _normal_step(command)
+        if type(step) is str:
+            check.stop = line, step
             return
         yield step
 
@@ -294,18 +302,26 @@ class _Check:
     """The re-executed events, checked against the recorded file as the run reads it.
 
     After a step, once ``_CHUNK`` events are held, ``check`` renders them and compares them with
-    the file's next unchecked bytes, read without moving the step stream's place in the file. A
-    chunk that matches is folded into ``audit`` and ``digest`` (given ``fold``) and dropped from
-    the ledger; at the first that differs, checking stops and the ledger keeps every later event.
+    the file's next unchecked bytes, read without moving the step stream's place in the file,
+    folds them into ``audit`` and ``digest`` (given ``fold``) and drops them from the ledger. While
+    chunks match, a chunk is compared whole. From the first that differs, each rendered line is
+    compared with the file's next non-blank line, which is decoded and checked against the event
+    table and folded into ``recorded``, report's audit of the recorded log: it begins as a copy of
+    ``audit``, as the prefix that matched holds the same events. ``finish`` reads the file to its
+    end the same way.
     """
 
-    def __init__(self, file: BinaryIO | None, fold: bool):
+    def __init__(self, file: BinaryIO, fold: bool):
         self.file, self.audit, self.digest = file, Audit() if fold else None, hashlib.sha256()
         self.ok = True  # no chunk differed
-        self.lines = self.bytes = 0  # the recorded lines that matched, and their size
+        # the file's checked bytes, its checked non-blank lines, and its lines read by the line comparison
+        self.bytes = self.lines = self.line_no = 0
+        # report's audit of the recorded log, the seq of its first line that differs, and the Step line
+        # the run's stream ended before and why
+        self.recorded = self.divergence = self.stop = None
 
     def on_step(self, ctx: RunContext, _step: Step, _events) -> None:
-        if self.ok and len(ctx.sim.ledger.events) >= _CHUNK:
+        if len(ctx.sim.ledger.events) >= _CHUNK:
             self.check(ctx.sim.ledger)
 
     def check(self, ledger: Ledger) -> None:
@@ -313,65 +329,65 @@ class _Check:
         chunk = serialize_events(events)
         resume = file.tell()
         file.seek(self.bytes)
-        self.ok = file.read(len(chunk)) == chunk
-        file.seek(resume)
-        if self.ok:
-            self.fold(events, chunk)
+        if self.ok and file.read(len(chunk)) == chunk:
             self.lines, self.bytes = self.lines + len(events), self.bytes + len(chunk)
-            ledger.drop_checked(len(events))
-
-    def fold(self, events: list[EventRecord], rendered: bytes) -> None:
+        else:
+            file.seek(self.bytes)
+            for want in chunk.split(b"\n")[:-1]:
+                self._compare(want)
+        file.seek(resume)
         if self.audit is not None:
             for ev in events:
                 self.audit.add(ev)
-            self.digest.update(rendered)
+            self.digest.update(chunk)
+        ledger.drop_checked(len(events))
 
-    def matched(self, ledger: Ledger) -> bool:
-        """Whether the file holds the events checked and those the ledger holds, and nothing more."""
-        if self.ok:
-            self.check(ledger)
+    def _compare(self, want: bytes | None) -> None:
+        """Compare ``want`` with the file's next non-blank line, if any, which is decoded, checked and
+        folded into ``recorded``."""
+        file = self.file
+        if self.ok:  # the first line compared; the chunks that matched hold no blank line
+            self.ok, self.recorded, self.line_no = False, deepcopy(self.audit), self.lines
+        while line := file.readline():
+            self.line_no += 1
+            if line := line.rstrip(b"\n"):
+                event = _decode(line, self.line_no)
+                if self.recorded is not None:
+                    self.recorded.add(event)
+                break
+        have, self.bytes, self.lines = line or None, file.tell(), self.lines + 1
+        if have != want and self.divergence is None:
+            self.divergence = self.lines
+
+    def finish(self, ledger: Ledger) -> None:
+        """Check the events the ledger still holds, then read the rest of the file, of which the run
+        logged nothing; then raise the error of a Step command the stream ended before."""
+        self.check(ledger)
         self.file.seek(self.bytes)
-        return self.ok and not self.file.read(1)
+        while self.file.read(1):
+            self.file.seek(self.bytes)
+            self._compare(None)
+        if self.stop is not None:
+            raise ReplayError(f"seq {json.loads(self.stop[0])['seq']}: {self.stop[1]}")
 
 
-def _reexecute(path: str | Path, fold: bool = False) -> tuple[RunContext, int | None, list[EventRecord] | None, _Check]:
+def _reexecute(path: str | Path, fold: bool = False) -> tuple[RunContext, _Check]:
     """Execute the command stream a log embeds, under its genesis seed and config, and compare.
 
-    Returns the run's context, the 1-based seq of the first recorded line that differs from the
-    re-executed log (None if no line does), the recorded events (None if the recorded bytes are the
-    canonical log), and the check, whose ``audit`` (given ``fold``) and ``digest`` have folded the
-    run's whole log. The run streams the file's Step lines while ``_Check`` compares its events
-    with the file a chunk at a time; a pipe is read whole first. Only on a mismatch is the whole
-    file read: the full parse, the fast run reused when the parse reads the same stream, and the
-    line split after the prefix that matched, with blank recorded lines ignored.
+    Returns the run's context, whose ledger holds no events, and the check, whose ``divergence`` is
+    the 1-based seq of the first recorded line that differs from the re-executed log (None if no
+    line does, blank recorded lines ignored), and whose ``audit`` (given ``fold``) and ``digest``
+    have folded the run's whole log. The run streams the file's Step lines while ``_Check``
+    compares its events with the file; a pipe is read whole first.
     """
     with open(path, "rb") as file:
         if not file.seekable():  # a pipe: read it whole
             file = io.BytesIO(file.read())
         check = _Check(file, fold)
-        fast = _fast_scenario(file)
-        if fast is not None:
-            ctx = execute_scenario(fast[0], base_config=fast[1], on_step=check.on_step)
-            if check.matched(ctx.sim.ledger):
-                return ctx, None, None, check
-            file.seek(0)
-            fast[0].steps = list(_fast_scenario(file)[0].steps)  # the stream the fast run executed
-        file.seek(0)
-        data = file.read()
-    events = parse_log(data)
-    parsed = scenario_from_events(events)
-    if parsed != fast:
-        ctx = execute_scenario(parsed[0], base_config=parsed[1])
-        check = _Check(None, fold)  # nothing of this run was checked
-    del fast, parsed  # free both command streams before the line split
-    have = [line for line in data[check.bytes :].split(b"\n") if line]
-    rest = serialize_events(ctx.sim.ledger.events)  # the events no chunk check dropped
-    check.fold(ctx.sim.ledger.events, rest)
-    want = rest.split(b"\n")[:-1]
-    for seq, (have_line, want_line) in enumerate(zip_longest(have, want), start=check.lines + 1):
-        if have_line != want_line:
-            return ctx, seq, events, check
-    return ctx, None, events, check
+        scenario, config = _log_scenario(file, check)
+        ctx = execute_scenario(scenario, base_config=config, on_step=check.on_step)
+        check.finish(ctx.sim.ledger)
+    return ctx, check
 
 
 def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
@@ -379,9 +395,9 @@ def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
 
     Any surviving single-byte difference names its seq.
     """
-    ctx, seq, _events, _check = _reexecute(path)
-    if seq is not None:
-        return ReplayOutcome(False, seq, "event diverges from deterministic re-execution"), ctx.sim
+    ctx, check = _reexecute(path)
+    if check.divergence is not None:
+        return ReplayOutcome(False, check.divergence, "event diverges from deterministic re-execution"), ctx.sim
     return ReplayOutcome(True), ctx.sim
 
 
@@ -391,10 +407,10 @@ def report_from_log(path: str | Path) -> RunReport:
     Recorded bytes equal to the re-run's canonical bytes are the same events, so
     the recorded events are audited on their own only when the two diverge.
     """
-    ctx, seq, events, check = _reexecute(path, fold=True)
+    ctx, check = _reexecute(path, fold=True)
     report = build_report(ctx, check.audit, check.digest.hexdigest())
-    if seq is not None:
-        recorded = [v for v in audit_events(events) if v not in report.violations]
+    if check.divergence is not None:
+        recorded = [v for v in check.recorded.finish() if v not in report.violations]
         report.violations.extend(recorded)
-        report.violations.append(f"recorded log diverges from deterministic re-execution at seq {seq}")
+        report.violations.append(f"recorded log diverges from deterministic re-execution at seq {check.divergence}")
     return report

@@ -61,13 +61,6 @@ class TokenState:
     RECLAIMED = "RECLAIMED"
 
 
-class ProvenanceEntry(NamedTuple):
-    from_addr: Address
-    to_addr: Address
-    price: int
-    time: int
-
-
 @dataclass
 class TokenRecord:
     token_id: int
@@ -75,7 +68,7 @@ class TokenRecord:
     state: str = TokenState.OK
     approved: Address | None = None
     frozen_until: int | None = None
-    provenance: list[ProvenanceEntry] = field(default_factory=list)
+    provenance: list[int] = field(default_factory=list)  # the tick of each sale
     abnormal_times: list[int] = field(default_factory=list)
     last_sale_price: int | None = None
     pre_reclaim_owner: Address | None = None
@@ -228,8 +221,7 @@ class TokenContract:
             token.state = TokenState.LOCKED
             token.approved = None
             token.frozen_until = None
-            entry = ProvenanceEntry(from_addr, to_addr, price, self.ledger.time)
-            token.provenance.append(entry)
+            token.provenance.append(self.ledger.time)
             self.ledger.append_event(
                 "SafeTransfer" if safe_variant else "Transfer",
                 {

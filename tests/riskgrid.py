@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from guardsim.ledger import Account
-from guardsim.token import ProvenanceEntry, TokenRecord, TokenState
+from guardsim.token import TokenRecord, TokenState
 from guardsim.units import to_units
 
 
@@ -74,7 +74,7 @@ def build_grid_view(price, floor, turnover, sender_flagged, recipient_flagged, a
         recipient: Account(recipient, 0, explorer_flagged=recipient_flagged, created_at=created_recipient),
     }
     # gifts (price 0) provide turnover without creating a floor
-    provenance = [ProvenanceEntry(sender, sender, 0, GRID_NOW - 1) for _ in range(turnover)]
+    provenance = [GRID_NOW - 1] * turnover
     abnormal = [GRID_NOW - 1] if prior_abnormal else []
     tokens = {1: TokenRecord(1, owner=sender, state=TokenState.OK, provenance=provenance, abnormal_times=abnormal)}
     if floor is not None:

@@ -16,6 +16,8 @@ from guardsim.errors import (
     NotAParty,
     NotJuror,
 )
+from guardsim.runner import run_scenario
+from guardsim.scenario import parse_scenario
 from guardsim.sim import Simulation
 from guardsim.token import TokenRecord, TokenState
 from guardsim.units import to_units
@@ -331,3 +333,52 @@ def test_quorum_tally_component_matches_final_tally_oracle():
                 break
         expected = FOR_REPORTER if pattern.count(FOR_REPORTER) >= 3 else FOR_HOLDER
         assert outcome == expected
+
+
+# Alice reports Mallory's token; two of four jurors vote before the report's freeze lapses.
+# Mallory then sells the token to Bob for 2, and the third vote reclaims it from Bob, who is no
+# party to the case, with ``prior_owner`` Bob; the audit passes.
+DISPUTED_SALE = """SEED 3
+ACCOUNT alice 10
+ACCOUNT mallory 10
+ACCOUNT bob 10
+ACCOUNT j1 5
+ACCOUNT j2 5
+ACCOUNT j3 5
+ACCOUNT j4 5
+JUROR j1
+JUROR j2
+JUROR j3
+JUROR j4
+ADVANCE 86400
+MINT mallory 1
+REPORT alice 1
+EMPANEL 1
+VOTE j1 1 R
+VOTE j2 1 R
+ADVANCE 7201
+TRANSFER mallory mallory bob 1 2
+VOTE j3 1 R
+"""
+
+
+def transfers_under_open_cases(events) -> list[int]:
+    """The seqs of the transfers of a token between a CaseOpened event for it and that case's CaseClosed."""
+    case_tokens, disputed, seqs = {}, {}, []  # case id -> token id; token id -> its open cases
+    for ev in events:
+        p = ev.payload
+        if ev.kind == "CaseOpened":
+            case_tokens[p["case_id"]] = p["token_id"]
+            disputed[p["token_id"]] = disputed.get(p["token_id"], 0) + 1
+        elif ev.kind == "CaseClosed":
+            disputed[case_tokens[p["case_id"]]] -= 1
+        elif ev.kind in ("Transfer", "SafeTransfer") and disputed.get(p["token_id"]):
+            seqs.append(ev.seq)
+    return seqs
+
+
+@pytest.mark.xfail(strict=True, reason="the report's freeze lapses while the case is open (ROADMAP item 17)")
+def test_a_disputed_token_stays_put_until_its_case_closes():
+    sim, report = run_scenario(parse_scenario(DISPUTED_SALE))
+    assert report.steps_total == 20
+    assert transfers_under_open_cases(sim.ledger.events) == []

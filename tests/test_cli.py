@@ -113,18 +113,29 @@ def test_state_and_case_print_what_the_live_run_holds(path, tmp_path, monkeypatc
     assert cases_printed() == from_log
 
 
-def test_state_reads_the_full_stream_when_a_step_line_is_not_canonical(replevin_log, monkeypatch, capsys):
-    sim, _report = run_scenario(load_scenario(SCENARIOS / "replevin.tps"))
+def test_state_prints_the_run_of_the_canonical_step_lines(replevin_log, monkeypatch, capsys):
     lines = replevin_log.read_bytes().splitlines(keepends=True)
     target = next(i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Step"') and b"MINT" in line)
-    lines[target] = lines[target].replace(b'":', b'": ', 1)  # the fast decode skips it: token 1 is never minted
+    lines[target] = lines[target].replace(b'":', b'": ', 1)  # not canonical: only compared, so token 1 is never minted
     replevin_log.write_bytes(b"".join(lines))
     runs = []
     execute = runner.execute_scenario
     monkeypatch.setattr(runner, "execute_scenario", lambda *a, **k: runs.append(1) or execute(*a, **k))
-    assert main(["state", str(replevin_log), "1"]) == 0
-    assert capsys.readouterr().out == sim.contract.state_line(1) + "\n"
-    assert len(runs) == 2
+    assert main(["state", str(replevin_log), "1"]) == 2
+    assert capsys.readouterr().err == "state error: 1\n"
+    assert len(runs) == 1
+
+
+def test_a_step_line_that_is_not_ascii_is_only_compared(replevin_log, capsys):
+    lines = replevin_log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Step"') and b"MINT" in line)
+    lines[target] = lines[target].replace(b'"command":"MINT', '"command":"MéINT'.encode(), 1)
+    replevin_log.write_bytes(b"".join(lines))
+    # its command is never parsed, so it is a divergence rather than a bad Step command
+    assert main(["replay", str(replevin_log)]) == 1
+    assert capsys.readouterr().out == f"replay: fail at seq {target + 1} (event diverges from deterministic re-execution)\n"
+    assert main(["state", str(replevin_log), "1"]) == 2
+    assert capsys.readouterr().err == "state error: 1\n"
 
 
 def test_explain_recomputes_verdict(replevin_log, capsys):
@@ -253,10 +264,12 @@ def test_a_bad_step_line_abandons_the_fast_run_for_the_full_parse(tmp_path, caps
     assert target + 1 == 17
     lines[target] = lines[target].replace(f'"command":"{old}'.encode(), f'"command":"{new}'.encode(), 1)
     log.write_bytes(b"".join(lines))
-    # the fast stream ends at the bad line, so its run cannot re-execute the log
+    # the step stream ends at the bad line, which is reported once the whole file is read
     with log.open("rb") as file:
-        steps = [step.raw for step in runner._fast_scenario(file)[0].steps]
+        check = runner._Check(file, False)
+        steps = [step.raw for step in runner._log_scenario(file, check)[0].steps]
     assert steps == [json.loads(line)["payload"]["command"] for line in lines[:target] if b'"kind":"Step"' in line]
+    assert check.stop == (None if new == "\\xTRANSFER" else (lines[target], error.split(": ", 1)[1]))
     capsys.readouterr()
     for command in ("replay", "report", "state"):
         argv = [command, str(log)] + ([] if command in ("replay", "report") else ["1"])
@@ -322,6 +335,26 @@ def test_malformed_step_or_genesis_payload_exit_2(replevin_log, capsys, kind, ed
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{command} error: seq {seq}: ") and err.count("\n") == 1
+
+
+def test_a_fault_is_reported_when_its_line_is_read(replevin_log, capsys):
+    # of two faults in a log, the first in the file is reported, except a bad Step command, which waits
+    # for the end of the file
+    data = replevin_log.read_bytes()
+    _edit_first(replevin_log, "Minted", lambda p: p.pop("token_id"))  # a line the table refuses
+    seq = _edit_first(replevin_log, "Genesis", lambda p: p.update(seed=-1))
+    for command in ("replay", "report", "state"):
+        assert main([command, str(replevin_log)] + (["1"] if command == "state" else [])) == 2
+        assert capsys.readouterr().err == f"{command} error: seq {seq}: Genesis seed -1 is outside [0, 2**64)\n"
+    replevin_log.write_bytes(data)
+    seq = _edit_first(replevin_log, "ValueTransferred", lambda p: p.update(amount="abc"))
+    lines = replevin_log.read_bytes().splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Step"'))
+    lines[last] = lines[last].replace(b'"command":"', b'"command":"BOGUS ', 1)
+    assert last + 1 < seq  # the bad Step command comes first
+    replevin_log.write_bytes(b"".join(lines))
+    assert main(["report", str(replevin_log)]) == 2
+    assert capsys.readouterr().err == f"report error: seq {seq}: ValueTransferred event: not a decimal amount: 'abc'\n"
 
 
 def test_text_request_id_among_several_is_a_report_error(tmp_path, capsys):

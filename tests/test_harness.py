@@ -227,8 +227,9 @@ def test_tampered_balance_is_flagged_by_report(tmp_path, monkeypatch):
     rebuilt = report_from_log(log)
     assert not rebuilt.ok
     assert any("diverges" in v for v in rebuilt.violations)
-    # a divergence also audits the recorded events, whose own violation is reported with it
-    assert calls[0] == 2
+    # a divergence also audits the recorded events, from a copy of the run's fold at the first chunk that
+    # differs, and reports their own violation with it
+    assert calls[0] == 1
     seq = body["seq"]
     assert rebuilt.violations == [
         f"seq {seq}: recorded balance for {body['payload']['to']} diverges from refolded history",
@@ -411,8 +412,8 @@ def test_blank_lines_in_a_log_are_ignored(tmp_path, monkeypatch):
     assert outcome.passed, outcome
     assert rebuilt.ok, rebuilt.violations
     assert rebuilt.digest == report.digest
-    # the bytes differ, so the whole log is parsed; it reads the same command stream, so the run is reused
-    assert replay_calls == report_calls == (1, 1)
+    # the bytes differ, so the lines are compared one by one, each decoded as it is read
+    assert replay_calls == report_calls == (0, 1)
 
 
 def test_report_of_a_clean_log_audits_once(tmp_path, monkeypatch):
@@ -450,8 +451,8 @@ def test_non_canonical_step_line_is_a_divergence_at_its_seq(tmp_path, monkeypatc
     assert not outcome.passed
     assert outcome.divergence_seq == target + 1
     assert f"recorded log diverges from deterministic re-execution at seq {target + 1}" in rebuilt.violations
-    # the fast read skipped the step, so the full parse reads another command stream and runs it
-    assert replay_calls == report_calls == (1, 2)
+    # the step is only compared, not executed; the one run diverges there
+    assert replay_calls == report_calls == (0, 1)
 
 
 def test_tampered_price_fails_replay_after_one_execution(tmp_path, monkeypatch):
@@ -468,7 +469,7 @@ def test_tampered_price_fails_replay_after_one_execution(tmp_path, monkeypatch):
     assert not outcome.passed
     assert outcome.divergence_seq == target + 1
     assert rebuilt.violations[-1] == f"recorded log diverges from deterministic re-execution at seq {target + 1}"
-    assert replay_calls == report_calls == (1, 1)
+    assert replay_calls == report_calls == (0, 1)
 
 
 def _corpus_logs(monkeypatch, seed: int) -> list[bytes]:
@@ -495,7 +496,8 @@ def test_the_fast_read_equals_the_full_parse(source, monkeypatch):
     else:
         logs = [serialize_events(run_scenario(load_scenario(source))[0].ledger.events)]
     for data in logs:
-        fast = runner._fast_scenario(io.BytesIO(data))
+        file = io.BytesIO(data)
+        fast = runner._log_scenario(file, runner._Check(file, False))
         scenario, config = runner.scenario_from_events(runner.parse_log(data))
         assert fast is not None and scenario.steps
         assert (list(fast[0].steps), fast[0].name, fast[0].seed, fast[1]) == (
@@ -532,5 +534,40 @@ def test_swapped_step_lines_diverge_at_the_first_of_them(tmp_path, monkeypatch):
     assert not outcome.passed
     assert outcome.divergence_seq == first + 1
     assert rebuilt.violations[-1] == f"recorded log diverges from deterministic re-execution at seq {first + 1}"
-    # the fast read runs the steps in file order; the full parse sorts them by index and runs those
-    assert replay_calls == report_calls == (1, 2)
+    # the one run executes the steps in file order
+    assert replay_calls == report_calls == (0, 1)
+
+
+def test_a_step_line_runs_where_it_stands_whatever_its_index(tmp_path, monkeypatch):
+    sim, _report = run_canned("clean_sale")
+    log = tmp_path / "clean_sale.jsonl"
+    write_log(sim, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Step",') and b"TRANSFER" in line)
+    body = json.loads(lines[target])
+    body["payload"]["index"] = 0
+    lines[target] = json.dumps(body, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    log.write_bytes(b"".join(lines))
+    outcome, replay_calls, rebuilt, report_calls = _replay_and_report_counted(monkeypatch, log)
+    # its step is not moved to the front: the first line that differs is the edited one
+    assert (outcome.passed, outcome.divergence_seq) == (False, target + 1)
+    assert rebuilt.violations[-1] == f"recorded log diverges from deterministic re-execution at seq {target + 1}"
+    assert replay_calls == report_calls == (0, 1)
+
+
+def test_a_step_line_before_genesis_is_only_compared(tmp_path, monkeypatch):
+    sim, _report = run_canned("replevin")
+    log = tmp_path / "replevin.jsonl"
+    write_log(sim, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    genesis = next(i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Genesis",'))
+    first = next(i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Step",'))
+    assert b"ACCOUNT alice 10" in lines[first]
+    lines.insert(genesis, lines.pop(first))
+    log.write_bytes(b"".join(lines))
+    outcome, replay_calls, rebuilt, report_calls = _replay_and_report_counted(monkeypatch, log)
+    assert (outcome.passed, outcome.divergence_seq) == (False, genesis + 1)
+    # the run is that of the Step lines after the Genesis line: alice is never created, so no token is minted
+    without = parse_scenario((SCENARIOS / "replevin.tps").read_text().replace("ACCOUNT alice 10\n", "", 1))
+    assert rebuilt.final_tokens == run_scenario(without)[1].final_tokens == []
+    assert replay_calls == report_calls == (0, 1)

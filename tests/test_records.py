@@ -13,7 +13,7 @@ from guardsim.ledger import EventRecord, Ledger, serialize_events
 from guardsim.risk import SAFE, WEAK, RiskVerdict, RuleHit, TransferIntent
 from guardsim.runner import ReplayOutcome
 from guardsim.scenario import parse_step
-from guardsim.token import ProvenanceEntry, TransferOutcome
+from guardsim.token import TransferOutcome
 from test_fast_paths import VERDICT as FULFILLED
 
 A, B = "0x" + "a" * 40, "0x" + "b" * 40
@@ -27,7 +27,6 @@ RECORDS = [
     (TransferIntent(A, A, B, 1, 0, 0), "caller"),
     (HIT, "rule_id"),
     (VERDICT, "status"),
-    (ProvenanceEntry(A, B, 0, 0), "from_addr"),
     (TransferOutcome(1, VERDICT), "request_id"),
     (UnlockAttestation(A, B, 1, 0, 0, b"\x00" * 32), "main"),
     (ReplayOutcome(False, 3, "diverges"), "passed"),

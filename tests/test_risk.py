@@ -25,7 +25,7 @@ from guardsim.risk import (
     rule_hits,
 )
 from guardsim.sim import Simulation
-from guardsim.token import ProvenanceEntry, TokenRecord, TokenState
+from guardsim.token import TokenRecord, TokenState
 from guardsim.units import UNIT, fmt_fraction, to_units
 
 from conftest import fund_accounts
@@ -57,15 +57,14 @@ def test_floor_tracks_new_lowest_sale_vs_brute_force(sim):
         sim.contract.mint(alice, token_id)
         sim.contract.transfer_from(alice, alice, bob if token_id % 2 else carol, token_id, to_units(price))
 
-    def brute_force_floor(tokens):
-        last_sales = []
-        for token in tokens.values():
-            sale = next((e.price for e in reversed(token.provenance) if e.price > 0), None)
-            if sale:
-                last_sales.append(sale)
-        return min(last_sales, default=None)
+    def brute_force_floor(events):
+        last_sales = {}  # token id -> the price of its last sale above 0
+        for ev in events:
+            if ev.kind in ("Transfer", "SafeTransfer") and to_units(ev.payload["price"]) > 0:
+                last_sales[ev.payload["token_id"]] = to_units(ev.payload["price"])
+        return min(last_sales.values(), default=None)
 
-    assert collection_floor(sim.contract) == brute_force_floor(sim.contract.tokens) == to_units(5)
+    assert collection_floor(sim.contract) == brute_force_floor(sim.ledger.events) == to_units(5)
 
 
 # -- credit score -------------------------------------------------------------
@@ -123,7 +122,7 @@ def test_turnover_counts_window_entries_brute_force(sim):
         sim.ledger.advance_time(10)
     intent = TransferIntent(bob, bob, carol, 1, to_units(9), sim.ledger.time)
     features = extract_features(intent, sim.contract, CFG, 0.0)
-    brute = sum(1 for e in sim.contract.token(1).provenance if sim.ledger.time - e.time < CFG.window_ticks)
+    brute = sum(1 for tick in sim.contract.token(1).provenance if sim.ledger.time - tick < CFG.window_ticks)
     assert features.turnover_count == brute == 4
     assert any(h.rule_id == "R2_HIGH_TURNOVER" for h in rule_hits(features, CFG))
 
@@ -270,8 +269,8 @@ def _reference_features(intent, chain, config, model_score):
     ratio = Fraction(intent.price, floor) if intent.price > 0 and floor else None
     window = config.window_ticks
     turnover = 0
-    for entry in reversed(token.provenance):
-        if chain.now - entry.time >= window:
+    for tick in reversed(token.provenance):
+        if chain.now - tick >= window:
             break
         turnover += 1
     prior_abnormal = any(chain.now - t < window for t in reversed(token.abnormal_times))
@@ -339,7 +338,7 @@ def _risk_cases(draw):
         for address in (sender, recipient)
     }
     state = draw(st.sampled_from((TokenState.OK, TokenState.LOCKED, TokenState.RECLAIMED)))
-    provenance = [ProvenanceEntry(sender, recipient, 0, t) for t in draw(ticks)]
+    provenance = draw(ticks)
     tokens = {1: TokenRecord(1, sender, state=state, provenance=provenance, abnormal_times=draw(ticks))}
     if floor is not None:
         tokens[2] = TokenRecord(2, recipient, last_sale_price=floor)

@@ -135,7 +135,7 @@ def test_clean_transfer_locks_on_receipt(sim, parties):
     assert outcome.status == "safe"
     assert token.owner == bob
     assert token.state is TokenState.LOCKED
-    assert token.provenance[-1].price == to_units(10)
+    assert token.provenance == [sim.ledger.time] and token.last_sale_price == to_units(10)
 
 
 def test_transfer_from_wrong_owner(sim, parties):
