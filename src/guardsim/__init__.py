@@ -23,7 +23,6 @@ from .risk import (
     HACKED,
     MAY_LOST,
     SAFE,
-    FeatureVector,
     RiskEngine,
     RiskVerdict,
     RuleHit,

@@ -272,7 +272,5 @@ class ArbitrationSystem:
     @staticmethod
     def _split_forfeit(deposit: int, aligned: list[Address]) -> dict[Address, int]:
         """Equal split, remainder going one sub-unit each to the earliest voters."""
-        if not aligned:
-            return {}
         base, remainder = divmod(deposit, len(aligned))
         return {j: base + (1 if i < remainder else 0) for i, j in enumerate(aligned)}

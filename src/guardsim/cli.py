@@ -100,7 +100,7 @@ def cmd_explain(args) -> int:
     config = genesis_config(genesis)
     try:
         lines, agrees = _explanation(match.payload, config.risk)
-    except (ValueError, RejectedInput) as exc:  # a score or ratio string that does not parse
+    except ValueError as exc:  # a score or ratio string that does not parse
         raise ReplayError(f"seq {match.seq}: RiskFulfilled event: {exc}") from None
     print(f"request={args.request_id} " + "\n".join(lines))
     return 0 if agrees else 1

@@ -73,7 +73,7 @@ class OracleBridge:
                 "request_id": request_id,
                 "status": verdict.status,
                 "hits": [hit.to_payload() for hit in verdict.hits],
-                "features": verdict.features.to_payload(),
+                "features": verdict.features,
             },
         )
         if verdict.status == MAY_LOST:

@@ -1,14 +1,16 @@
 """Rule-based risk engine for proposed token transfers.
 
-Every proposed transfer is reduced to a deterministic feature vector drawn
+Every proposed transfer is reduced to a deterministic feature payload drawn
 from the chain snapshot, run through five rule filters plus a table-driven
 model score, and mapped to one of three verdicts: safe, may_lost, hacked.
-The vector is an immutable ``FeatureVector`` built once, with the score that
-the engine's (sender, recipient) table gives the transfer as its last field.
+The payload is the exact dict that ``RiskFulfilled`` logs: amounts in the
+canonical decimal form, R1's price ratio as a reduced ``p/q``, and the two
+credits and the model score as ``repr`` of their floats, which parse back
+to the same floats.
 
-The whole pipeline is a pure function of (intent, snapshot, config), and the
-feature vector is logged with each verdict so that any verdict in any log can
-be recomputed offline, bit for bit, via `classify_payload`.
+The rules read that payload and nothing else, so the live verdict and the
+offline recompute of any logged verdict (`classify_payload`) run the same
+two functions, `rule_hits` and `classify`, on the same values.
 
 Rule table:
     R1_UNDERPRICED   weak    declared price below beta * collection floor
@@ -24,12 +26,11 @@ otherwise any weak hit or model score >= p_suspect -> may_lost; else safe.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .config import RiskConfig
 from .ledger import Address
-from .units import UNIT, fmt_fraction, fmt_units, parse_fraction
+from .units import UNIT, fmt_units
 
 if TYPE_CHECKING:
     from .token import TokenContract
@@ -67,46 +68,10 @@ class RuleHit(NamedTuple):
         return {"rule": self.rule_id, "severity": self.severity, "detail": self.detail}
 
 
-class FeatureVector(NamedTuple):
-    """Everything the verdict depends on, in offline-recomputable form; built once, with its model score."""
-
-    sender: Address
-    recipient: Address
-    price: int
-    floor: int | None
-    price_ratio: Fraction | None  # None when price is 0 or no floor exists
-    turnover_count: int
-    sender_credit: float
-    recipient_credit: float
-    sender_flagged: bool
-    recipient_flagged: bool
-    token_state: str
-    prior_abnormal: bool
-    model_score: float
-
-    def to_payload(self) -> dict:
-        sender, recipient, price, floor, ratio, turnover, s_credit, r_credit, s_flag, r_flag, state, abnormal, model = self
-        return {
-            "sender": sender,
-            "recipient": recipient,
-            "price": fmt_units(price),
-            "floor": None if floor is None else fmt_units(floor),
-            "price_ratio": None if ratio is None else fmt_fraction(ratio),
-            "turnover_count": turnover,
-            "sender_credit": repr(s_credit),
-            "recipient_credit": repr(r_credit),
-            "sender_flagged": s_flag,
-            "recipient_flagged": r_flag,
-            "token_state": state,
-            "prior_abnormal": abnormal,
-            "model_score": repr(model),
-        }
-
-
 class RiskVerdict(NamedTuple):
     status: str
     hits: tuple[RuleHit, ...]
-    features: FeatureVector
+    features: dict  # the payload RiskFulfilled logs
 
 
 # -- feature extraction ------------------------------------------------------
@@ -139,52 +104,59 @@ def credit_score(address: Address, chain: TokenContract, config: RiskConfig) -> 
     return score
 
 
-def extract_features(
-    intent: TransferIntent, chain: TokenContract, config: RiskConfig, model_score: float
-) -> FeatureVector:
+def extract_features(intent: TransferIntent, chain: TokenContract, config: RiskConfig, model_score: float) -> dict:
+    """The transfer's feature payload, as ``RiskFulfilled`` logs it."""
     horizon = chain.now - config.window_ticks  # a sale or an abnormal mark counts while its tick is after it
     token = chain.token(intent.token_id)
     floor = collection_floor(chain)
     price = intent.price
+    g = math.gcd(price, floor or 0)  # R1's ratio is undefined for a gift or before the first sale
     turnover = 0
     for tick in reversed(token.provenance):
         if tick <= horizon:
             break
         turnover += 1
     abnormal = token.abnormal_times
-    return FeatureVector(
-        intent.from_addr,
-        intent.to_addr,
-        price,
-        floor,
-        Fraction(price, floor) if price > 0 and floor else None,
-        turnover,
-        credit_score(intent.from_addr, chain, config),
-        credit_score(intent.to_addr, chain, config),
-        chain.account(intent.from_addr).explorer_flagged,
-        chain.account(intent.to_addr).explorer_flagged,
-        token.state,
-        bool(abnormal) and any(t > horizon for t in abnormal),
-        model_score,
-    )
+    return {
+        "sender": intent.from_addr,
+        "recipient": intent.to_addr,
+        "price": fmt_units(price),
+        "floor": None if floor is None else fmt_units(floor),
+        "price_ratio": f"{price // g}/{floor // g}" if price > 0 and floor else None,
+        "turnover_count": turnover,
+        "sender_credit": repr(credit_score(intent.from_addr, chain, config)),
+        "recipient_credit": repr(credit_score(intent.to_addr, chain, config)),
+        "sender_flagged": chain.account(intent.from_addr).explorer_flagged,
+        "recipient_flagged": chain.account(intent.to_addr).explorer_flagged,
+        "token_state": token.state,
+        "prior_abnormal": bool(abnormal) and any(t > horizon for t in abnormal),
+        "model_score": repr(model_score),
+    }
 
 
 # -- rules and verdict mapping -------------------------------------------------
 
 
-def rule_hits(features: FeatureVector, config: RiskConfig) -> tuple[RuleHit, ...]:
+def rule_hits(features: dict, config: RiskConfig) -> tuple[RuleHit, ...]:
+    """The rules' hits on a feature payload; a ratio other than ASCII ``digits/digits`` over a nonzero
+    denominator, or a credit that is not a float, raises ValueError."""
     hits: list[RuleHit] = []
-    ratio, beta = features.price_ratio, config.beta_underprice
-    if ratio is not None and ratio.numerator * beta.denominator < beta.numerator * ratio.denominator:
-        hits.append(RuleHit(R1_UNDERPRICED, WEAK, f"price ratio {fmt_fraction(ratio)}"))
-    if features.turnover_count >= config.turnover_threshold:
-        hits.append(RuleHit(R2_HIGH_TURNOVER, WEAK, f"{features.turnover_count} transfers in window"))
-    if features.recipient_credit < config.credit_threshold:
-        hits.append(RuleHit(R3_LOW_CREDIT, WEAK, f"recipient credit {features.recipient_credit:.2f}"))
-    if features.sender_flagged or features.recipient_flagged:
-        side = "sender" if features.sender_flagged else "recipient"
+    ratio, beta = features["price_ratio"], config.beta_underprice
+    if ratio is not None:
+        p, slash, q = ratio.partition("/")
+        if not (slash and p.isdigit() and q.isdigit() and ratio.isascii() and q.strip("0")):  # q > 0
+            raise ValueError(f"not a ratio: {ratio!r}")
+        if int(p) * beta.denominator < beta.numerator * int(q):
+            hits.append(RuleHit(R1_UNDERPRICED, WEAK, f"price ratio {ratio}"))
+    if features["turnover_count"] >= config.turnover_threshold:
+        hits.append(RuleHit(R2_HIGH_TURNOVER, WEAK, f"{features['turnover_count']} transfers in window"))
+    credit = float(features["recipient_credit"])
+    if credit < config.credit_threshold:
+        hits.append(RuleHit(R3_LOW_CREDIT, WEAK, f"recipient credit {credit:.2f}"))
+    if features["sender_flagged"] or features["recipient_flagged"]:
+        side = "sender" if features["sender_flagged"] else "recipient"
         hits.append(RuleHit(R4_FLAGGED_PARTY, STRONG, f"{side} explorer-flagged"))
-    if features.prior_abnormal:
+    if features["prior_abnormal"]:
         hits.append(RuleHit(R5_PRIOR_ABNORMAL, WEAK, "abnormal verdict in window"))
     return tuple(hits)
 
@@ -197,26 +169,14 @@ def classify(hits: tuple[RuleHit, ...], model_score: float, config: RiskConfig) 
     return SAFE
 
 
-def classify_payload(features_payload: dict, config: RiskConfig) -> tuple[str, list[str]]:
-    """Recompute (status, rule ids) from a logged feature payload; exact."""
-    ratio_text = features_payload["price_ratio"]
-    features = FeatureVector(
-        sender=features_payload["sender"],
-        recipient=features_payload["recipient"],
-        price=0,
-        floor=None,
-        price_ratio=None if ratio_text is None else parse_fraction(ratio_text),
-        turnover_count=features_payload["turnover_count"],
-        sender_credit=float(features_payload["sender_credit"]),
-        recipient_credit=float(features_payload["recipient_credit"]),
-        sender_flagged=features_payload["sender_flagged"],
-        recipient_flagged=features_payload["recipient_flagged"],
-        token_state=features_payload["token_state"],
-        prior_abnormal=features_payload["prior_abnormal"],
-        model_score=float(features_payload["model_score"]),
-    )
+def classify_payload(features: dict, config: RiskConfig) -> tuple[str, list[str]]:
+    """Recompute (status, rule ids) from a logged feature payload; exact.
+
+    A logged score that is not a float raises ValueError, the sender's credit too, though no rule reads it.
+    """
     hits = rule_hits(features, config)
-    return classify(hits, features.model_score, config), [h.rule_id for h in hits]
+    float(features["sender_credit"])
+    return classify(hits, float(features["model_score"]), config), [h.rule_id for h in hits]
 
 
 # -- scoring model -------------------------------------------------------------
@@ -245,6 +205,7 @@ class RiskEngine:
         return 0.0
 
     def evaluate(self, intent: TransferIntent, chain: TokenContract) -> RiskVerdict:
-        features = extract_features(intent, chain, self.config, self.model_score(intent.from_addr, intent.to_addr))
+        model_score = self.model_score(intent.from_addr, intent.to_addr)
+        features = extract_features(intent, chain, self.config, model_score)
         hits = rule_hits(features, self.config)
-        return RiskVerdict(classify(hits, features.model_score, self.config), hits, features)
+        return RiskVerdict(classify(hits, model_score, self.config), hits, features)

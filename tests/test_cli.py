@@ -56,6 +56,16 @@ def test_replay_corrupt_log_exit_2(tmp_path):
     assert main(["replay", str(broken)]) == 2
 
 
+def test_a_line_with_a_wrong_envelope_exit_2(replevin_log, capsys):
+    lines = replevin_log.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"seq":3,', b'"seq":"3",', 1)  # valid JSON, but its seq is a string
+    replevin_log.write_bytes(b"".join(lines))
+    for command in ("replay", "report", "state", "case", "explain"):
+        argv = [command, str(replevin_log)] + ([] if command in ("replay", "report") else ["1"])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"{command} error: line 3: not a canonical event record\n"
+
+
 def test_report_command(replevin_log, capsys):
     assert main(["report", str(replevin_log)]) == 0
     out = capsys.readouterr().out
@@ -145,6 +155,24 @@ def test_explain_recomputes_verdict(replevin_log, capsys):
     assert "R4_FLAGGED_PARTY" in out
     assert "offline recompute: hacked (agrees)" in out
     assert main(["explain", str(replevin_log), "42"]) == 2
+
+
+@pytest.mark.parametrize("ratio", ["1/0", "0.5", "-1/2"])
+def test_explain_refuses_a_logged_ratio_other_than_digits_over_digits(tmp_path, capsys, ratio):
+    log = tmp_path / "hot_sale.jsonl"
+    assert main(["run", str(SCENARIOS / "hot_sale.tps"), "--out", str(log)]) == 0
+    lines = log.read_bytes().splitlines(keepends=True)
+    target = next(i for i, line in enumerate(lines) if b'"kind":"RiskFulfilled"' in line and b'"price_ratio":"' in line)
+    body = json.loads(lines[target])
+    request_id = str(body["payload"]["request_id"])
+    capsys.readouterr()
+    assert main(["explain", str(log), request_id]) == 0
+    assert "offline recompute: may_lost (agrees)" in capsys.readouterr().out
+    body["payload"]["features"]["price_ratio"] = ratio
+    lines[target] = json.dumps(body, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    log.write_bytes(b"".join(lines))
+    assert main(["explain", str(log), request_id]) == 2
+    assert capsys.readouterr().err == f"explain error: seq {body['seq']}: RiskFulfilled event: not a ratio: {ratio!r}\n"
 
 
 def test_fuzz_command(capsys):

@@ -10,6 +10,7 @@ from guardsim.config import SimConfig, apply_override, load_config
 from guardsim.errors import RejectedInput, ReplayError
 from guardsim.fuzz import Fuzzer
 from guardsim.ledger import EventRecord, serialize_events
+from guardsim.risk import classify_payload
 from guardsim import runner
 from guardsim.runner import RunContext, replay_log, report_from_log, run_scenario, run_step, write_log
 from guardsim.scenario import load_scenario, parse_scenario
@@ -503,6 +504,25 @@ def test_the_fast_read_equals_the_full_parse(source, monkeypatch):
         assert (list(fast[0].steps), fast[0].name, fast[0].seed, fast[1]) == (
             scenario.steps, scenario.name, scenario.seed, config
         )
+
+
+@pytest.mark.parametrize("seed", sorted(FUZZ_CORPUS))
+def test_every_fuzz_verdict_recomputes_from_its_own_payload(seed, monkeypatch):
+    """``classify_payload`` under the log's Genesis config gives every logged status and rule list of a
+    pinned fuzz corpus, whose verdicts carry model scores, flags and hacked statuses the canned logs lack."""
+    statuses, scored, flagged = set(), 0, 0
+    for data in _corpus_logs(monkeypatch, seed):
+        events = runner.parse_log(data)
+        config = runner.genesis_config(next(ev for ev in events if ev.kind == "Genesis")).risk
+        for ev in events:
+            if ev.kind == "RiskFulfilled":
+                features = ev.payload["features"]
+                logged = (ev.payload["status"], [hit["rule"] for hit in ev.payload["hits"]])
+                assert classify_payload(features, config) == logged, ev.seq
+                statuses.add(logged[0])
+                scored += features["model_score"] != "0.0"
+                flagged += features["sender_flagged"] or features["recipient_flagged"]
+    assert statuses == {"safe", "may_lost", "hacked"} and scored and flagged, (statuses, scored, flagged)
 
 
 def test_an_escaped_evidence_text_is_read_by_the_fast_path(tmp_path, monkeypatch):

@@ -13,7 +13,8 @@ tests and strings do not count; dunder methods are called implicitly.
 
 The kinds ``append_event`` is called with in ``src/`` must be exactly the kinds
 of ``ledger.EVENT_KINDS``, which renders no other. The log readers trust the
-table's keys, so every constant key the audit, ``explain`` and
+table's keys, so every constant key the audit, ``explain``, the risk rules
+(``risk.rule_hits``, which judge the payload they log) and
 ``risk.classify_payload`` subscript must be a field of the table: a misspelt
 one would be an uncaught ``KeyError``.
 
@@ -187,6 +188,7 @@ PAYLOAD_READERS = [
     ("audit.py", None),
     ("cli.py", "cmd_explain"),
     ("cli.py", "_explanation"),
+    ("risk.py", "rule_hits"),
     ("risk.py", "classify_payload"),
 ]
 TABLE_FIELDS = {

@@ -40,7 +40,7 @@ def test_verdict_equals_offline_evaluate_on_snapshot(sim):
     expected = sim.engine.evaluate(intent, sim.contract)
     outcome = _transfer(sim, alice, bob, 1, 4)
     assert outcome.verdict.status == expected.status == MAY_LOST
-    assert outcome.verdict.features.to_payload() == expected.features.to_payload()
+    assert outcome.verdict.features == expected.features
 
 
 def test_fulfill_twice_rejected(sim):

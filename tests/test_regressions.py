@@ -1,10 +1,11 @@
-"""Minimized regression scenarios under ``tests/regressions``, one per defect found."""
+"""Minimized regression scenarios under ``tests/regressions``, one per defect found, and refusals that
+no scenario file reaches, run from scenario text."""
 
 from pathlib import Path
 
 from guardsim.audit import audit_events
 from guardsim.runner import run_scenario
-from guardsim.scenario import load_scenario
+from guardsim.scenario import load_scenario, parse_scenario
 from guardsim.units import fmt_units, to_units
 
 REGRESSIONS = Path(__file__).resolve().parent / "regressions"
@@ -60,6 +61,27 @@ def test_refusals_no_other_scenario_reaches_are_logged_steps():
         (20, "CaseClosed", "1"),
     ]
     assert report.case_outcomes == [{"case_id": 1, "verdict": "FOR_HOLDER", "auto": False}]
+    assert report.ok, report.violations
+
+
+def test_refusals_that_no_scenario_file_reaches_are_rejected_steps():
+    stranger = "0x" + "0" * 38 + "aa"  # an address no account was created at
+    scenario = parse_scenario(
+        "ACCOUNT alice 10\nACCOUNT bob 10\nMINT alice 1\n"
+        "TRANSFER alice alice bob 1 -1\n"  # the price parses to a negative amount
+        "UNLOCK alice 1\n"  # no aux wallet: the attestation is refused before unlock runs
+        f"PAY alice {stranger} 1\n"
+    )
+    sim, report = run_scenario(scenario)
+    alice = report.names["alice"]
+    events = sim.ledger.events
+    assert [(ev.payload["index"], ev.payload["error"], ev.payload["detail"]) for ev in events if ev.kind == "StepRejected"] == [
+        (3, "RejectedInput", "price must be >= 0"),
+        (4, "NoAuxRegistered", alice),
+        (5, "UnknownAccount", stranger),
+    ]
+    assert [ev.kind for ev in events[-6:]] == ["Step", "StepRejected"] * 3  # each leaves only its pair
+    assert sim.contract.token(1).owner == alice
     assert report.ok, report.violations
 
 

@@ -13,7 +13,6 @@ from guardsim.risk import (
     SAFE,
     STRONG,
     WEAK,
-    FeatureVector,
     RiskEngine,
     RuleHit,
     TransferIntent,
@@ -26,7 +25,7 @@ from guardsim.risk import (
 )
 from guardsim.sim import Simulation
 from guardsim.token import TokenRecord, TokenState
-from guardsim.units import UNIT, fmt_fraction, to_units
+from guardsim.units import UNIT, fmt_fraction, fmt_units, to_units
 
 from conftest import fund_accounts
 from riskgrid import StubView, build_grid_view, grid_points, oracle_status
@@ -106,7 +105,7 @@ def test_credit_on_live_chain_matches_raw_state_recompute(sim):
 def test_gift_has_undefined_ratio_and_no_r1():
     intent, view = build_grid_view(0, 10, 0, False, False, True)
     features = extract_features(intent, view, CFG, 0.0)
-    assert features.price_ratio is None
+    assert features["price_ratio"] is None
     assert all(h.rule_id != "R1_UNDERPRICED" for h in rule_hits(features, CFG))
 
 
@@ -123,7 +122,7 @@ def test_turnover_counts_window_entries_brute_force(sim):
     intent = TransferIntent(bob, bob, carol, 1, to_units(9), sim.ledger.time)
     features = extract_features(intent, sim.contract, CFG, 0.0)
     brute = sum(1 for tick in sim.contract.token(1).provenance if sim.ledger.time - tick < CFG.window_ticks)
-    assert features.turnover_count == brute == 4
+    assert features["turnover_count"] == brute == 4
     assert any(h.rule_id == "R2_HIGH_TURNOVER" for h in rule_hits(features, CFG))
 
 
@@ -134,10 +133,10 @@ def test_prior_abnormal_set_by_may_lost_and_ages_out(sim):
     sim.contract.transfer_from(alice, alice, bob, 2, to_units(10))
     sim.contract.transfer_from(alice, alice, carol, 1, to_units(4))  # may_lost
     intent = TransferIntent(alice, alice, carol, 1, to_units(10), sim.ledger.time)
-    assert extract_features(intent, sim.contract, CFG, 0.0).prior_abnormal is True
+    assert extract_features(intent, sim.contract, CFG, 0.0)["prior_abnormal"] is True
     sim.ledger.advance_time(CFG.window_ticks + 1)
     intent = TransferIntent(alice, alice, carol, 1, to_units(10), sim.ledger.time)
-    assert extract_features(intent, sim.contract, CFG, 0.0).prior_abnormal is False
+    assert extract_features(intent, sim.contract, CFG, 0.0)["prior_abnormal"] is False
 
 
 # -- verdict mapping -------------------------------------------------------------
@@ -164,7 +163,7 @@ def test_model_thresholds_are_inclusive():
 def test_rule_boundaries():
     intent, view = build_grid_view(5, 10, 0, False, False, True)
     features = extract_features(intent, view, CFG, 0.0)
-    assert features.price_ratio == Fraction(1, 2)
+    assert features["price_ratio"] == "1/2"
     assert rule_hits(features, CFG) == ()  # exactly beta * floor is not "below"
     intent, view = build_grid_view(4, 10, 0, False, False, True)
     hits = rule_hits(extract_features(intent, view, CFG, 0.0), CFG)
@@ -206,7 +205,7 @@ def test_default_scorer_returns_zero(sim):
     alice, bob = fund_accounts(sim, 2)
     sim.contract.mint(alice, 1)
     outcome = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
-    assert outcome.verdict.features.model_score == 0.0
+    assert outcome.verdict.features["model_score"] == "0.0"
 
 
 def test_model_score_lookup_and_purity():
@@ -230,7 +229,7 @@ def test_model_score_escalates_verdict(sim):
     sim.contract.mint(alice, 1)
     outcome = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
     assert outcome.status == HACKED
-    assert outcome.verdict.features.model_score == 0.95
+    assert outcome.verdict.features["model_score"] == "0.95"
 
 
 # -- offline recomputation ---------------------------------------------------------
@@ -241,7 +240,7 @@ def test_logged_payload_recomputes_to_same_verdict(sim):
     sim.ledger.set_explorer_flag(bob, True)
     sim.contract.mint(alice, 1)
     outcome = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
-    payload = outcome.verdict.features.to_payload()
+    payload = next(ev.payload["features"] for ev in reversed(sim.ledger.events) if ev.kind == "RiskFulfilled")
     status, rules = classify_payload(payload, CFG)
     assert status == outcome.status
     assert rules == [h.rule_id for h in outcome.verdict.hits]
@@ -263,7 +262,8 @@ def test_evaluate_matches_rule_text_oracle_sample(point, sim):
 
 
 def _reference_features(intent, chain, config, model_score):
-    """Feature extraction with every window test as ``now - time`` against the window."""
+    """The logged feature payload, built with every window test as ``now - time`` against the window
+    and the ratio as a ``Fraction``."""
     token = chain.token(intent.token_id)
     floor = chain.collection_floor()
     ratio = Fraction(intent.price, floor) if intent.price > 0 and floor else None
@@ -274,36 +274,37 @@ def _reference_features(intent, chain, config, model_score):
             break
         turnover += 1
     prior_abnormal = any(chain.now - t < window for t in reversed(token.abnormal_times))
-    return FeatureVector(
-        sender=intent.from_addr,
-        recipient=intent.to_addr,
-        price=intent.price,
-        floor=floor,
-        price_ratio=ratio,
-        turnover_count=turnover,
-        sender_credit=credit_score(intent.from_addr, chain, config),
-        recipient_credit=credit_score(intent.to_addr, chain, config),
-        sender_flagged=chain.account(intent.from_addr).explorer_flagged,
-        recipient_flagged=chain.account(intent.to_addr).explorer_flagged,
-        token_state=str(token.state),
-        prior_abnormal=prior_abnormal,
-        model_score=model_score,
-    )
+    return {
+        "sender": intent.from_addr,
+        "recipient": intent.to_addr,
+        "price": fmt_units(intent.price),
+        "floor": None if floor is None else fmt_units(floor),
+        "price_ratio": None if ratio is None else fmt_fraction(ratio),
+        "turnover_count": turnover,
+        "sender_credit": repr(credit_score(intent.from_addr, chain, config)),
+        "recipient_credit": repr(credit_score(intent.to_addr, chain, config)),
+        "sender_flagged": chain.account(intent.from_addr).explorer_flagged,
+        "recipient_flagged": chain.account(intent.to_addr).explorer_flagged,
+        "token_state": str(token.state),
+        "prior_abnormal": prior_abnormal,
+        "model_score": repr(model_score),
+    }
 
 
-def _reference_rule_hits(features, config):
-    """The rule table with R1 as a ``Fraction`` comparison."""
+def _reference_rule_hits(payload, config):
+    """The rule table over a feature payload, with R1 as a ``Fraction`` comparison."""
     hits = []
-    if features.price_ratio is not None and features.price_ratio < config.beta_underprice:
-        hits.append(RuleHit("R1_UNDERPRICED", WEAK, f"price ratio {fmt_fraction(features.price_ratio)}"))
-    if features.turnover_count >= config.turnover_threshold:
-        hits.append(RuleHit("R2_HIGH_TURNOVER", WEAK, f"{features.turnover_count} transfers in window"))
-    if features.recipient_credit < config.credit_threshold:
-        hits.append(RuleHit("R3_LOW_CREDIT", WEAK, f"recipient credit {features.recipient_credit:.2f}"))
-    if features.sender_flagged or features.recipient_flagged:
-        side = "sender" if features.sender_flagged else "recipient"
+    ratio = None if payload["price_ratio"] is None else Fraction(payload["price_ratio"])
+    if ratio is not None and ratio < config.beta_underprice:
+        hits.append(RuleHit("R1_UNDERPRICED", WEAK, f"price ratio {fmt_fraction(ratio)}"))
+    if payload["turnover_count"] >= config.turnover_threshold:
+        hits.append(RuleHit("R2_HIGH_TURNOVER", WEAK, f"{payload['turnover_count']} transfers in window"))
+    if float(payload["recipient_credit"]) < config.credit_threshold:
+        hits.append(RuleHit("R3_LOW_CREDIT", WEAK, f"recipient credit {float(payload['recipient_credit']):.2f}"))
+    if payload["sender_flagged"] or payload["recipient_flagged"]:
+        side = "sender" if payload["sender_flagged"] else "recipient"
         hits.append(RuleHit("R4_FLAGGED_PARTY", STRONG, f"{side} explorer-flagged"))
-    if features.prior_abnormal:
+    if payload["prior_abnormal"]:
         hits.append(RuleHit("R5_PRIOR_ABNORMAL", WEAK, "abnormal verdict in window"))
     return tuple(hits)
 
@@ -362,10 +363,11 @@ def test_features_rules_and_verdict_equal_the_fraction_reference(case):
     features = extract_features(intent, view, config, model_score)
     expected = _reference_features(intent, view, config, model_score)
     assert features == expected
-    assert features.to_payload() == expected.to_payload()
     hits = rule_hits(features, config)
     assert hits == _reference_rule_hits(expected, config)
-    assert classify(hits, model_score, config) == _reference_classify(hits, model_score, config)
+    status = classify(hits, model_score, config)
+    assert status == _reference_classify(hits, model_score, config)
+    assert classify_payload(features, config) == (status, [h.rule_id for h in hits])
 
 
 # -- the benchmark's risk spans ------------------------------------------------------------

@@ -25,6 +25,10 @@ def test_arity_and_int_validation():
         parse_scenario("MINT alice one\n")
     with pytest.raises(ParseError):
         parse_scenario("SEED x\n")
+    for directive, reason in (("NAME", "NAME needs a value"), ("CONFIG freeze_ticks", "CONFIG needs a key and a value")):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(f"ACCOUNT alice 1\n{directive}\n")
+        assert (err.value.line_no, err.value.reason) == (2, reason)
     # integer arguments lie in [0, 2**63); each error names its line
     for bad in (str(2**63), "9" * 4300, "-1"):
         for text in (f"ACCOUNT alice 1\nMINT alice {bad}\n", f"ACCOUNT alice 1\nADVANCE {bad}\n"):
