@@ -15,7 +15,7 @@ from .arbitration import (
     ArbitrationSystem,
     QuorumTally,
 )
-from .config import JuryConfig, RiskConfig, SimConfig, apply_override, load_config
+from .config import SimConfig, apply_override, load_config
 from .errors import SimError
 from .ledger import Account, Address, EventRecord, Ledger, derive_address
 from .oracle import OracleBridge
@@ -25,7 +25,6 @@ from .risk import (
     SAFE,
     RiskEngine,
     RiskVerdict,
-    RuleHit,
     TransferIntent,
     classify,
     classify_payload,
@@ -37,6 +36,6 @@ from .risk import (
 from .runner import RunReport, replay_log, report_from_log, run_scenario, write_log
 from .scenario import Scenario, Step, format_scenario, load_scenario, parse_scenario
 from .sim import Simulation
-from .token import TokenContract, TokenRecord, TokenState, TransferOutcome
+from .token import TokenContract, TokenRecord, TokenState
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .config import JuryConfig
+from .config import SimConfig
 from .errors import (
     AlreadyEmpaneled,
     AlreadyVoted,
@@ -96,14 +96,14 @@ class ArbitrationSystem:
         ledger: Ledger,
         contract: TokenContract,
         bridge,
-        jury_config: JuryConfig,
+        config: SimConfig,
         escrow: Address,
         fee_sink: Address,
     ):
         self.ledger = ledger
         self.contract = contract
         self.bridge = bridge
-        self.jury_config = jury_config
+        self.config = config
         self.escrow = escrow
         self.fee_sink = fee_sink
         self.cases: dict[int, ArbitrationCase] = {}
@@ -118,8 +118,8 @@ class ArbitrationSystem:
         token = self.contract.token(token_id)
         floor = self.contract.collection_floor() or 0
         estimate = max(token.last_sale_price or 0, floor)
-        rate = self.jury_config.deposit_rate
-        return max(self.jury_config.deposit_min, rate.numerator * estimate // rate.denominator)
+        rate = self.config.deposit_rate
+        return max(self.config.deposit_min, rate.numerator * estimate // rate.denominator)
 
     # -- case lifecycle -----------------------------------------------------------
 
@@ -184,9 +184,9 @@ class ArbitrationSystem:
             raise CaseClosedError(str(case_id))
         if case.status == VOTING:
             raise AlreadyEmpaneled(str(case_id))
-        size = self.jury_config.jury_size
+        size = self.config.jury_size
         case.jury = select_jury(pool, {case.reporter, case.respondent}, size, seed, case_id)
-        case.tally = QuorumTally(self.jury_config.quorum, size)
+        case.tally = QuorumTally(self.config.quorum, size)
         case.status = VOTING
         self.ledger.append_event("JuryEmpaneled", {"case_id": case_id, "jury": list(case.jury)})
         return list(case.jury)
@@ -211,7 +211,7 @@ class ArbitrationSystem:
     def close_case(self, case_id: int) -> None:
         case = self.case(case_id)
         token = self.contract.token(case.token_id)
-        cfg = self.jury_config
+        cfg = self.config
         aligned = [j for j in case.tally.votes if case.tally.votes[j] == case.verdict]
 
         if case.verdict == FOR_REPORTER:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .config import JuryConfig
+from .config import SimConfig
 from .errors import RejectedInput, ReplayError
 from .ledger import EventRecord
 from .token import EFFECT_KINDS
@@ -45,7 +45,7 @@ class Audit:
         self.unpaired: dict[int, str] | None = {}  # request id -> the kind of its one event so far; None once broken
         self.reclaimed: set[int] = set()  # the tokens whose last ownership event left them RECLAIMED
         self.juror_reward_each: int | None = None
-        self.gas_fee = JuryConfig().gas_fee  # replaced by the genesis config
+        self.gas_fee = SimConfig().gas_fee  # replaced by the genesis config
         self.previous: EventRecord | None = None
         self.minted = self.honor_count = self.reward_minted_total = self.steps = self.rejected = 0
         self.verdicts: dict[str, int] = {}

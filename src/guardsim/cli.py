@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import RiskConfig, SimConfig, load_config
+from .config import SimConfig, load_config
 from .errors import ParseError, RejectedInput, ReplayError, SimError
 from .fuzz import Fuzzer
 from .ledger import SEEDS
@@ -99,14 +99,14 @@ def cmd_explain(args) -> int:
         return 2
     config = genesis_config(genesis)
     try:
-        lines, agrees = _explanation(match.payload, config.risk)
+        lines, agrees = _explanation(match.payload, config)
     except ValueError as exc:  # a score or ratio string that does not parse
         raise ReplayError(f"seq {match.seq}: RiskFulfilled event: {exc}") from None
     print(f"request={args.request_id} " + "\n".join(lines))
     return 0 if agrees else 1
 
 
-def _explanation(payload: dict, config: RiskConfig) -> tuple[list[str], bool]:
+def _explanation(payload: dict, config: SimConfig) -> tuple[list[str], bool]:
     """The lines ``explain`` prints for one RiskFulfilled payload, and whether the offline recompute agrees."""
     features, hits = payload["features"], payload["hits"]
     status, rules = classify_payload(features, config)

@@ -16,9 +16,10 @@ from .units import fmt_fraction, fmt_units, parse_fraction, to_units
 
 
 @dataclass(frozen=True)
-class RiskConfig:
-    """Thresholds for the rule filters and the verdict mapping."""
+class SimConfig:
+    """Every threshold a run uses, one field per key of the Genesis event's ``config``."""
 
+    freeze_ticks: int = 7200
     beta_underprice: Fraction = Fraction(1, 2)  # R1: price < beta * floor
     turnover_threshold: int = 3                 # R2: transfers in window >= T
     window_ticks: int = 86400                   # recency window for R2 and R5
@@ -28,13 +29,7 @@ class RiskConfig:
     credit_w_portfolio: float = 10.0
     credit_w_age: float = 2.0
     credit_w_flag: float = 1.0
-
-
-@dataclass(frozen=True)
-class JuryConfig:
-    """Arbitration economics; jury size and quorum derive from ``tolerated_faulty``."""
-
-    tolerated_faulty: int = 1
+    jury_f: int = 1                             # PBFT fault bound f; jury size and quorum derive from it
     juror_reward: int = to_units("0.01")
     gas_fee: int = to_units("0.001")
     deposit_rate: Fraction = Fraction(1, 20)
@@ -42,49 +37,42 @@ class JuryConfig:
 
     @property
     def jury_size(self) -> int:
-        return 3 * self.tolerated_faulty + 1
+        return 3 * self.jury_f + 1
 
     @property
     def quorum(self) -> int:
-        return 2 * self.tolerated_faulty + 1
+        return 2 * self.jury_f + 1
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    freeze_ticks: int = 7200
-    risk: RiskConfig = RiskConfig()
-    jury: JuryConfig = JuryConfig()
-
-
-# flat key -> (section, field, parse, render)
+# key -> (parse, render), in the order of the dataclass fields
 _INT = (int, str)
 _FLOAT = (float, repr)
 _FRAC = (parse_fraction, fmt_fraction)
 _UNITS = (to_units, fmt_units)
 
 _KEYS = {
-    "freeze_ticks": (None, "freeze_ticks", *_INT),
-    "beta_underprice": ("risk", "beta_underprice", *_FRAC),
-    "turnover_threshold": ("risk", "turnover_threshold", *_INT),
-    "window_ticks": ("risk", "window_ticks", *_INT),
-    "credit_threshold": ("risk", "credit_threshold", *_FLOAT),
-    "p_hacked": ("risk", "p_hacked", *_FLOAT),
-    "p_suspect": ("risk", "p_suspect", *_FLOAT),
-    "credit_w_portfolio": ("risk", "credit_w_portfolio", *_FLOAT),
-    "credit_w_age": ("risk", "credit_w_age", *_FLOAT),
-    "credit_w_flag": ("risk", "credit_w_flag", *_FLOAT),
-    "jury_f": ("jury", "tolerated_faulty", *_INT),
-    "juror_reward": ("jury", "juror_reward", *_UNITS),
-    "gas_fee": ("jury", "gas_fee", *_UNITS),
-    "deposit_rate": ("jury", "deposit_rate", *_FRAC),
-    "deposit_min": ("jury", "deposit_min", *_UNITS),
+    "freeze_ticks": _INT,
+    "beta_underprice": _FRAC,
+    "turnover_threshold": _INT,
+    "window_ticks": _INT,
+    "credit_threshold": _FLOAT,
+    "p_hacked": _FLOAT,
+    "p_suspect": _FLOAT,
+    "credit_w_portfolio": _FLOAT,
+    "credit_w_age": _FLOAT,
+    "credit_w_flag": _FLOAT,
+    "jury_f": _INT,
+    "juror_reward": _UNITS,
+    "gas_fee": _UNITS,
+    "deposit_rate": _FRAC,
+    "deposit_min": _UNITS,
 }
 
 
 def apply_override(config: SimConfig, key: str, value: str) -> SimConfig:
-    """Return a copy of ``config`` with one flat key replaced."""
+    """Return a copy of ``config`` with one key replaced."""
     try:
-        section, field, parse, _render = _KEYS[key]
+        parse, _render = _KEYS[key]
     except KeyError:
         raise RejectedInput(f"unknown config key: {key!r}") from None
     try:
@@ -98,9 +86,7 @@ def apply_override(config: SimConfig, key: str, value: str) -> SimConfig:
         raise RejectedInput(f"bad value for {key}: {value!r} (must be in [0, 2**63))")
     if parse is not float and parsed < 0:
         raise RejectedInput(f"bad value for {key}: {value!r} (must be >= 0)")
-    if section is None:
-        return replace(config, **{field: parsed})
-    return replace(config, **{section: replace(getattr(config, section), **{field: parsed})})
+    return replace(config, **{key: parsed})
 
 
 def load_config(path: str | Path) -> SimConfig:
@@ -120,11 +106,7 @@ def load_config(path: str | Path) -> SimConfig:
 
 def config_payload(config: SimConfig) -> dict[str, str]:
     """Canonical string rendering of every effective key, for the genesis event."""
-    out: dict[str, str] = {}
-    for key, (section, field, _parse, render) in _KEYS.items():
-        holder = config if section is None else getattr(config, section)
-        out[key] = render(getattr(holder, field))
-    return out
+    return {key: render(getattr(config, key)) for key, (_parse, render) in _KEYS.items()}
 
 
 def config_from_payload(payload: dict[str, str]) -> SimConfig:

@@ -42,10 +42,9 @@ class NotOwner(SimError):
 class GuardRejected(SimError):
     """Transfer guard refusal; ``code`` is the guard reason itself."""
 
-    def __init__(self, reason: str, message: str = ""):
-        self.reason = reason
-        self.code = reason
-        super().__init__(message or reason)
+    def __init__(self, code: str):
+        self.code = code
+        super().__init__()
 
 
 class PhishingOperatorBlocked(SimError):

@@ -72,7 +72,7 @@ class OracleBridge:
             {
                 "request_id": request_id,
                 "status": verdict.status,
-                "hits": [hit.to_payload() for hit in verdict.hits],
+                "hits": verdict.hits,
                 "features": verdict.features,
             },
         )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import RiskConfig
+from .config import SimConfig
 from .ledger import Address
 from .units import UNIT, fmt_units
 
@@ -59,18 +59,9 @@ class TransferIntent(NamedTuple):
     time: int
 
 
-class RuleHit(NamedTuple):
-    rule_id: str
-    severity: str
-    detail: str
-
-    def to_payload(self) -> dict:
-        return {"rule": self.rule_id, "severity": self.severity, "detail": self.detail}
-
-
 class RiskVerdict(NamedTuple):
     status: str
-    hits: tuple[RuleHit, ...]
+    hits: list[dict]  # the hits RiskFulfilled logs
     features: dict  # the payload RiskFulfilled logs
 
 
@@ -87,7 +78,7 @@ def collection_floor(chain: TokenContract) -> int | None:
     return chain.collection_floor()
 
 
-def credit_score(address: Address, chain: TokenContract, config: RiskConfig) -> float:
+def credit_score(address: Address, chain: TokenContract, config: SimConfig) -> float:
     """Wealth-and-age credit heuristic with a heavy penalty for flagged accounts.
 
     score = w_portfolio * log2(1 + portfolio value)
@@ -104,7 +95,7 @@ def credit_score(address: Address, chain: TokenContract, config: RiskConfig) -> 
     return score
 
 
-def extract_features(intent: TransferIntent, chain: TokenContract, config: RiskConfig, model_score: float) -> dict:
+def extract_features(intent: TransferIntent, chain: TokenContract, config: SimConfig, model_score: float) -> dict:
     """The transfer's feature payload, as ``RiskFulfilled`` logs it."""
     horizon = chain.now - config.window_ticks  # a sale or an abnormal mark counts while its tick is after it
     token = chain.token(intent.token_id)
@@ -137,46 +128,48 @@ def extract_features(intent: TransferIntent, chain: TokenContract, config: RiskC
 # -- rules and verdict mapping -------------------------------------------------
 
 
-def rule_hits(features: dict, config: RiskConfig) -> tuple[RuleHit, ...]:
-    """The rules' hits on a feature payload; a ratio other than ASCII ``digits/digits`` over a nonzero
-    denominator, or a credit that is not a float, raises ValueError."""
-    hits: list[RuleHit] = []
+def rule_hits(features: dict, config: SimConfig) -> list[dict]:
+    """The rules' hits on a feature payload, as ``RiskFulfilled`` logs them: ``{"rule", "severity",
+    "detail"}`` dicts. A ratio other than ASCII ``digits/digits`` over a nonzero denominator, or a
+    credit that is not a float, raises ValueError."""
+    hits: list[dict] = []
     ratio, beta = features["price_ratio"], config.beta_underprice
     if ratio is not None:
         p, slash, q = ratio.partition("/")
         if not (slash and p.isdigit() and q.isdigit() and ratio.isascii() and q.strip("0")):  # q > 0
             raise ValueError(f"not a ratio: {ratio!r}")
         if int(p) * beta.denominator < beta.numerator * int(q):
-            hits.append(RuleHit(R1_UNDERPRICED, WEAK, f"price ratio {ratio}"))
-    if features["turnover_count"] >= config.turnover_threshold:
-        hits.append(RuleHit(R2_HIGH_TURNOVER, WEAK, f"{features['turnover_count']} transfers in window"))
+            hits.append({"rule": R1_UNDERPRICED, "severity": WEAK, "detail": f"price ratio {ratio}"})
+    turnover = features["turnover_count"]
+    if turnover >= config.turnover_threshold:
+        hits.append({"rule": R2_HIGH_TURNOVER, "severity": WEAK, "detail": f"{turnover} transfers in window"})
     credit = float(features["recipient_credit"])
     if credit < config.credit_threshold:
-        hits.append(RuleHit(R3_LOW_CREDIT, WEAK, f"recipient credit {credit:.2f}"))
+        hits.append({"rule": R3_LOW_CREDIT, "severity": WEAK, "detail": f"recipient credit {credit:.2f}"})
     if features["sender_flagged"] or features["recipient_flagged"]:
         side = "sender" if features["sender_flagged"] else "recipient"
-        hits.append(RuleHit(R4_FLAGGED_PARTY, STRONG, f"{side} explorer-flagged"))
+        hits.append({"rule": R4_FLAGGED_PARTY, "severity": STRONG, "detail": f"{side} explorer-flagged"})
     if features["prior_abnormal"]:
-        hits.append(RuleHit(R5_PRIOR_ABNORMAL, WEAK, "abnormal verdict in window"))
-    return tuple(hits)
+        hits.append({"rule": R5_PRIOR_ABNORMAL, "severity": WEAK, "detail": "abnormal verdict in window"})
+    return hits
 
 
-def classify(hits: tuple[RuleHit, ...], model_score: float, config: RiskConfig) -> str:
-    if model_score >= config.p_hacked or (hits and any(h.severity == STRONG for h in hits)):
+def classify(hits: list[dict], model_score: float, config: SimConfig) -> str:
+    if model_score >= config.p_hacked or (hits and any(h["severity"] == STRONG for h in hits)):
         return HACKED
     if model_score >= config.p_suspect or hits:
         return MAY_LOST
     return SAFE
 
 
-def classify_payload(features: dict, config: RiskConfig) -> tuple[str, list[str]]:
+def classify_payload(features: dict, config: SimConfig) -> tuple[str, list[str]]:
     """Recompute (status, rule ids) from a logged feature payload; exact.
 
     A logged score that is not a float raises ValueError, the sender's credit too, though no rule reads it.
     """
     hits = rule_hits(features, config)
     float(features["sender_credit"])
-    return classify(hits, float(features["model_score"]), config), [h.rule_id for h in hits]
+    return classify(hits, float(features["model_score"]), config), [h["rule"] for h in hits]
 
 
 # -- scoring model -------------------------------------------------------------
@@ -189,7 +182,7 @@ class RiskEngine:
     either side; ``phishing_operators`` is the set of listed operators.
     """
 
-    def __init__(self, config: RiskConfig):
+    def __init__(self, config: SimConfig):
         self.config = config
         self.model: dict[tuple[str, str], float] = {}
         self.phishing_operators: set[Address] = set()

@@ -32,13 +32,13 @@ class Simulation:
         self.fee_sink = self.ledger.create_account(0)
         self.escrow = self.ledger.create_account(0)
 
-        self.engine = RiskEngine(self.config.risk)
+        self.engine = RiskEngine(self.config)
         self.contract = TokenContract(self.ledger, self.treasury, self.config.freeze_ticks)
         self.bridge = OracleBridge(self.ledger, self.contract, self.engine)
         self.contract.bind_bridge(self.bridge)
         self.access = AccessControl(self.ledger, self.contract, self.bridge)
         self.arbitration = ArbitrationSystem(
-            self.ledger, self.contract, self.bridge, self.config.jury, self.escrow, self.fee_sink
+            self.ledger, self.contract, self.bridge, self.config, self.escrow, self.fee_sink
         )
         self.bridge.attach_arbitration(self.arbitration)
 

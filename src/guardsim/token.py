@@ -23,7 +23,6 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import (
     AlreadyMinted,
@@ -72,15 +71,6 @@ class TokenRecord:
     abnormal_times: list[int] = field(default_factory=list)
     last_sale_price: int | None = None
     pre_reclaim_owner: Address | None = None
-
-
-class TransferOutcome(NamedTuple):
-    request_id: int
-    verdict: RiskVerdict
-
-    @property
-    def status(self) -> str:
-        return self.verdict.status
 
 
 class TokenContract:
@@ -195,7 +185,7 @@ class TokenContract:
 
     def transfer_from(
         self, caller: Address, from_addr: Address, to_addr: Address, token_id: int, price: int, *, safe_variant: bool = False
-    ) -> TransferOutcome:
+    ) -> RiskVerdict:
         """Propose a transfer; the synchronous risk verdict decides what happens.
 
         safe -> ownership moves and the token arrives LOCKED; may_lost -> the
@@ -237,7 +227,7 @@ class TokenContract:
                     "new_owner": token.owner,
                 },
             )
-        return TransferOutcome(request_id, verdict)
+        return verdict
 
     # -- bridge-only entry points ---------------------------------------------
 

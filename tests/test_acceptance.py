@@ -65,7 +65,7 @@ def test_acceptance_2_verdict_coverage_and_recompute():
                 continue
             verdicts += 1
             seen.add(ev.payload["status"])
-            status, rules = classify_payload(ev.payload["features"], config.risk)
+            status, rules = classify_payload(ev.payload["features"], config)
             logged_rules = [h["rule"] for h in ev.payload["hits"]]
             if status != ev.payload["status"] or rules != logged_rules:
                 mismatches += 1
@@ -88,7 +88,7 @@ def test_acceptance_3_rule_engine_oracle_equivalence():
         intent, view = build_grid_view(*point)
         verdict = sim.engine.evaluate(intent, view)
         expected_status, expected_rules = oracle_status(*point)
-        if verdict.status != expected_status or [h.rule_id for h in verdict.hits] != expected_rules:
+        if verdict.status != expected_status or [h["rule"] for h in verdict.hits] != expected_rules:
             disagreements += 1
     check(
         3,
@@ -109,7 +109,7 @@ def _das_outcome(assignment, order, jury_f):
     config = apply_override(SimConfig(), "jury_f", str(jury_f))
     sim = Simulation(seed=3, config=config)
     alice, bob = fund_accounts(sim, 2, age_ticks=0)
-    jurors = fund_accounts(sim, config.jury.jury_size, balance=5, age_ticks=86400)
+    jurors = fund_accounts(sim, config.jury_size, balance=5, age_ticks=86400)
     sim.contract.mint(alice, 1)
     sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
     case_id = sim.arbitration.file_report(alice, 1)
@@ -181,7 +181,7 @@ def test_acceptance_5_replevin_end_to_end():
     token = sim.contract.token(1)
     owns_locked = token.owner == alice and token.state is TokenState.LOCKED
     net_cost = to_units(10) - sim.ledger.account(alice).balance
-    exact_gas = net_cost == sim.config.jury.gas_fee
+    exact_gas = net_cost == sim.config.gas_fee
     conserved = sim.ledger.conservation_holds() and sim.ledger.account(sim.escrow).balance == 0
     check(
         5,

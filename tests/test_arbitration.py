@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from guardsim.arbitration import FOR_HOLDER, FOR_REPORTER, ArbitrationSystem, QuorumTally, select_jury
-from guardsim.config import JuryConfig
+from guardsim.config import SimConfig
 from guardsim.errors import (
     AlreadyEmpaneled,
     AlreadyVoted,
@@ -84,7 +84,7 @@ def test_deposit_is_the_floor_of_the_exact_product(rate, last_sale, floor, depos
     if floor:
         tokens[2] = TokenRecord(2, "0xb", last_sale_price=floor)
     view = StubView(0, tokens, {})
-    config = JuryConfig(deposit_rate=rate, deposit_min=deposit_min)
+    config = SimConfig(deposit_rate=rate, deposit_min=deposit_min)
     arbitration = ArbitrationSystem(None, view, None, config, "0xescrow", "0xfees")
     scaled = rate * max(last_sale, view.collection_floor() or 0)
     assert arbitration.required_deposit(1) == max(deposit_min, scaled.numerator // scaled.denominator)
@@ -253,7 +253,7 @@ def test_for_reporter_settlement_returns_token_and_costs_gas():
     token = sim.contract.token(token_id)
     assert token.owner == alice
     assert token.state is TokenState.LOCKED
-    assert sim.ledger.account(alice).balance == balance_before - sim.config.jury.gas_fee
+    assert sim.ledger.account(alice).balance == balance_before - sim.config.gas_fee
     assert sim.ledger.account(sim.escrow).balance == 0
     assert sim.ledger.conservation_holds()
 
@@ -272,7 +272,7 @@ def test_for_holder_settlement_splits_deposit_and_rewards():
     for juror in aligned:
         sim.arbitration.cast_vote(case_id, juror, FOR_HOLDER)
     # rival pays deposit + gas; aligned jurors split 0.6 and earn 0.01 minted each
-    cfg = sim.config.jury
+    cfg = sim.config
     assert sim.ledger.account(rival).balance == rival_before - deposit - cfg.gas_fee
     share = deposit // 3
     for juror in aligned:
@@ -299,7 +299,7 @@ def test_forfeit_remainder_goes_to_earliest_voters():
     deposit = to_units("0.01")
     base, remainder = divmod(deposit, 3)
     assert remainder == 1
-    gains = [sim.ledger.account(j).balance - juror_balances[j] - sim.config.jury.juror_reward for j in aligned]
+    gains = [sim.ledger.account(j).balance - juror_balances[j] - sim.config.juror_reward for j in aligned]
     assert gains == [base + 1, base, base]
     assert sum(gains) == deposit
     assert sim.ledger.account(sim.escrow).balance == 0
@@ -309,8 +309,7 @@ def test_auto_case_for_holder_returns_to_pre_reclaim_owner():
     sim, alice, bob, _, jurors = arb_sim()
     sim.ledger.set_explorer_flag(bob, True)
     sim.contract.mint(alice, 1)
-    outcome = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
-    assert outcome.status == "hacked"
+    assert sim.contract.transfer_from(alice, alice, bob, 1, to_units(10)).status == "hacked"
     case = sim.arbitration.case(1)
     assert case.auto_opened and case.deposit == 0 and case.reporter == alice
     sim.arbitration.empanel_jury(1, jurors, seed=sim.seed)

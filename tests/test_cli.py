@@ -6,7 +6,7 @@ import pytest
 
 from guardsim import cli, runner
 from guardsim.cli import main
-from guardsim.fuzz import Fuzzer
+from guardsim.fuzz import Fuzzer, FuzzResult
 from guardsim.ledger import EVENT_KINDS, serialize_events
 from guardsim.runner import ReplayOutcome, run_scenario, write_log
 from guardsim.scenario import load_scenario
@@ -180,6 +180,30 @@ def test_fuzz_command(capsys):
     assert "no invariant violations" in capsys.readouterr().out
 
 
+def test_fuzz_violation_prints_it_and_the_minimized_trace_exit_1(monkeypatch, capsys):
+    """No fuzz seed finds a violation in this code, so a stub fuzzer reports one."""
+    trace = "NAME fuzz-9\nSEED 9\nACCOUNT u0 10\nMINT u0 1\n"
+    calls = []
+
+    class StubFuzzer:
+        def __init__(self, seed, ops_per_run):
+            calls.append((seed, ops_per_run))
+
+        def run(self, total_ops):
+            calls.append(total_ops)
+            return FuzzResult(total_ops, 2, 5, "seq 41: transfer completed on LOCKED token 1", trace)
+
+    monkeypatch.setattr(cli, "Fuzzer", StubFuzzer)
+    assert main(["fuzz", "--iters", "60", "--seed", "4", "--ops-per-run", "30"]) == 1
+    assert calls == [(4, 30), 60]
+    assert capsys.readouterr().out == (
+        "fuzz: 60 operations across 2 sequences\n"
+        "violation: seq 41: transfer completed on LOCKED token 1\n"
+        "minimized reproducing scenario:\n"
+        f"{trace}\n"
+    )
+
+
 def test_run_respects_config_file(tmp_path, capsys):
     conf = tmp_path / "sim.conf"
     conf.write_text("freeze_ticks = 9\n")
@@ -227,6 +251,29 @@ def test_run_seed_outside_64_bits_exit_2(tmp_path, capsys):
         assert exit_info.value.code == 2
         assert f"must be in [0, 2**64), got {seed}" in capsys.readouterr().err
     assert main(["run", str(SCENARIOS / "clean_sale.tps"), "--out", log, "--seed", str(2**64 - 1)]) == 0
+
+
+def test_run_seed_that_is_not_an_integer_exit_2(tmp_path, capsys):
+    log = tmp_path / "out.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(SCENARIOS / "clean_sale.tps"), "--out", str(log), "--seed", "abc"])
+    assert exit_info.value.code == 2
+    assert "argument --seed: not an integer: 'abc'" in capsys.readouterr().err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("key", ["tolerated_faulty", "jury_size", "quorum", "no_such_key"])
+def test_run_config_key_that_is_not_a_genesis_key_exit_2(tmp_path, capsys, key):
+    """Only the keys the Genesis event logs are config keys, not the names of fields or properties."""
+    conf = tmp_path / "sim.conf"
+    conf.write_text(f"{key} = 2\n")
+    log = tmp_path / "out.jsonl"
+    assert main(["run", str(SCENARIOS / "clean_sale.tps"), "--out", str(log), "--config", str(conf)]) == 2
+    scenario = tmp_path / "unknown_key.tps"
+    scenario.write_text(f"CONFIG {key} 2\nACCOUNT a 1\n")
+    assert main(["run", str(scenario), "--out", str(log)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown config key: {key!r}\n" * 2
+    assert not log.exists()
 
 
 def test_seed_directive_outside_64_bits_exit_2(tmp_path, capsys):

@@ -3,11 +3,14 @@ import re
 import pytest
 
 from guardsim import fuzz
+from guardsim.audit import audit_events
 from guardsim.errors import RejectedInput
 from guardsim.fuzz import Fuzzer
 from guardsim.runner import run_scenario, run_step
 from guardsim.scenario import parse_scenario, parse_step
+from guardsim.sim import Simulation
 from guardsim.token import TokenContract
+from guardsim.units import to_units
 
 from test_digests import FUZZ_CORPUS
 
@@ -42,6 +45,15 @@ def test_fuzzer_catches_a_seeded_guard_bug_and_minimizes(monkeypatch):
     assert len(minimized.steps) < 300
     _sim, report = run_scenario(minimized)
     assert any(re.fullmatch(r"seq \d+: transfer completed on LOCKED token \d+", v) for v in report.violations)
+
+
+def test_first_violation_reports_live_books_that_the_log_does_not_show():
+    sim = Simulation(seed=1)
+    alice = sim.ledger.create_account(to_units(5))
+    assert fuzz.first_violation(sim) is None
+    sim.ledger.account(alice).balance += 1  # the live books drift; no event records it
+    assert audit_events(sim.ledger.events) == []
+    assert fuzz.first_violation(sim) == "live conservation check failed"
 
 
 def test_fuzz_trace_runs_under_the_failing_sequence_seed(monkeypatch):

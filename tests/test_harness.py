@@ -59,7 +59,7 @@ def test_replevin_returns_token_to_victim():
     assert report.verdict_counts == {"hacked": 1}
     assert report.case_outcomes == [{"case_id": 1, "verdict": "FOR_REPORTER", "auto": True}]
     # net cost of the whole recovery is exactly the arbitration gas fee
-    assert sim.ledger.account(alice).balance == to_units(10) - sim.config.jury.gas_fee
+    assert sim.ledger.account(alice).balance == to_units(10) - sim.config.gas_fee
     assert report.ok
 
 
@@ -71,7 +71,7 @@ def test_malicious_report_punishes_reporter():
     assert sim.contract.token(1).owner == report.names["bob"]
     assert sim.contract.token(1).state is TokenState.OK
     assert sim.contract.token(1).frozen_until is None
-    expected_cost = case.deposit + sim.config.jury.gas_fee
+    expected_cost = case.deposit + sim.config.gas_fee
     assert sim.ledger.account(rival).balance == to_units(10) - expected_cost
     assert report.ok
 
@@ -132,7 +132,7 @@ def test_replay_round_trips_config_overrides(tmp_path):
     write_log(sim, log)
     outcome, resim = replay_log(log)
     assert outcome.passed
-    assert resim.config.risk.p_hacked == 0.85
+    assert resim.config.p_hacked == 0.85
 
 
 def test_empty_scenario_yields_all_zero_report(tmp_path):
@@ -243,12 +243,12 @@ def test_config_file_and_scenario_overrides(tmp_path):
     config_file.write_text("freeze_ticks = 100\np_hacked = 0.8\n# comment\njury_f 2\n")
     config = load_config(config_file)
     assert config.freeze_ticks == 100
-    assert config.risk.p_hacked == 0.8
-    assert config.jury.jury_size == 7 and config.jury.quorum == 5
+    assert config.p_hacked == 0.8
+    assert config.jury_size == 7 and config.quorum == 5
     scenario = parse_scenario("CONFIG freeze_ticks 50\nACCOUNT a 1\n")
     sim, _ = run_scenario(scenario, base_config=config)
     assert sim.config.freeze_ticks == 50  # scenario override wins over file
-    assert sim.config.jury.tolerated_faulty == 2
+    assert sim.config.jury_f == 2
 
 
 @pytest.mark.parametrize(
@@ -513,7 +513,7 @@ def test_every_fuzz_verdict_recomputes_from_its_own_payload(seed, monkeypatch):
     statuses, scored, flagged = set(), 0, 0
     for data in _corpus_logs(monkeypatch, seed):
         events = runner.parse_log(data)
-        config = runner.genesis_config(next(ev for ev in events if ev.kind == "Genesis")).risk
+        config = runner.genesis_config(next(ev for ev in events if ev.kind == "Genesis"))
         for ev in events:
             if ev.kind == "RiskFulfilled":
                 features = ev.payload["features"]

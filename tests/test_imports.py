@@ -14,8 +14,8 @@ tests and strings do not count; dunder methods are called implicitly.
 The kinds ``append_event`` is called with in ``src/`` must be exactly the kinds
 of ``ledger.EVENT_KINDS``, which renders no other. The log readers trust the
 table's keys, so every constant key the audit, ``explain``, the risk rules
-(``risk.rule_hits``, which judge the payload they log) and
-``risk.classify_payload`` subscript must be a field of the table: a misspelt
+(``risk.rule_hits``, which judge the payload they log, and ``risk.classify``,
+which reads the hits they return) and ``risk.classify_payload`` subscript must be a field of the table: a misspelt
 one would be an uncaught ``KeyError``.
 
 Every ``runner.<name>`` that ``bench/run.py`` or ``bench/fresh_setup.py``
@@ -189,6 +189,7 @@ PAYLOAD_READERS = [
     ("cli.py", "cmd_explain"),
     ("cli.py", "_explanation"),
     ("risk.py", "rule_hits"),
+    ("risk.py", "classify"),
     ("risk.py", "classify_payload"),
 ]
 TABLE_FIELDS = {

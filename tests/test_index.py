@@ -111,8 +111,8 @@ def test_risk_evaluation_scans_no_token_records(sim):
     sim.contract.transfer_from(alice, alice, bob, 1, to_units("2"))
     table = _CountingTable(sim.contract.tokens)
     sim.contract.tokens = table
-    outcome = sim.contract.transfer_from(alice, alice, bob, 2, to_units("2"))
-    assert outcome.status == "safe"
-    assert outcome.verdict.features["floor"] == "2.000000000000000000"
+    verdict = sim.contract.transfer_from(alice, alice, bob, 2, to_units("2"))
+    assert verdict.status == "safe"
+    assert verdict.features["floor"] == "2.000000000000000000"
     assert sim.arbitration.required_deposit(3) == to_units("0.1")  # 1/20 of the floor, token 3 unsold
     assert table.scanned == 0

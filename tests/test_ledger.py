@@ -27,6 +27,17 @@ def test_negative_initial_balance_rejected():
         Ledger(seed=1).create_account(-1)
 
 
+def test_negative_mint_rejected_and_logs_nothing():
+    ledger = Ledger(seed=1)
+    a = ledger.create_account(to_units(5))
+    events = list(ledger.events)
+    with pytest.raises(RejectedInput, match="amount must be >= 0"):
+        ledger.mint_value(a, -1, reason="juror_reward")
+    assert ledger.events == events
+    assert ledger.account(a).balance == to_units(5)
+    assert ledger.conservation_holds()
+
+
 def test_addresses_are_pure_function_of_seed_and_counter():
     # independent oracle: derive the expected address directly
     assert derive_address(42, 0) == derive_address(42, 0)

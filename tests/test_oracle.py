@@ -1,6 +1,6 @@
 import pytest
 
-from guardsim.errors import InvalidRequest, NotOracle
+from guardsim.errors import InvalidRequest, NotLocked, NotOracle
 from guardsim.risk import MAY_LOST, RiskVerdict, TransferIntent, extract_features
 from guardsim.token import TokenState
 from guardsim.units import to_units
@@ -16,9 +16,9 @@ def test_request_ids_are_monotone(sim):
     alice, bob = fund_accounts(sim, 2)
     sim.contract.mint(alice, 1)
     sim.contract.mint(alice, 2)
-    first = _transfer(sim, alice, bob, 1, 10)
-    second = _transfer(sim, alice, bob, 2, 10)
-    assert (first.request_id, second.request_id) == (1, 2)
+    _transfer(sim, alice, bob, 1, 10)
+    _transfer(sim, alice, bob, 2, 10)
+    assert [ev.payload["request_id"] for ev in sim.ledger.events if ev.kind == "RiskFulfilled"] == [1, 2]
 
 
 def test_requested_precedes_fulfilled_same_id(sim):
@@ -38,26 +38,26 @@ def test_verdict_equals_offline_evaluate_on_snapshot(sim):
     # differs from after only through this token, which may_lost leaves put)
     intent = TransferIntent(alice, alice, bob, 1, to_units(4), sim.ledger.time)
     expected = sim.engine.evaluate(intent, sim.contract)
-    outcome = _transfer(sim, alice, bob, 1, 4)
-    assert outcome.verdict.status == expected.status == MAY_LOST
-    assert outcome.verdict.features == expected.features
+    verdict = _transfer(sim, alice, bob, 1, 4)
+    assert verdict.status == expected.status == MAY_LOST
+    assert verdict.features == expected.features
 
 
 def test_fulfill_twice_rejected(sim):
     alice, bob = fund_accounts(sim, 2)
     sim.contract.mint(alice, 1)
-    outcome = _transfer(sim, alice, bob, 1, 10)
+    verdict = _transfer(sim, alice, bob, 1, 10)
+    (request_id,) = [ev.payload["request_id"] for ev in sim.ledger.events if ev.kind == "RiskFulfilled"]
     with pytest.raises(InvalidRequest):
-        sim.bridge.fulfill(outcome.request_id, outcome.verdict)
+        sim.bridge.fulfill(request_id, verdict)
     with pytest.raises(InvalidRequest):
-        sim.bridge.fulfill(999, outcome.verdict)
+        sim.bridge.fulfill(999, verdict)
 
 
 def test_fulfill_safe_touches_no_token(sim):
     alice, bob = fund_accounts(sim, 2)
     sim.contract.mint(alice, 1)
-    outcome = _transfer(sim, alice, bob, 1, 10)
-    assert outcome.status == "safe"
+    assert _transfer(sim, alice, bob, 1, 10).status == "safe"
     assert not any(ev.kind in ("Frozen", "Reclaimed") for ev in sim.ledger.events)
 
 
@@ -65,8 +65,7 @@ def test_fulfill_hacked_reclaims_and_opens_case(sim):
     alice, bob = fund_accounts(sim, 2)
     sim.ledger.set_explorer_flag(bob, True)
     sim.contract.mint(alice, 1)
-    outcome = _transfer(sim, alice, bob, 1, 10)
-    assert outcome.status == "hacked"
+    assert _transfer(sim, alice, bob, 1, 10).status == "hacked"
     kinds = [ev.kind for ev in sim.ledger.events]
     assert kinds.index("RiskFulfilled") < kinds.index("Reclaimed") < kinds.index("CaseOpened")
     case = sim.arbitration.case(1)
@@ -119,3 +118,14 @@ def test_every_state_event_preceded_by_dispatch(sim):
         if ev.kind in ("Locked", "Unlocked", "Frozen", "Unfrozen", "Reclaimed", "Returned"):
             assert events[index - 1].kind == "OracleDispatch"
             assert events[index - 1].payload["token_id"] == ev.payload["token_id"]
+
+
+def test_an_unlock_dispatch_of_an_ok_token_is_refused_before_it_is_logged(sim):
+    """``AccessControl.unlock`` refuses an OK token before any dispatch; the bridge's own check refuses it too."""
+    (alice,) = fund_accounts(sim, 1)
+    sim.contract.mint(alice, 1)
+    events = list(sim.ledger.events)
+    with pytest.raises(NotLocked):
+        sim.bridge.privileged_dispatch("unlock", origin="dac", token_id=1)
+    assert sim.ledger.events == events
+    assert sim.contract.token(1).state is TokenState.OK

@@ -10,24 +10,20 @@ import pytest
 
 from guardsim.access_control import UnlockAttestation
 from guardsim.ledger import EventRecord, Ledger, serialize_events
-from guardsim.risk import SAFE, WEAK, RiskVerdict, RuleHit, TransferIntent
+from guardsim.risk import SAFE, RiskVerdict, TransferIntent
 from guardsim.runner import ReplayOutcome
 from guardsim.scenario import parse_step
-from guardsim.token import TransferOutcome
 from test_fast_paths import VERDICT as FULFILLED
 
 A, B = "0x" + "a" * 40, "0x" + "b" * 40
-HIT = RuleHit("R1_UNDERPRICED", WEAK, "price ratio 1/2")
-VERDICT = RiskVerdict(SAFE, (HIT,), None)
+VERDICT = RiskVerdict(SAFE, [], None)
 
 # (record, one of its fields)
 RECORDS = [
     (EventRecord(1, 0, "Unfrozen", {"token_id": 1}), "seq"),
     (parse_step("ADVANCE 1"), "verb"),
     (TransferIntent(A, A, B, 1, 0, 0), "caller"),
-    (HIT, "rule_id"),
     (VERDICT, "status"),
-    (TransferOutcome(1, VERDICT), "request_id"),
     (UnlockAttestation(A, B, 1, 0, 0, b"\x00" * 32), "main"),
     (ReplayOutcome(False, 3, "diverges"), "passed"),
 ]

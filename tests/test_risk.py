@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import guardsim.risk
-from guardsim.config import RiskConfig, SimConfig, apply_override
+from guardsim.config import SimConfig, apply_override
 from guardsim.ledger import Account
 from guardsim.risk import (
     HACKED,
@@ -14,7 +14,6 @@ from guardsim.risk import (
     STRONG,
     WEAK,
     RiskEngine,
-    RuleHit,
     TransferIntent,
     classify,
     classify_payload,
@@ -30,7 +29,7 @@ from guardsim.units import UNIT, fmt_fraction, fmt_units, to_units
 from conftest import fund_accounts
 from riskgrid import StubView, build_grid_view, grid_points, oracle_status
 
-CFG = RiskConfig()
+CFG = SimConfig()
 
 
 # -- collection floor ---------------------------------------------------------
@@ -106,7 +105,7 @@ def test_gift_has_undefined_ratio_and_no_r1():
     intent, view = build_grid_view(0, 10, 0, False, False, True)
     features = extract_features(intent, view, CFG, 0.0)
     assert features["price_ratio"] is None
-    assert all(h.rule_id != "R1_UNDERPRICED" for h in rule_hits(features, CFG))
+    assert all(h["rule"] != "R1_UNDERPRICED" for h in rule_hits(features, CFG))
 
 
 def test_turnover_counts_window_entries_brute_force(sim):
@@ -123,7 +122,7 @@ def test_turnover_counts_window_entries_brute_force(sim):
     features = extract_features(intent, sim.contract, CFG, 0.0)
     brute = sum(1 for tick in sim.contract.token(1).provenance if sim.ledger.time - tick < CFG.window_ticks)
     assert features["turnover_count"] == brute == 4
-    assert any(h.rule_id == "R2_HIGH_TURNOVER" for h in rule_hits(features, CFG))
+    assert any(h["rule"] == "R2_HIGH_TURNOVER" for h in rule_hits(features, CFG))
 
 
 def test_prior_abnormal_set_by_may_lost_and_ages_out(sim):
@@ -143,42 +142,40 @@ def test_prior_abnormal_set_by_may_lost_and_ages_out(sim):
 
 
 def test_no_hits_zero_model_is_safe():
-    assert classify((), 0.0, CFG) == SAFE
+    assert classify([], 0.0, CFG) == SAFE
 
 
 def test_weak_hit_is_may_lost_strong_hit_is_hacked():
-    weak = RuleHit("R1_UNDERPRICED", WEAK, "")
-    strong = RuleHit("R4_FLAGGED_PARTY", STRONG, "")
-    assert classify((weak,), 0.0, CFG) == MAY_LOST
-    assert classify((strong,), 0.0, CFG) == HACKED
-    assert classify((weak, strong), 0.0, CFG) == HACKED
+    weak = {"rule": "R1_UNDERPRICED", "severity": WEAK, "detail": ""}
+    strong = {"rule": "R4_FLAGGED_PARTY", "severity": STRONG, "detail": ""}
+    assert classify([weak], 0.0, CFG) == MAY_LOST
+    assert classify([strong], 0.0, CFG) == HACKED
+    assert classify([weak, strong], 0.0, CFG) == HACKED
 
 
 def test_model_thresholds_are_inclusive():
-    assert classify((), CFG.p_suspect, CFG) == MAY_LOST
-    assert classify((), CFG.p_hacked, CFG) == HACKED
-    assert classify((), CFG.p_suspect - 1e-9, CFG) == SAFE
+    assert classify([], CFG.p_suspect, CFG) == MAY_LOST
+    assert classify([], CFG.p_hacked, CFG) == HACKED
+    assert classify([], CFG.p_suspect - 1e-9, CFG) == SAFE
 
 
 def test_rule_boundaries():
     intent, view = build_grid_view(5, 10, 0, False, False, True)
     features = extract_features(intent, view, CFG, 0.0)
     assert features["price_ratio"] == "1/2"
-    assert rule_hits(features, CFG) == ()  # exactly beta * floor is not "below"
+    assert rule_hits(features, CFG) == []  # exactly beta * floor is not "below"
     intent, view = build_grid_view(4, 10, 0, False, False, True)
     hits = rule_hits(extract_features(intent, view, CFG, 0.0), CFG)
-    assert [h.rule_id for h in hits] == ["R1_UNDERPRICED"]
+    assert [h["rule"] for h in hits] == ["R1_UNDERPRICED"]
     intent, view = build_grid_view(10, 10, 3, False, False, True)
     hits = rule_hits(extract_features(intent, view, CFG, 0.0), CFG)
-    assert [h.rule_id for h in hits] == ["R2_HIGH_TURNOVER"]  # threshold is inclusive
+    assert [h["rule"] for h in hits] == ["R2_HIGH_TURNOVER"]  # threshold is inclusive
 
 
 _severity_rank = {SAFE: 0, MAY_LOST: 1, HACKED: 2}
 _hit_pool = [
-    RuleHit("R1_UNDERPRICED", WEAK, ""),
-    RuleHit("R2_HIGH_TURNOVER", WEAK, ""),
-    RuleHit("R3_LOW_CREDIT", WEAK, ""),
-    RuleHit("R5_PRIOR_ABNORMAL", WEAK, ""),
+    {"rule": rule, "severity": WEAK, "detail": ""}
+    for rule in ("R1_UNDERPRICED", "R2_HIGH_TURNOVER", "R3_LOW_CREDIT", "R5_PRIOR_ABNORMAL")
 ]
 
 
@@ -187,15 +184,15 @@ _hit_pool = [
     model=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 def test_adding_a_strong_hit_never_downgrades(hits, model):
-    base = classify(tuple(hits), model, CFG)
-    escalated = classify(tuple(hits) + (RuleHit("R4_FLAGGED_PARTY", STRONG, ""),), model, CFG)
+    base = classify(hits, model, CFG)
+    escalated = classify([*hits, {"rule": "R4_FLAGGED_PARTY", "severity": STRONG, "detail": ""}], model, CFG)
     assert _severity_rank[escalated] >= _severity_rank[base]
     assert escalated == HACKED
 
 
 @given(model=st.floats(min_value=0.0, max_value=0.5999, allow_nan=False))
 def test_no_hits_low_model_is_safe(model):
-    assert classify((), model, CFG) == SAFE
+    assert classify([], model, CFG) == SAFE
 
 
 # -- scoring model ----------------------------------------------------------------
@@ -204,8 +201,8 @@ def test_no_hits_low_model_is_safe(model):
 def test_default_scorer_returns_zero(sim):
     alice, bob = fund_accounts(sim, 2)
     sim.contract.mint(alice, 1)
-    outcome = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
-    assert outcome.verdict.features["model_score"] == "0.0"
+    verdict = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
+    assert verdict.features["model_score"] == "0.0"
 
 
 def test_model_score_lookup_and_purity():
@@ -227,9 +224,9 @@ def test_model_score_escalates_verdict(sim):
     alice, bob = fund_accounts(sim, 2)
     sim.install_model_entry(alice, "*", 0.95)
     sim.contract.mint(alice, 1)
-    outcome = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
-    assert outcome.status == HACKED
-    assert outcome.verdict.features["model_score"] == "0.95"
+    verdict = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
+    assert verdict.status == HACKED
+    assert verdict.features["model_score"] == "0.95"
 
 
 # -- offline recomputation ---------------------------------------------------------
@@ -239,11 +236,11 @@ def test_logged_payload_recomputes_to_same_verdict(sim):
     alice, bob = fund_accounts(sim, 2)
     sim.ledger.set_explorer_flag(bob, True)
     sim.contract.mint(alice, 1)
-    outcome = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
+    verdict = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
     payload = next(ev.payload["features"] for ev in reversed(sim.ledger.events) if ev.kind == "RiskFulfilled")
     status, rules = classify_payload(payload, CFG)
-    assert status == outcome.status
-    assert rules == [h.rule_id for h in outcome.verdict.hits]
+    assert status == verdict.status
+    assert rules == [h["rule"] for h in verdict.hits]
 
 
 # -- rule-text oracle (sample; the full grid runs in acceptance) ---------------------
@@ -255,7 +252,7 @@ def test_evaluate_matches_rule_text_oracle_sample(point, sim):
     verdict = sim.engine.evaluate(intent, view)
     expected_status, expected_rules = oracle_status(*point)
     assert verdict.status == expected_status
-    assert [h.rule_id for h in verdict.hits] == expected_rules
+    assert [h["rule"] for h in verdict.hits] == expected_rules
 
 
 # -- differential check against the exact-Fraction transcription -------------------
@@ -296,21 +293,23 @@ def _reference_rule_hits(payload, config):
     hits = []
     ratio = None if payload["price_ratio"] is None else Fraction(payload["price_ratio"])
     if ratio is not None and ratio < config.beta_underprice:
-        hits.append(RuleHit("R1_UNDERPRICED", WEAK, f"price ratio {fmt_fraction(ratio)}"))
+        hits.append({"rule": "R1_UNDERPRICED", "severity": WEAK, "detail": f"price ratio {fmt_fraction(ratio)}"})
     if payload["turnover_count"] >= config.turnover_threshold:
-        hits.append(RuleHit("R2_HIGH_TURNOVER", WEAK, f"{payload['turnover_count']} transfers in window"))
+        detail = f"{payload['turnover_count']} transfers in window"
+        hits.append({"rule": "R2_HIGH_TURNOVER", "severity": WEAK, "detail": detail})
     if float(payload["recipient_credit"]) < config.credit_threshold:
-        hits.append(RuleHit("R3_LOW_CREDIT", WEAK, f"recipient credit {float(payload['recipient_credit']):.2f}"))
+        credit = float(payload["recipient_credit"])
+        hits.append({"rule": "R3_LOW_CREDIT", "severity": WEAK, "detail": f"recipient credit {credit:.2f}"})
     if payload["sender_flagged"] or payload["recipient_flagged"]:
         side = "sender" if payload["sender_flagged"] else "recipient"
-        hits.append(RuleHit("R4_FLAGGED_PARTY", STRONG, f"{side} explorer-flagged"))
+        hits.append({"rule": "R4_FLAGGED_PARTY", "severity": STRONG, "detail": f"{side} explorer-flagged"})
     if payload["prior_abnormal"]:
-        hits.append(RuleHit("R5_PRIOR_ABNORMAL", WEAK, "abnormal verdict in window"))
-    return tuple(hits)
+        hits.append({"rule": "R5_PRIOR_ABNORMAL", "severity": WEAK, "detail": "abnormal verdict in window"})
+    return hits
 
 
 def _reference_classify(hits, model_score, config):
-    if any(h.severity == STRONG for h in hits) or model_score >= config.p_hacked:
+    if any(h["severity"] == STRONG for h in hits) or model_score >= config.p_hacked:
         return HACKED
     if hits or model_score >= config.p_suspect:
         return MAY_LOST
@@ -344,7 +343,7 @@ def _risk_cases(draw):
     if floor is not None:
         tokens[2] = TokenRecord(2, recipient, last_sale_price=floor)
     p_suspect = draw(st.floats(min_value=0.0, max_value=1.0))
-    config = RiskConfig(
+    config = SimConfig(
         beta_underprice=beta,
         turnover_threshold=draw(st.integers(min_value=0, max_value=9)),
         window_ticks=window,
@@ -367,7 +366,7 @@ def test_features_rules_and_verdict_equal_the_fraction_reference(case):
     assert hits == _reference_rule_hits(expected, config)
     status = classify(hits, model_score, config)
     assert status == _reference_classify(hits, model_score, config)
-    assert classify_payload(features, config) == (status, [h.rule_id for h in hits])
+    assert classify_payload(features, config) == (status, [h["rule"] for h in hits])
 
 
 # -- the benchmark's risk spans ------------------------------------------------------------

@@ -91,6 +91,14 @@ def test_round_trip_normalization():
     assert [s.raw for s in first.steps] == [s.raw for s in second.steps]
 
 
+def test_format_scenario_keeps_config_lines():
+    text = "NAME demo\nSEED 3\nCONFIG jury_f 2\nCONFIG beta_underprice 1/3\nACCOUNT alice 10\nMINT alice 1\n"
+    scenario = parse_scenario(text)
+    assert scenario.config_overrides == [("jury_f", "2"), ("beta_underprice", "1/3")]
+    assert format_scenario(scenario) == text
+    assert parse_scenario(format_scenario(scenario)) == scenario
+
+
 def test_load_scenario_uses_stem_as_default_name(tmp_path):
     path = tmp_path / "demo_run.tps"
     path.write_text("ACCOUNT a 1\n")

@@ -87,8 +87,8 @@ def test_approve_and_clearing_on_transfer(sim, parties):
     sim.contract.approve(alice, bob, 1)
     assert sim.contract.token(1).approved == bob
     # approved party moves the token; approval must clear on the ownership change
-    outcome = sim.contract.transfer_from(bob, alice, carol, 1, to_units(10))
-    assert outcome.status == "safe"
+    verdict = sim.contract.transfer_from(bob, alice, carol, 1, to_units(10))
+    assert verdict.status == "safe"
     assert sim.contract.token(1).approved is None
     assert sim.contract.token(1).owner == carol
 
@@ -99,7 +99,7 @@ def test_approve_on_locked_token_rejected(sim, parties):
     sim.access.lock(alice, 1)
     with pytest.raises(GuardRejected) as err:
         sim.contract.approve(alice, bob, 1)
-    assert err.value.reason == "Locked"
+    assert err.value.code == "Locked"
 
 
 def test_operator_approval_flow(sim, parties):
@@ -107,8 +107,8 @@ def test_operator_approval_flow(sim, parties):
     sim.contract.mint(alice, 1)
     sim.contract.set_approval_for_all(alice, bob, True)
     assert sim.contract.transfer_guard(1, bob) is None
-    outcome = sim.contract.transfer_from(bob, alice, carol, 1, to_units(10))
-    assert outcome.status == "safe"
+    verdict = sim.contract.transfer_from(bob, alice, carol, 1, to_units(10))
+    assert verdict.status == "safe"
 
 
 def test_flagged_operator_blocked_but_revocation_allowed(sim, parties):
@@ -130,9 +130,9 @@ def test_blacklisted_operator_blocked(sim, parties):
 def test_clean_transfer_locks_on_receipt(sim, parties):
     alice, bob, _ = parties
     sim.contract.mint(alice, 1)
-    outcome = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
+    verdict = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
     token = sim.contract.token(1)
-    assert outcome.status == "safe"
+    assert verdict.status == "safe"
     assert token.owner == bob
     assert token.state is TokenState.LOCKED
     assert token.provenance == [sim.ledger.time] and token.last_sale_price == to_units(10)
@@ -152,9 +152,9 @@ def test_underpriced_transfer_freezes_owner_keeps_token(sim, parties):
     sim.contract.mint(alice, 2)
     sim.contract.transfer_from(alice, alice, bob, 2, to_units(10))  # floor = 10
     now = sim.ledger.time
-    outcome = sim.contract.transfer_from(alice, alice, carol, 1, to_units(4))
+    verdict = sim.contract.transfer_from(alice, alice, carol, 1, to_units(4))
     token = sim.contract.token(1)
-    assert outcome.status == "may_lost"
+    assert verdict.status == "may_lost"
     assert token.owner == alice
     assert token.state is TokenState.OK
     assert token.frozen_until == now + sim.config.freeze_ticks
@@ -165,9 +165,9 @@ def test_flagged_sender_transfer_reclaims_to_treasury(sim, parties):
     alice, bob, _ = parties
     sim.contract.mint(alice, 1)
     sim.ledger.set_explorer_flag(alice, True)
-    outcome = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
+    verdict = sim.contract.transfer_from(alice, alice, bob, 1, to_units(10))
     token = sim.contract.token(1)
-    assert outcome.status == "hacked"
+    assert verdict.status == "hacked"
     assert token.owner == sim.treasury
     assert token.state is TokenState.RECLAIMED
     assert token.pre_reclaim_owner == alice

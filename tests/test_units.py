@@ -59,8 +59,9 @@ def test_rejects_too_fine_and_garbage():
         to_units(0.5)  # floats are banned from the money path
 
 
-@pytest.mark.parametrize("value", [Decimal("1"), Fraction(1)], ids=["Decimal", "Fraction"])
+@pytest.mark.parametrize("value", [Decimal("1"), Fraction(1), True, False], ids=["Decimal", "Fraction", "True", "False"])
 def test_rejects_any_type_but_int_and_str(value):
+    """A bool is an int subclass, but no amount: ``to_units(True)`` is not one unit."""
     with pytest.raises(RejectedInput, match="^not a value amount: "):
         to_units(value)
 
