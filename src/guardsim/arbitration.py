@@ -137,7 +137,7 @@ class ArbitrationSystem:
         self.ledger.transfer_value(reporter, self.escrow, deposit)  # raises before any case state exists
         case_id = self._open_case(token_id, reporter, token.owner, deposit, auto=False)
         if token.state is TokenState.OK:
-            until = self.ledger.time + self.contract.freeze_ticks
+            until = self.ledger.time + self.config.freeze_ticks
             self.bridge.privileged_dispatch("freeze", origin="das", token_id=token_id, until=until)
         return case_id
 

@@ -56,7 +56,7 @@ def cmd_replay(args) -> int:
     if outcome.passed:
         print("replay: pass")
         return 0
-    print(f"replay: fail at seq {outcome.divergence_seq} ({outcome.detail})")
+    print(f"replay: fail at seq {outcome.divergence_seq} (event diverges from deterministic re-execution)")
     return 1
 
 

@@ -6,34 +6,45 @@ any log is self-describing and replayable without the original config file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import RejectedInput
-from .ledger import INTS
 from .units import fmt_fraction, fmt_units, parse_fraction, to_units
+
+# Integer step arguments, int config values and logical time: non-negative 64-bit signed integers.
+INTS = range(2**63)
+
+# each field's metadata: the (parse, render) pair of its key's value in the Genesis event's config
+_INT = {"codec": (int, str)}
+_FLOAT = {"codec": (float, repr)}
+_FRAC = {"codec": (parse_fraction, fmt_fraction)}
+_UNITS = {"codec": (to_units, fmt_units)}
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Every threshold a run uses, one field per key of the Genesis event's ``config``."""
+    """Every threshold a run uses, one field per key of the Genesis event's ``config``, in its order.
 
-    freeze_ticks: int = 7200
-    beta_underprice: Fraction = Fraction(1, 2)  # R1: price < beta * floor
-    turnover_threshold: int = 3                 # R2: transfers in window >= T
-    window_ticks: int = 86400                   # recency window for R2 and R5
-    credit_threshold: float = 20.0              # R3: recipient credit below this
-    p_hacked: float = 0.9                       # model score escalating to hacked
-    p_suspect: float = 0.6                      # model score escalating to may_lost
-    credit_w_portfolio: float = 10.0
-    credit_w_age: float = 2.0
-    credit_w_flag: float = 1.0
-    jury_f: int = 1                             # PBFT fault bound f; jury size and quorum derive from it
-    juror_reward: int = to_units("0.01")
-    gas_fee: int = to_units("0.001")
-    deposit_rate: Fraction = Fraction(1, 20)
-    deposit_min: int = to_units("0.01")
+    The fields are the one list of those keys: ``_KEYS`` and the event table's ``config`` shape are
+    built from them."""
+
+    freeze_ticks: int = field(default=7200, metadata=_INT)
+    beta_underprice: Fraction = field(default=Fraction(1, 2), metadata=_FRAC)  # R1: price < beta * floor
+    turnover_threshold: int = field(default=3, metadata=_INT)  # R2: transfers in window >= T
+    window_ticks: int = field(default=86400, metadata=_INT)  # recency window for R2 and R5
+    credit_threshold: float = field(default=20.0, metadata=_FLOAT)  # R3: recipient credit below this
+    p_hacked: float = field(default=0.9, metadata=_FLOAT)  # model score escalating to hacked
+    p_suspect: float = field(default=0.6, metadata=_FLOAT)  # model score escalating to may_lost
+    credit_w_portfolio: float = field(default=10.0, metadata=_FLOAT)
+    credit_w_age: float = field(default=2.0, metadata=_FLOAT)
+    credit_w_flag: float = field(default=1.0, metadata=_FLOAT)
+    jury_f: int = field(default=1, metadata=_INT)  # PBFT fault bound f; jury size and quorum derive from it
+    juror_reward: int = field(default=to_units("0.01"), metadata=_UNITS)
+    gas_fee: int = field(default=to_units("0.001"), metadata=_UNITS)
+    deposit_rate: Fraction = field(default=Fraction(1, 20), metadata=_FRAC)
+    deposit_min: int = field(default=to_units("0.01"), metadata=_UNITS)
 
     @property
     def jury_size(self) -> int:
@@ -44,29 +55,8 @@ class SimConfig:
         return 2 * self.jury_f + 1
 
 
-# key -> (parse, render), in the order of the dataclass fields
-_INT = (int, str)
-_FLOAT = (float, repr)
-_FRAC = (parse_fraction, fmt_fraction)
-_UNITS = (to_units, fmt_units)
-
-_KEYS = {
-    "freeze_ticks": _INT,
-    "beta_underprice": _FRAC,
-    "turnover_threshold": _INT,
-    "window_ticks": _INT,
-    "credit_threshold": _FLOAT,
-    "p_hacked": _FLOAT,
-    "p_suspect": _FLOAT,
-    "credit_w_portfolio": _FLOAT,
-    "credit_w_age": _FLOAT,
-    "credit_w_flag": _FLOAT,
-    "jury_f": _INT,
-    "juror_reward": _UNITS,
-    "gas_fee": _UNITS,
-    "deposit_rate": _FRAC,
-    "deposit_min": _UNITS,
-}
+# key -> (parse, render), in the order of the fields
+_KEYS = {key.name: key.metadata["codec"] for key in fields(SimConfig)}
 
 
 def apply_override(config: SimConfig, key: str, value: str) -> SimConfig:
@@ -81,7 +71,7 @@ def apply_override(config: SimConfig, key: str, value: str) -> SimConfig:
         raise RejectedInput(f"bad value for {key}: {value!r} ({exc})") from None
     # Every key but the float weights and thresholds must be >= 0: the PBFT fault bound f (jury
     # n = 3f + 1), tick counts, the turnover threshold, value amounts and fractions; the audit's
-    # economics checks assume it. The int keys lie in ``ledger.INTS``, as step arguments do.
+    # economics checks assume it. The int keys lie in ``INTS``, as step arguments do.
     if parse is int and parsed not in INTS:
         raise RejectedInput(f"bad value for {key}: {value!r} (must be in [0, 2**63))")
     if parse is not float and parsed < 0:

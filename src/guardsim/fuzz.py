@@ -200,15 +200,12 @@ class Fuzzer:
             case = rng.choice(open_cases)
             if pick >= 0.90:
                 return "EMPANEL", case.case_id
-            party = rev.get(case.reporter)
-            if party is None:
-                return None
-            return "EVIDENCE", party, case.case_id, f"blob{rng.randint(0, 999)}"
+            # every reporter is a user: REPORT draws one, and an auto case's reporter is its transfer's source
+            return "EVIDENCE", rev[case.reporter], case.case_id, f"blob{rng.randint(0, 999)}"
         voting_cases = [c for c in cases if c.status == "voting"]
         if voting_cases:
             case = rng.choice(voting_cases)
-            pending = [rev[j] for j in case.jury if j not in case.tally.votes and j in rev]
-            if not pending:
-                return None
+            # every juror is a header JUROR, and a case closes as its last juror votes, so one is pending
+            pending = [rev[j] for j in case.jury if j not in case.tally.votes]
             return "VOTE", rng.choice(pending), case.case_id, rng.choice("RH")
         return None

@@ -34,10 +34,11 @@ Canonical serialization rules:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, NamedTuple
 
+from .config import INTS, SimConfig
 from .errors import InsufficientFunds, RejectedInput, UnknownAccount
 from .units import fmt_units
 
@@ -47,8 +48,6 @@ _ADDR_DOMAIN = b"guardsim/address/v1"
 
 # Run seeds are packed into 8 unsigned bytes here and in the wallet keys.
 SEEDS = range(2**64)
-# Integer step arguments, int config values and logical time: non-negative 64-bit signed integers.
-INTS = range(2**63)
 
 
 def derive_address(seed: int, counter: int) -> Address:
@@ -83,16 +82,10 @@ class EventRecord(NamedTuple):
 # "address", "amount", "score", "ratio" and "text" are JSON strings, and a trailing "?" also
 # admits null; "int" is an integer and "bool" a boolean. A name in SHAPES is a nested object,
 # and "[x]" a list of x. A kind written with several key sets lists each of them: its base set
-# first, then sets that each add one key of their own.
+# first, then sets that each add one key of their own. The Genesis ``config`` object has one
+# text field per field of ``SimConfig``, which is the one list of its keys.
 SHAPES = {
-    "config": dict.fromkeys(
-        (
-            "freeze_ticks", "beta_underprice", "turnover_threshold", "window_ticks", "credit_threshold",
-            "p_hacked", "p_suspect", "credit_w_portfolio", "credit_w_age", "credit_w_flag", "jury_f",
-            "juror_reward", "gas_fee", "deposit_rate", "deposit_min",
-        ),
-        "text",
-    ),
+    "config": dict.fromkeys((key.name for key in fields(SimConfig)), "text"),
     "features": {
         "sender": "address", "recipient": "address", "price": "amount", "floor": "amount?",
         "price_ratio": "ratio?", "turnover_count": "int", "sender_credit": "score", "recipient_credit": "score",

@@ -78,7 +78,7 @@ class OracleBridge:
         )
         if verdict.status == MAY_LOST:
             self.contract.mark_abnormal(intent.token_id, by=self)
-            until = self.ledger.time + self.contract.freeze_ticks
+            until = self.ledger.time + self.engine.config.freeze_ticks
             self.privileged_dispatch("freeze", origin="drm", token_id=intent.token_id, until=until)
         elif verdict.status == HACKED:
             self.contract.mark_abnormal(intent.token_id, by=self)

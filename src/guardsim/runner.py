@@ -228,8 +228,15 @@ def genesis_config(genesis: EventRecord) -> SimConfig:
         raise ReplayError(f"seq {genesis.seq}: bad Genesis config ({exc})") from None
 
 
-def scenario_from_events(events: list[EventRecord]) -> tuple[Scenario, SimConfig]:
-    """Reconstruct the command stream, its Step events in log order, and the effective config embedded in a log."""
+def scenario_from_events(events: Iterable[EventRecord]) -> tuple[Scenario, SimConfig]:
+    """Reconstruct the command stream and the effective config embedded in a log's events.
+
+    As replay does, it takes the seed, name and config from the first Genesis event and, as its steps, the
+    Step events after that one, in log order; a Step command that does not parse or is not in normal form
+    is a ReplayError naming its seq. One difference stays, as a decoded record cannot show it: replay only
+    compares a Step line that is not canonical, where this takes its command.
+    """
+    events = iter(events)
     scenario, config = _genesis_scenario(next((ev for ev in events if ev.kind == "Genesis"), None))
     for ev in events:
         if ev.kind == "Step":
@@ -263,7 +270,6 @@ def _genesis_scenario(genesis: EventRecord | None) -> tuple[Scenario, SimConfig]
 class ReplayOutcome(NamedTuple):
     passed: bool
     divergence_seq: int | None = None
-    detail: str = ""
 
 
 _STEP = b'{"kind":"Step","payload":{"command":"'  # keys are sorted: a canonical line starts with its kind
@@ -397,7 +403,7 @@ def replay_log(path: str | Path) -> tuple[ReplayOutcome, Simulation]:
     """
     ctx, check = _reexecute(path)
     if check.divergence is not None:
-        return ReplayOutcome(False, check.divergence, "event diverges from deterministic re-execution"), ctx.sim
+        return ReplayOutcome(False, check.divergence), ctx.sim
     return ReplayOutcome(True), ctx.sim
 
 

@@ -18,8 +18,9 @@ from typing import Any, Callable, NamedTuple
 
 from .access_control import UnlockAttestation
 from .arbitration import FOR_HOLDER, FOR_REPORTER
+from .config import INTS
 from .errors import ParseError, RejectedInput
-from .ledger import INTS, SEEDS
+from .ledger import SEEDS
 from .units import to_units
 
 
@@ -54,7 +55,7 @@ _VOTES = {"r": FOR_REPORTER, "h": FOR_HOLDER}
 NEW_NAME = _unbound
 NAME = lambda ctx, name: ctx.resolve(name)
 NAME_OR_ANY = lambda ctx, name: name if name == "*" else ctx.resolve(name)
-INT = "int"  # parse-time marker: an integer in ``ledger.INTS``, converted and bounded when the line is parsed
+INT = "int"  # parse-time marker: an integer in ``config.INTS``, converted and bounded when the line is parsed
 AMOUNT = lambda _ctx, text: to_units(text)
 ONOFF = _checked(lambda text: _ONOFF[text.lower()], "expected on/off, got {!r}")
 VOTE = _checked(lambda text: _VOTES[text.lower()], "vote must be R or H, got {!r}")

@@ -33,7 +33,7 @@ class Simulation:
         self.escrow = self.ledger.create_account(0)
 
         self.engine = RiskEngine(self.config)
-        self.contract = TokenContract(self.ledger, self.treasury, self.config.freeze_ticks)
+        self.contract = TokenContract(self.ledger, self.treasury)
         self.bridge = OracleBridge(self.ledger, self.contract, self.engine)
         self.contract.bind_bridge(self.bridge)
         self.access = AccessControl(self.ledger, self.contract, self.bridge)

@@ -74,10 +74,9 @@ class TokenRecord:
 
 
 class TokenContract:
-    def __init__(self, ledger: Ledger, treasury: Address, freeze_ticks: int):
+    def __init__(self, ledger: Ledger, treasury: Address):
         self.ledger = ledger
         self.treasury = treasury
-        self.freeze_ticks = freeze_ticks
         self.tokens: dict[int, TokenRecord] = {}
         self.operator_approvals: dict[tuple[Address, Address], bool] = {}
         # indexes over every token's owner and last sale price; see _move

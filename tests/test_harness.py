@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from guardsim.ledger import EventRecord, serialize_events
 from guardsim.risk import classify_payload
 from guardsim import runner
 from guardsim.runner import RunContext, replay_log, report_from_log, run_scenario, run_step, write_log
-from guardsim.scenario import load_scenario, parse_scenario
+from guardsim.scenario import Scenario, load_scenario, parse_scenario
 from guardsim.sim import Simulation
 from guardsim.token import TokenState
 from guardsim.units import to_units
@@ -490,20 +489,61 @@ def _corpus_logs(monkeypatch, seed: int) -> list[bytes]:
 TPS = sorted([*CANNED, *(SCENARIOS.parent / "tests" / "regressions").glob("*.tps")])
 
 
+def _capture_and_replay_streams(path):
+    """The scenario and config the benchmark captures from a written log (``scenario_from_events`` of
+    ``read_log``), and the name, seed, steps and config of the stream replay executes from the same file."""
+    captured = runner.scenario_from_events(runner.read_log(path))
+    with open(path, "rb") as file:
+        scenario, config = runner._log_scenario(file, runner._Check(file, False))
+        replayed = (Scenario(scenario.name, scenario.seed, steps=list(scenario.steps)), config)
+    return captured, replayed
+
+
 @pytest.mark.parametrize("source", [*TPS, *sorted(FUZZ_CORPUS)], ids=lambda s: f"fuzz-{s}" if type(s) is int else s.stem)
-def test_the_fast_read_equals_the_full_parse(source, monkeypatch):
+def test_the_fast_read_equals_the_full_parse(source, monkeypatch, tmp_path):
+    """Replay's stream of a written log is what the benchmark captures from it, with the Genesis config."""
     if type(source) is int:
         logs = _corpus_logs(monkeypatch, source)
     else:
         logs = [serialize_events(run_scenario(load_scenario(source))[0].ledger.events)]
-    for data in logs:
-        file = io.BytesIO(data)
-        fast = runner._log_scenario(file, runner._Check(file, False))
-        scenario, config = runner.scenario_from_events(runner.parse_log(data))
-        assert fast is not None and scenario.steps
-        assert (list(fast[0].steps), fast[0].name, fast[0].seed, fast[1]) == (
-            scenario.steps, scenario.name, scenario.seed, config
-        )
+    for n, data in enumerate(logs):
+        log = tmp_path / f"{n}.jsonl"
+        log.write_bytes(data)
+        captured, replayed = _capture_and_replay_streams(log)
+        genesis = next(ev for ev in runner.read_log(log) if ev.kind == "Genesis")
+        assert captured == replayed and captured[0].steps
+        assert captured[1] == runner.genesis_config(genesis)
+
+
+def test_the_benchmark_capture_skips_a_step_before_genesis_as_replay_does(tmp_path):
+    sim, _report = run_canned("replevin")
+    log = tmp_path / "moved.jsonl"
+    write_log(sim, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    genesis = next(i for i, line in enumerate(lines) if b'"kind":"Genesis"' in line)
+    step = next(i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Step"'))
+    log.write_bytes(b"".join([*lines[:genesis], lines[step], *lines[genesis:step], *lines[step + 1 :]]))
+    captured, replayed = _capture_and_replay_streams(log)
+    assert captured == replayed
+    assert len(captured[0].steps) == len(load_scenario(SCENARIOS / "replevin.tps").steps) - 1
+
+
+def test_the_benchmark_capture_names_a_bad_step_command_as_replay_does(tmp_path):
+    sim, _report = run_canned("replevin")
+    log = tmp_path / "bad_step.jsonl"
+    write_log(sim, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    target = [i for i, line in enumerate(lines) if line.startswith(b'{"kind":"Step"')][2]
+    body = json.loads(lines[target])
+    body["payload"]["command"] = "FLY alice"
+    lines[target] = json.dumps(body, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    log.write_bytes(b"".join(lines))
+    message = f"^seq {body['seq']}: bad Step command 'FLY alice' "
+    with pytest.raises(ReplayError, match=message) as captured:
+        runner.scenario_from_events(runner.read_log(log))
+    with pytest.raises(ReplayError, match=message) as replayed:
+        replay_log(log)
+    assert str(captured.value) == str(replayed.value)
 
 
 @pytest.mark.parametrize("seed", sorted(FUZZ_CORPUS))

@@ -3,13 +3,15 @@ no event kind outside the event table.
 
 No linter ships with the package, so this walks each module's syntax tree.
 A name bound by a module-level ``import`` or ``from ... import`` must appear as
-a name somewhere in the module. ``__init__.py`` only re-exports, and
-``from __future__ import annotations`` binds nothing, so both are skipped.
+a name somewhere in the module; ``from __future__ import annotations`` binds
+nothing, so it is skipped. ``__init__.py`` imports nothing at all: it holds the
+package docstring and ``__version__``, and each name is imported from the
+module that defines it, so no re-export can keep a name alive.
 
 Every module-level function or class and every method of such a class must be
 referenced by name (a name, an attribute or an imported name) somewhere in
-``src/`` or ``bench/`` outside its own body. Re-exports in ``__init__.py``,
-tests and strings do not count; dunder methods are called implicitly.
+``src/`` or ``bench/`` outside its own body. Tests and strings do not count;
+dunder methods are called implicitly.
 
 The kinds ``append_event`` is called with in ``src/`` must be exactly the kinds
 of ``ledger.EVENT_KINDS``, which renders no other. The log readers trust the
@@ -32,10 +34,12 @@ from pathlib import Path
 import pytest
 
 import guardsim
+from guardsim import runner
 from guardsim.fuzz import Fuzzer
 from guardsim.ledger import EVENT_KINDS, SHAPES
 
-MODULES = sorted(p for p in Path(guardsim.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(guardsim.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -61,6 +65,20 @@ def test_no_unused_top_level_import(path):
 def test_the_check_sees_an_unused_import():
     source = "from __future__ import annotations\nimport os\nfrom json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == ["line 2: os", "line 3: dumps"]
+
+
+def imports(source: str) -> list[str]:
+    """Every ``import`` and ``from ... import`` statement of ``source``, at any depth."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_the_package_module_imports_nothing():
+    assert imports((PACKAGE / "__init__.py").read_text()) == []
+
+
+def test_the_check_sees_a_re_export():
+    source = '"""Doc."""\n\nfrom .sim import Simulation\n\nif True:\n    import os\n__version__ = "0"\n'
+    assert imports(source) == ["from .sim import Simulation", "import os"]
 
 
 def references(tree: ast.AST) -> Counter:
@@ -99,7 +117,7 @@ def unused_definitions(modules: dict[str, str], corpus: Counter) -> list[str]:
 
 def test_every_definition_is_referenced():
     sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
-    corpus = sum((references(ast.parse(p.read_text())) for p in sources if p.name != "__init__.py"), Counter())
+    corpus = sum((references(ast.parse(p.read_text())) for p in sources), Counter())
     assert unused_definitions({p.name: p.read_text() for p in MODULES}, corpus) == []
 
 
@@ -210,9 +228,8 @@ def subscripted_keys(source: str, function: str | None = None) -> set[str]:
 
 
 def test_every_payload_key_a_reader_subscripts_is_in_the_event_table():
-    package = Path(guardsim.__file__).parent
     for module, function in PAYLOAD_READERS:
-        keys = subscripted_keys((package / module).read_text(), function)
+        keys = subscripted_keys((PACKAGE / module).read_text(), function)
         assert keys and keys <= TABLE_FIELDS, (module, function, keys - TABLE_FIELDS)
 
 
@@ -246,9 +263,9 @@ def runner_names(source: str) -> set[str]:
 def test_every_runner_function_the_benchmark_names_exists():
     names = set().union(*(runner_names((ROOT / "bench" / name).read_text()) for name in ("run.py", "fresh_setup.py")))
     assert {"read_log", "scenario_from_events", "replay_log", "report_from_log", "write_log"} <= names
-    assert sorted(name for name in names if not hasattr(guardsim.runner, name)) == []
+    assert sorted(name for name in names if not hasattr(runner, name)) == []
     # the attributes the benchmark reads from what those functions return
-    assert {"passed", "divergence_seq"} <= set(guardsim.runner.ReplayOutcome._fields)
+    assert {"passed", "divergence_seq"} <= set(runner.ReplayOutcome._fields)
     assert Fuzzer(0).ops_per_run > 0
 
 

@@ -38,7 +38,7 @@ def _apply(sim, users, op):
         contract.mint(users[args[0] % USERS], len(contract.tokens) + 1)
         return
     if kind == "advance":
-        sim.ledger.advance_time(contract.freeze_ticks + 1)  # lets freezes expire
+        sim.ledger.advance_time(sim.config.freeze_ticks + 1)  # lets freezes expire
         return
     if not contract.tokens:
         return

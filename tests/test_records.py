@@ -25,7 +25,7 @@ RECORDS = [
     (TransferIntent(A, A, B, 1, 0, 0), "caller"),
     (VERDICT, "status"),
     (UnlockAttestation(A, B, 1, 0, 0, b"\x00" * 32), "main"),
-    (ReplayOutcome(False, 3, "diverges"), "passed"),
+    (ReplayOutcome(False, 3), "passed"),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
 
