@@ -12,14 +12,7 @@ import hashlib
 import hmac
 from typing import NamedTuple
 
-from .errors import (
-    NoAuxRegistered,
-    NotLocked,
-    NotOwner,
-    ReclaimedImmutable,
-    SelfLink,
-    SignatureInvalid,
-)
+from .errors import Refused
 from .ledger import Address, Ledger
 from .token import TokenContract, TokenState
 
@@ -66,7 +59,7 @@ class AccessControl:
         """Forge a valid single-use attestation for the active link (harness helper)."""
         aux = self.links.get(main)
         if aux is None:
-            raise NoAuxRegistered(main)
+            raise Refused("NoAuxRegistered", main)
         now = self.ledger.time
         nonce = self._attestation_nonces.get(main, 0)
         self._attestation_nonces[main] = nonce + 1
@@ -77,13 +70,13 @@ class AccessControl:
 
     def register_aux(self, main: Address, aux: Address, digest: bytes) -> None:
         if main == aux:
-            raise SelfLink(main)
+            raise Refused("SelfLink", main)
         self.ledger.account(main)
         self.ledger.account(aux)
         nonce = self._nonces.get(main, 0)
         expected = self.registration_digest(main, aux, nonce)
         if not hmac.compare_digest(digest, expected):
-            raise SignatureInvalid("registration digest mismatch")
+            raise Refused("SignatureInvalid", "registration digest mismatch")
         self.links[main] = aux
         self._nonces[main] = nonce + 1
         self.ledger.append_event("AuxRegistered", {"main": main, "aux": aux, "nonce": nonce})
@@ -91,21 +84,21 @@ class AccessControl:
     def lock(self, owner: Address, token_id: int) -> None:
         token = self.contract.token(token_id)
         if token.owner != owner:
-            raise NotOwner(owner)
+            raise Refused("NotOwner", owner)
         # double lock is an idempotent no-op; the event is still recorded
         self.bridge.privileged_dispatch("lock", origin="dac", token_id=token_id)
 
     def unlock(self, main: Address, token_id: int, attestation: UnlockAttestation) -> None:
         token = self.contract.token(token_id)
         if token.state is TokenState.RECLAIMED:
-            raise ReclaimedImmutable(str(token_id))
+            raise Refused("ReclaimedImmutable", str(token_id))
         if token.owner != main:
-            raise NotOwner(main)
+            raise Refused("NotOwner", main)
         if token.state is not TokenState.LOCKED:
-            raise NotLocked(str(token_id))
+            raise Refused("NotLocked", str(token_id))
         aux = self.links.get(main)
         if aux is None:
-            raise NoAuxRegistered(main)
+            raise Refused("NoAuxRegistered", main)
         valid = (
             attestation.main == main
             and attestation.aux == aux
@@ -116,7 +109,7 @@ class AccessControl:
             )
         )
         if not valid:
-            raise SignatureInvalid("unlock attestation rejected")
+            raise Refused("SignatureInvalid", "unlock attestation rejected")
         self._consumed.add(attestation.digest)
         # the owner accepts transfer risk by unlocking; record that consent
         self.ledger.append_event("UnlockConfirmed", {"main": main, "aux": aux, "token_id": token_id})

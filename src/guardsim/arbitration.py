@@ -17,16 +17,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .config import SimConfig
-from .errors import (
-    AlreadyEmpaneled,
-    AlreadyVoted,
-    CaseClosedError,
-    DuplicateCase,
-    InsufficientJurors,
-    NotAParty,
-    NotJuror,
-    UnknownCase,
-)
+from .errors import Refused
 from .ledger import Address, Ledger
 from .token import TokenContract, TokenState
 from .units import fmt_units
@@ -82,7 +73,7 @@ def select_jury(pool: list[Address], exclude: set[Address], size: int, seed: int
             seen.setdefault(addr)
     eligible = list(seen)
     if len(eligible) < size:
-        raise InsufficientJurors(f"{len(eligible)} eligible, need {size}")
+        raise Refused("InsufficientJurors", f"{len(eligible)} eligible, need {size}")
 
     def key(addr: Address) -> bytes:
         return hashlib.sha256(f"jury|{seed}|{case_id}|{addr}".encode("ascii")).digest()
@@ -127,12 +118,12 @@ class ArbitrationSystem:
         try:
             return self.cases[case_id]
         except KeyError:
-            raise UnknownCase(str(case_id)) from None
+            raise Refused("UnknownCase", str(case_id)) from None
 
     def file_report(self, reporter: Address, token_id: int) -> int:
         token = self.contract.token(token_id)
         if token_id in self._open_case_by_token:
-            raise DuplicateCase(str(token_id))
+            raise Refused("DuplicateCase", str(token_id))
         deposit = self.required_deposit(token_id)
         self.ledger.transfer_value(reporter, self.escrow, deposit)  # raises before any case state exists
         case_id = self._open_case(token_id, reporter, token.owner, deposit, auto=False)
@@ -171,9 +162,9 @@ class ArbitrationSystem:
     def submit_evidence(self, case_id: int, party: Address, blob: bytes) -> None:
         case = self.case(case_id)
         if case.status == CLOSED:
-            raise CaseClosedError(str(case_id))
+            raise Refused("CaseClosed", str(case_id))
         if party not in (case.reporter, case.respondent):
-            raise NotAParty(party)
+            raise Refused("NotAParty", party)
         digest = hashlib.sha256(blob).hexdigest()
         case.evidence.append((party, digest, self.ledger.time))
         self.ledger.append_event("EvidenceSubmitted", {"case_id": case_id, "party": party, "digest": digest})
@@ -181,9 +172,9 @@ class ArbitrationSystem:
     def empanel_jury(self, case_id: int, pool: list[Address], seed: int) -> list[Address]:
         case = self.case(case_id)
         if case.status == CLOSED:
-            raise CaseClosedError(str(case_id))
+            raise Refused("CaseClosed", str(case_id))
         if case.status == VOTING:
-            raise AlreadyEmpaneled(str(case_id))
+            raise Refused("AlreadyEmpaneled", str(case_id))
         size = self.config.jury_size
         case.jury = select_jury(pool, {case.reporter, case.respondent}, size, seed, case_id)
         case.tally = QuorumTally(self.config.quorum, size)
@@ -194,11 +185,11 @@ class ArbitrationSystem:
     def cast_vote(self, case_id: int, juror: Address, vote: str) -> str | None:
         case = self.case(case_id)
         if case.status == CLOSED:
-            raise CaseClosedError(str(case_id))
+            raise Refused("CaseClosed", str(case_id))
         if case.status != VOTING or juror not in case.jury:
-            raise NotJuror(juror)
+            raise Refused("NotJuror", juror)
         if juror in case.tally.votes:
-            raise AlreadyVoted(juror)
+            raise Refused("AlreadyVoted", juror)
         self.ledger.append_event("VoteCast", {"case_id": case_id, "juror": juror, "vote": vote})
         verdict = case.tally.cast(juror, vote)
         if verdict is not None:

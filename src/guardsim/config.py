@@ -11,14 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import RejectedInput
-from .units import fmt_fraction, fmt_units, parse_fraction, to_units
+from .units import finite_float, fmt_fraction, fmt_units, parse_fraction, to_units
 
 # Integer step arguments, int config values and logical time: non-negative 64-bit signed integers.
 INTS = range(2**63)
 
 # each field's metadata: the (parse, render) pair of its key's value in the Genesis event's config
 _INT = {"codec": (int, str)}
-_FLOAT = {"codec": (float, repr)}
+_FLOAT = {"codec": (finite_float, repr)}
 _FRAC = {"codec": (parse_fraction, fmt_fraction)}
 _UNITS = {"codec": (to_units, fmt_units)}
 
@@ -74,7 +74,7 @@ def apply_override(config: SimConfig, key: str, value: str) -> SimConfig:
     # economics checks assume it. The int keys lie in ``INTS``, as step arguments do.
     if parse is int and parsed not in INTS:
         raise RejectedInput(f"bad value for {key}: {value!r} (must be in [0, 2**63))")
-    if parse is not float and parsed < 0:
+    if parse is not finite_float and parsed < 0:
         raise RejectedInput(f"bad value for {key}: {value!r} (must be >= 0)")
     return replace(config, **{key: parsed})
 

@@ -2,7 +2,10 @@
 
 Every error carries a stable short ``code`` that scenario runs record in
 StepRejected events, so attack scripts can assert on exactly which guard
-fired without string-matching prose.
+fired without string-matching prose. A refusal by the protocol (DAC, DRM,
+the transfer guard, DAS, the ledger or a DSL name) is one ``Refused`` whose
+``code`` is named where it is raised; the README lists every code. The other
+classes are caught or raised by type.
 """
 
 from __future__ import annotations
@@ -19,112 +22,12 @@ class RejectedInput(SimError):
     code = "RejectedInput"
 
 
-class UnknownAccount(SimError):
-    code = "UnknownAccount"
+class Refused(SimError):
+    """A refused action; ``code`` is what its StepRejected logs."""
 
-
-class InsufficientFunds(SimError):
-    code = "InsufficientFunds"
-
-
-class UnknownToken(SimError):
-    code = "UnknownToken"
-
-
-class AlreadyMinted(SimError):
-    code = "AlreadyMinted"
-
-
-class NotOwner(SimError):
-    code = "NotOwner"
-
-
-class GuardRejected(SimError):
-    """Transfer guard refusal; ``code`` is the guard reason itself."""
-
-    def __init__(self, code: str):
+    def __init__(self, code: str, message: str = ""):
         self.code = code
-        super().__init__()
-
-
-class PhishingOperatorBlocked(SimError):
-    code = "PhishingOperatorBlocked"
-
-
-class NotOracle(SimError):
-    code = "NotOracle"
-
-
-class ReclaimedImmutable(SimError):
-    code = "ReclaimedImmutable"
-
-
-class AlreadyReclaimed(SimError):
-    code = "AlreadyReclaimed"
-
-
-class NotInArbitration(SimError):
-    code = "NotInArbitration"
-
-
-class NotLocked(SimError):
-    code = "NotLocked"
-
-
-class InvalidTokenState(SimError):
-    code = "InvalidTokenState"
-
-
-class InvalidRequest(SimError):
-    code = "InvalidRequest"
-
-
-class SignatureInvalid(SimError):
-    code = "SignatureInvalid"
-
-
-class SelfLink(SimError):
-    code = "SelfLink"
-
-
-class NoAuxRegistered(SimError):
-    code = "NoAuxRegistered"
-
-
-class InsufficientJurors(SimError):
-    code = "InsufficientJurors"
-
-
-class AlreadyVoted(SimError):
-    code = "AlreadyVoted"
-
-
-class NotJuror(SimError):
-    code = "NotJuror"
-
-
-class DuplicateCase(SimError):
-    code = "DuplicateCase"
-
-
-class NotAParty(SimError):
-    code = "NotAParty"
-
-
-class CaseClosedError(SimError):
-    code = "CaseClosed"
-
-
-class AlreadyEmpaneled(SimError):
-    code = "AlreadyEmpaneled"
-
-
-class UnknownCase(SimError):
-    code = "UnknownCase"
-
-
-class UnknownName(SimError):
-    code = "UnknownName"
+        super().__init__(message)
 
 
 class ParseError(SimError):

@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, NamedTuple
 
 from .config import INTS, SimConfig
-from .errors import InsufficientFunds, RejectedInput, UnknownAccount
+from .errors import Refused, RejectedInput
 from .units import fmt_units
 
 Address = str
@@ -332,7 +332,7 @@ class Ledger:
         try:
             return self.accounts[address]
         except KeyError:
-            raise UnknownAccount(address) from None
+            raise Refused("UnknownAccount", address) from None
 
     def create_account(self, initial_balance: int) -> Address:
         if initial_balance < 0:
@@ -350,7 +350,7 @@ class Ledger:
         source = self.account(from_addr)
         target = self.account(to_addr)
         if source.balance < amount:
-            raise InsufficientFunds(f"balance {fmt_units(source.balance)} < {fmt_units(amount)}")
+            raise Refused("InsufficientFunds", f"balance {fmt_units(source.balance)} < {fmt_units(amount)}")
         source.balance -= amount
         target.balance += amount
         self.append_event(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import weakref
 
-from .errors import InvalidRequest, NotOracle
+from .errors import Refused
 from .ledger import Ledger
 from .risk import HACKED, MAY_LOST, RiskEngine, RiskVerdict, TransferIntent
 from .units import fmt_units
@@ -66,7 +66,7 @@ class OracleBridge:
     def fulfill(self, request_id: int, verdict: RiskVerdict) -> None:
         intent = self._pending.pop(request_id, None)
         if intent is None:
-            raise InvalidRequest(str(request_id))
+            raise Refused("InvalidRequest", str(request_id))
         self.ledger.append_event(
             "RiskFulfilled",
             {
@@ -94,7 +94,7 @@ class OracleBridge:
         every logged dispatch is immediately followed by its effect event.
         """
         if origin not in _ALLOWED_DISPATCH or action not in _ALLOWED_DISPATCH[origin]:
-            raise NotOracle(f"{origin!r} may not dispatch {action!r}")
+            raise Refused("NotOracle", f"{origin!r} may not dispatch {action!r}")
         self.contract.check_dispatch(action, token_id, kwargs.get("to"))
         payload = {"action": action, "origin": origin, "token_id": token_id, **kwargs}
         self.ledger.append_event("OracleDispatch", payload)

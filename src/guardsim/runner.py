@@ -41,7 +41,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .audit import Audit
 from .config import SimConfig, apply_override, config_from_payload
-from .errors import ParseError, RejectedInput, ReplayError, SimError, UnknownName
+from .errors import ParseError, Refused, RejectedInput, ReplayError, SimError
 from .ledger import _CHUNK, SEEDS, EventRecord, Ledger, check_event, serialize_events
 from .scenario import VERBS, Scenario, Step, parse_step
 from .sim import Simulation
@@ -58,7 +58,7 @@ class RunContext:
             return self.names[name]
         if name.startswith("0x") and len(name) == 42:
             return name
-        raise UnknownName(name)
+        raise Refused("UnknownName", name)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .arbitration import FOR_HOLDER, FOR_REPORTER
 from .config import INTS
 from .errors import ParseError, RejectedInput
 from .ledger import SEEDS
-from .units import to_units
+from .units import finite_float, to_units
 
 
 def _int(text: str) -> int:
@@ -59,7 +59,7 @@ INT = "int"  # parse-time marker: an integer in ``config.INTS``, converted and b
 AMOUNT = lambda _ctx, text: to_units(text)
 ONOFF = _checked(lambda text: _ONOFF[text.lower()], "expected on/off, got {!r}")
 VOTE = _checked(lambda text: _VOTES[text.lower()], "vote must be R or H, got {!r}")
-SCORE = _checked(float, "bad model score {!r}")
+SCORE = _checked(finite_float, "bad model score {!r}")
 TEXT = "text"  # parse-time marker: every remaining word (maybe none), joined by single spaces
 
 

@@ -24,20 +24,7 @@ import heapq
 import weakref
 from dataclasses import dataclass, field
 
-from .errors import (
-    AlreadyMinted,
-    AlreadyReclaimed,
-    GuardRejected,
-    InvalidTokenState,
-    NotInArbitration,
-    NotLocked,
-    NotOracle,
-    NotOwner,
-    PhishingOperatorBlocked,
-    ReclaimedImmutable,
-    RejectedInput,
-    UnknownToken,
-)
+from .errors import Refused, RejectedInput
 from .ledger import Account, Address, Ledger
 from .risk import RiskVerdict, SAFE, TransferIntent
 from .units import fmt_units
@@ -87,13 +74,13 @@ class TokenContract:
 
     def bind_bridge(self, bridge) -> None:
         """Link to the oracle bridge without owning it: the bridge holds the contract, so a strong
-        link back would be a reference cycle. Once the bridge is gone, bridge-only calls raise NotOracle."""
+        link back would be a reference cycle. Once the bridge is gone, bridge-only calls are refused with NotOracle."""
         self._bridge = weakref.ref(bridge)
 
     def _oracle(self):
         bridge = self._bridge()
         if bridge is None:
-            raise NotOracle("the oracle bridge is gone")
+            raise Refused("NotOracle", "the oracle bridge is gone")
         return bridge
 
     # -- reads ---------------------------------------------------------------
@@ -120,7 +107,7 @@ class TokenContract:
         try:
             return self.tokens[token_id]
         except KeyError:
-            raise UnknownToken(str(token_id)) from None
+            raise Refused("UnknownToken", str(token_id)) from None
 
     def is_operator(self, owner: Address, operator: Address) -> bool:
         return self.operator_approvals.get((owner, operator), False)
@@ -154,7 +141,7 @@ class TokenContract:
         if token_id <= 0:
             raise RejectedInput("token id must be positive")
         if token_id in self.tokens:
-            raise AlreadyMinted(str(token_id))
+            raise Refused("AlreadyMinted", str(token_id))
         self.ledger.account(to_addr)
         self.tokens[token_id] = TokenRecord(token_id=token_id, owner=to_addr)
         self.ledger.append_event("Minted", {"token_id": token_id, "to": to_addr})
@@ -162,12 +149,12 @@ class TokenContract:
     def approve(self, caller: Address, to_addr: Address, token_id: int) -> None:
         refusal = self.transfer_guard(token_id, caller)
         if refusal is not None:
-            raise GuardRejected(refusal)
+            raise Refused(refusal)
         self.ledger.account(to_addr)
         token = self.token(token_id)
         # EIP-721: only the owner or an operator of the owner may approve, not an approved address
         if caller != token.owner and not self.is_operator(token.owner, caller):
-            raise GuardRejected("NotAuthorized")
+            raise Refused("NotAuthorized")
         token.approved = to_addr
         self.ledger.append_event("Approval", {"token_id": token_id, "owner": token.owner, "approved": to_addr})
 
@@ -178,7 +165,7 @@ class TokenContract:
             self.ledger.append_event(
                 "SupervisionBlocked", {"owner": caller, "operator": operator, "reason": "PhishingOperatorBlocked"}
             )
-            raise PhishingOperatorBlocked(operator)
+            raise Refused("PhishingOperatorBlocked", operator)
         self.operator_approvals[(caller, operator)] = approved
         self.ledger.append_event("ApprovalForAll", {"owner": caller, "operator": operator, "approved": approved})
 
@@ -199,9 +186,9 @@ class TokenContract:
         guard_frozen = token.frozen_until is not None and self.ledger.time < token.frozen_until
         refusal = self.transfer_guard(token_id, caller)
         if refusal is not None:
-            raise GuardRejected(refusal)
+            raise Refused(refusal)
         if token.owner != from_addr:
-            raise NotOwner(from_addr)
+            raise Refused("NotOwner", from_addr)
         self.ledger.account(to_addr)
         intent = TransferIntent(caller, from_addr, to_addr, token_id, price, self.ledger.time)
         request_id, verdict = self._oracle().request_risk_check(intent)
@@ -232,7 +219,7 @@ class TokenContract:
 
     def _require_bridge(self, by) -> None:
         if by is None or by is not self._bridge():
-            raise NotOracle("token state transitions require the oracle bridge")
+            raise Refused("NotOracle", "token state transitions require the oracle bridge")
 
     def check_dispatch(self, action: str, token_id: int, to: Address | None = None) -> TokenRecord:
         """Raise what the bridge-only ``action`` on ``token_id`` would raise; mutates nothing.
@@ -243,16 +230,16 @@ class TokenContract:
         token = self.token(token_id)
         state = token.state
         if action in ("lock", "unlock") and state is TokenState.RECLAIMED:
-            raise ReclaimedImmutable(str(token_id))
+            raise Refused("ReclaimedImmutable", str(token_id))
         if action == "unlock" and state is not TokenState.LOCKED:
-            raise NotLocked(str(token_id))
+            raise Refused("NotLocked", str(token_id))
         if action == "freeze" and state is not TokenState.OK:
-            raise InvalidTokenState("freeze applies to OK tokens only")
+            raise Refused("InvalidTokenState", "freeze applies to OK tokens only")
         if action == "reclaim" and state is TokenState.RECLAIMED:
-            raise AlreadyReclaimed(str(token_id))
+            raise Refused("AlreadyReclaimed", str(token_id))
         if action == "return":
             if state is not TokenState.RECLAIMED:
-                raise NotInArbitration(str(token_id))
+                raise Refused("NotInArbitration", str(token_id))
             self.ledger.account(to)
         return token
 
@@ -295,7 +282,7 @@ class TokenContract:
         self._require_bridge(by)
         kind = EFFECT_KINDS.get(action)
         if kind is None:
-            raise NotOracle(f"no effect for action {action!r}")
+            raise Refused("NotOracle", f"no effect for action {action!r}")
         token = self.check_dispatch(action, token_id, to)
         payload = {"token_id": token_id}
         if action == "lock":

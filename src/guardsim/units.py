@@ -8,6 +8,7 @@ money path.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -92,6 +93,15 @@ def parse_fraction(text: str) -> Fraction:
         return _exact(text)
     except (RejectedInput, ValueError, ZeroDivisionError):
         raise RejectedInput(f"not a ratio: {text!r}") from None
+
+
+def finite_float(text: str) -> float:
+    """``float(text)`` if it is finite: NaN fails every comparison a rule makes, and an infinity
+    leaves a threshold no value can cross."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def fmt_fraction(ratio: Fraction) -> str:

@@ -1,5 +1,8 @@
+from contextlib import contextmanager
+
 import pytest
 
+from guardsim.errors import Refused
 from guardsim.sim import Simulation
 from guardsim.units import to_units
 
@@ -15,6 +18,14 @@ def fund_accounts(sim, count, balance=10, age_ticks=86400):
     if age_ticks:
         sim.ledger.advance_time(age_ticks)
     return addresses
+
+
+@contextmanager
+def refused(code):
+    """Expect the block to raise ``Refused`` with ``code``, the code its StepRejected would log."""
+    with pytest.raises(Refused) as err:
+        yield
+    assert err.value.code == code
 
 
 @pytest.fixture

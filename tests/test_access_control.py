@@ -2,19 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from guardsim.access_control import UnlockAttestation
-from guardsim.errors import (
-    NoAuxRegistered,
-    NotLocked,
-    NotOwner,
-    ReclaimedImmutable,
-    SelfLink,
-    SignatureInvalid,
-)
 from guardsim.sim import Simulation
 from guardsim.token import TokenState
 from guardsim.units import to_units
 
-from conftest import fund_accounts
+from conftest import fund_accounts, refused
 
 
 @pytest.fixture
@@ -38,13 +30,13 @@ def test_tampered_registration_digest_rejected(setup):
     sim, alice, aux, _ = setup
     digest = bytearray(sim.access.registration_digest(alice, aux))
     digest[0] ^= 0x01
-    with pytest.raises(SignatureInvalid):
+    with refused("SignatureInvalid"):
         sim.access.register_aux(alice, aux, bytes(digest))
 
 
 def test_self_link_rejected(setup):
     sim, alice, _, _ = setup
-    with pytest.raises(SelfLink):
+    with refused("SelfLink"):
         sim.access.register_aux(alice, alice, b"\x00" * 32)
 
 
@@ -55,7 +47,7 @@ def test_reregistration_replaces_and_stale_aux_cannot_unlock(setup):
     stale = sim.access.make_attestation(alice, 1)
     sim.access.register_aux(alice, new_aux, sim.access.registration_digest(alice, new_aux))
     sim.access.lock(alice, 1)
-    with pytest.raises(SignatureInvalid):
+    with refused("SignatureInvalid"):
         sim.access.unlock(alice, 1, stale)
     sim.access.unlock(alice, 1, sim.access.make_attestation(alice, 1))
     assert sim.contract.token(1).state is TokenState.OK
@@ -63,7 +55,7 @@ def test_reregistration_replaces_and_stale_aux_cannot_unlock(setup):
 
 def test_lock_requires_ownership(setup):
     sim, _, _, mallory = setup
-    with pytest.raises(NotOwner):
+    with refused("NotOwner"):
         sim.access.lock(mallory, 1)
 
 
@@ -79,14 +71,14 @@ def test_lock_is_idempotent_and_still_logs(setup):
 def test_unlock_without_registration(setup):
     sim, alice, _, _ = setup
     sim.access.lock(alice, 1)
-    with pytest.raises(NoAuxRegistered):
+    with refused("NoAuxRegistered"):
         sim.access.unlock(alice, 1, UnlockAttestation(alice, alice, 1, 0, 0, b"\x00" * 32))
 
 
 def test_unlock_of_ok_token_rejected(setup):
     sim, alice, aux, _ = setup
     sim.access.register_aux(alice, aux, sim.access.registration_digest(alice, aux))
-    with pytest.raises(NotLocked):
+    with refused("NotLocked"):
         sim.access.unlock(alice, 1, sim.access.make_attestation(alice, 1))
 
 
@@ -97,7 +89,7 @@ def test_replayed_attestation_rejected(setup):
     attestation = sim.access.make_attestation(alice, 1)
     sim.access.unlock(alice, 1, attestation)
     sim.access.lock(alice, 1)
-    with pytest.raises(SignatureInvalid):
+    with refused("SignatureInvalid"):
         sim.access.unlock(alice, 1, attestation)
 
 
@@ -105,7 +97,7 @@ def test_unlock_of_reclaimed_token_immutable(setup):
     sim, alice, aux, _ = setup
     sim.access.register_aux(alice, aux, sim.access.registration_digest(alice, aux))
     sim.bridge.privileged_dispatch("reclaim", origin="drm", token_id=1)
-    with pytest.raises(ReclaimedImmutable):
+    with refused("ReclaimedImmutable"):
         sim.access.unlock(alice, 1, UnlockAttestation(alice, aux, 1, 0, 0, b"\x00" * 32))
 
 
@@ -128,6 +120,6 @@ def test_attestation_replay_never_succeeds(schedule):
             sim.access.unlock(alice, 1, sim.access.make_attestation(alice, 1))
         else:
             sim.access.lock(alice, 1)
-            with pytest.raises(SignatureInvalid):
+            with refused("SignatureInvalid"):
                 sim.access.unlock(alice, 1, spent)
             assert sim.contract.token(1).state is TokenState.LOCKED

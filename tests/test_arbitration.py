@@ -6,23 +6,13 @@ from hypothesis import example, given, strategies as st
 
 from guardsim.arbitration import FOR_HOLDER, FOR_REPORTER, ArbitrationSystem, QuorumTally, select_jury
 from guardsim.config import SimConfig
-from guardsim.errors import (
-    AlreadyEmpaneled,
-    AlreadyVoted,
-    CaseClosedError,
-    DuplicateCase,
-    InsufficientFunds,
-    InsufficientJurors,
-    NotAParty,
-    NotJuror,
-)
 from guardsim.runner import run_scenario
 from guardsim.scenario import parse_scenario
 from guardsim.sim import Simulation
 from guardsim.token import TokenRecord, TokenState
 from guardsim.units import to_units
 
-from conftest import fund_accounts
+from conftest import fund_accounts, refused
 from riskgrid import StubView
 
 
@@ -111,7 +101,7 @@ def test_file_report_insufficient_balance():
     sim, alice, bob, _, _ = arb_sim()
     token_id = sold_token(sim, alice, bob, price=100)  # deposit 5
     broke = sim.ledger.create_account(to_units("0.1"))
-    with pytest.raises(InsufficientFunds):
+    with refused("InsufficientFunds"):
         sim.arbitration.file_report(broke, token_id)
     assert not sim.arbitration.cases
 
@@ -120,7 +110,7 @@ def test_duplicate_case_rejected():
     sim, alice, bob, rival, _ = arb_sim()
     token_id = sold_token(sim, alice, bob)
     sim.arbitration.file_report(alice, token_id)
-    with pytest.raises(DuplicateCase):
+    with refused("DuplicateCase"):
         sim.arbitration.file_report(rival, token_id)
 
 
@@ -133,7 +123,7 @@ def test_evidence_parties_only_and_order_preserved():
     case_id = sim.arbitration.file_report(alice, token_id)
     sim.arbitration.submit_evidence(case_id, alice, b"chat log")
     sim.arbitration.submit_evidence(case_id, bob, b"receipt")
-    with pytest.raises(NotAParty):
+    with refused("NotAParty"):
         sim.arbitration.submit_evidence(case_id, rival, b"gossip")
     case = sim.arbitration.case(case_id)
     assert [party for party, _, _ in case.evidence] == [alice, bob]
@@ -164,9 +154,9 @@ def test_small_pool_rejected():
     sim, alice, bob, _, jurors = arb_sim(juror_count=3)
     token_id = sold_token(sim, alice, bob)
     case_id = sim.arbitration.file_report(alice, token_id)
-    with pytest.raises(InsufficientJurors):
+    with refused("InsufficientJurors"):
         sim.arbitration.empanel_jury(case_id, jurors, seed=0)
-    with pytest.raises(AlreadyEmpaneled):
+    with refused("AlreadyEmpaneled"):
         jury = sim.arbitration.empanel_jury(case_id, jurors + [sim.ledger.create_account(0)], seed=0)
         sim.arbitration.empanel_jury(case_id, jurors, seed=0)
 
@@ -200,7 +190,7 @@ def test_three_matching_votes_close_for_reporter():
     assert sim.arbitration.cast_vote(case_id, jury[1], FOR_REPORTER) is None
     assert sim.arbitration.cast_vote(case_id, jury[2], FOR_REPORTER) == FOR_REPORTER
     assert sim.arbitration.case(case_id).status == "closed"
-    with pytest.raises(CaseClosedError):
+    with refused("CaseClosed"):
         sim.arbitration.cast_vote(case_id, jury[3], FOR_REPORTER)
 
 
@@ -218,9 +208,9 @@ def test_double_vote_and_stranger_vote_rejected():
     case_id = _reported_case(sim, alice, bob, jurors)
     juror = sim.arbitration.case(case_id).jury[0]
     sim.arbitration.cast_vote(case_id, juror, FOR_REPORTER)
-    with pytest.raises(AlreadyVoted):
+    with refused("AlreadyVoted"):
         sim.arbitration.cast_vote(case_id, juror, FOR_HOLDER)
-    with pytest.raises(NotJuror):
+    with refused("NotJuror"):
         sim.arbitration.cast_vote(case_id, rival, FOR_HOLDER)
 
 

@@ -243,6 +243,22 @@ def test_run_bad_config_value_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("config error: bad value") == 2
 
 
+NOT_FINITE = ["nan", "inf", "-inf", "1e999"]
+
+
+def test_a_float_config_value_that_is_not_finite_exit_2(tmp_path, capsys):
+    """Every comparison with NaN is false, so ``credit_threshold nan`` would let a credit of 0 pass R3."""
+    conf, scenario, log = tmp_path / "sim.conf", tmp_path / "not_finite.tps", tmp_path / "out.jsonl"
+    for value in NOT_FINITE:
+        conf.write_text(f"credit_threshold = {value}\n")
+        assert main(["run", str(SCENARIOS / "clean_sale.tps"), "--out", str(log), "--config", str(conf)]) == 2
+        scenario.write_text(f"CONFIG credit_threshold {value}\nACCOUNT a 1\n")
+        assert main(["run", str(scenario), "--out", str(log)]) == 2
+        error = f"config error: bad value for credit_threshold: {value!r} (not a finite number: {value!r})\n"
+        assert capsys.readouterr().err == error * 2
+    assert not log.exists()
+
+
 def test_run_seed_outside_64_bits_exit_2(tmp_path, capsys):
     log = str(tmp_path / "out.jsonl")
     for seed in ("-1", str(2**64)):
@@ -410,6 +426,16 @@ def test_malformed_step_or_genesis_payload_exit_2(replevin_log, capsys, kind, ed
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{command} error: seq {seq}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", NOT_FINITE)
+def test_a_genesis_float_that_is_not_finite_is_a_bad_log(replevin_log, capsys, value):
+    seq = _edit_first(replevin_log, "Genesis", lambda p: p["config"].update(credit_threshold=value))
+    for command in ("replay", "report", "state", "case", "explain"):
+        argv = [command, str(replevin_log)] + ([] if command in ("replay", "report") else ["1"])
+        assert main(argv) == 2
+        bad = f"bad value for credit_threshold: {value!r} (not a finite number: {value!r})"
+        assert capsys.readouterr().err == f"{command} error: seq {seq}: bad Genesis config ({bad})\n"
 
 
 def test_a_fault_is_reported_when_its_line_is_read(replevin_log, capsys):

@@ -269,6 +269,12 @@ def test_config_file_and_scenario_overrides(tmp_path):
         ("deposit_rate", "1e-99999999"),
         ("freeze_ticks", str(2**63)),
         ("jury_f", str(2**63)),
+        ("credit_threshold", "nan"),
+        ("p_hacked", "inf"),
+        ("p_suspect", "-inf"),
+        ("credit_w_portfolio", "1e999"),
+        ("credit_w_age", "NaN"),
+        ("credit_w_flag", "-Infinity"),
     ],
 )
 def test_out_of_range_config_value_is_rejected_at_load(key, value, tmp_path):
@@ -314,6 +320,15 @@ def test_which_bad_argument_is_rejected_first():
         ("UnknownName", "ghost"),
         ("UnknownName", "ghost"),
     ]
+
+
+def test_a_model_score_that_is_not_finite_is_a_rejected_step():
+    values = ["nan", "inf", "-inf", "1e999"]
+    scenario = parse_scenario("ACCOUNT a 1\n" + "".join(f"MODEL a * {value}\n" for value in values) + "MODEL a * 0.5\n")
+    sim, report = run_scenario(scenario)
+    rejected = [(ev.payload["error"], ev.payload["detail"]) for ev in sim.ledger.events if ev.kind == "StepRejected"]
+    assert rejected == [("RejectedInput", f"bad model score {value!r}") for value in values]
+    assert report.steps_rejected == len(values)
 
 
 def test_write_log_matches_a_fresh_rendering_between_steps(tmp_path):

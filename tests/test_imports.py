@@ -23,6 +23,13 @@ one would be an uncaught ``KeyError``.
 Every ``runner.<name>`` that ``bench/run.py`` or ``bench/fresh_setup.py``
 names must exist: the benchmark runs on the committed sources, so deleting
 one of its entry points would fail the benchmark, not a test.
+
+``errors.py`` defines exactly the error classes of ``ERROR_CLASSES`` and no
+other module subclasses one: a refusal is ``Refused(code, ...)``, never a class
+per code. Each ``Refused`` call in ``src/`` names its code as a string literal,
+except the guard's ``Refused(refusal)``, whose ``refusal`` is what
+``transfer_guard`` returns, one of its string constants. Those codes are the
+rows of the README's refusal-code table.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import pytest
 
 import guardsim
 from guardsim import runner
+from guardsim.errors import SimError
 from guardsim.fuzz import Fuzzer
 from guardsim.ledger import EVENT_KINDS, SHAPES
 
@@ -275,3 +283,102 @@ def test_the_check_sees_a_missing_runner_function():
         "def go(self, runner):\n    return runner.replay_log, self.runner.gone_call, other.report\n"
     )
     assert runner_names(source) == {"gone_span", "replay_log", "gone_call"}
+
+
+ERROR_CLASSES = ["SimError", "RejectedInput", "Refused", "ParseError", "ReplayError"]
+
+
+def error_classes(source: str) -> dict[str, list[str]]:
+    """Each class ``source`` defines that subclasses one of ``ERROR_CLASSES`` (or is one), with its bases."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            bases = [ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases]
+            if node.name in ERROR_CLASSES or set(bases) & set(ERROR_CLASSES):
+                found[node.name] = bases
+    return found
+
+
+def test_errors_defines_the_five_classes_and_no_module_adds_one():
+    assert list(error_classes((PACKAGE / "errors.py").read_text())) == ERROR_CLASSES
+    assert sorted(cls.__name__ for cls in SimError.__subclasses__()) == sorted(ERROR_CLASSES[1:])
+    for path in MODULES:
+        if path.name != "errors.py":
+            assert error_classes(path.read_text()) == {}, path.name
+
+
+def test_the_check_sees_a_class_per_code():
+    source = "class SimError(Exception):\n    pass\n\nclass NotOwner(errors.SimError):\n    code = 'NotOwner'\n"
+    assert error_classes(source) == {"SimError": ["Exception"], "NotOwner": ["SimError"]}
+
+
+def refusals(source: str) -> list[str]:
+    """The code of each ``Refused(...)`` call in ``source``: its literal, or ``?`` and its source."""
+    codes = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Refused":
+            code = node.args[0] if node.args else None
+            literal = isinstance(code, ast.Constant) and isinstance(code.value, str)
+            codes.append(code.value if literal else "?" + (ast.unparse(code) if code else ""))
+    return codes
+
+
+def guard_codes(source: str) -> set[str]:
+    """The string constants ``transfer_guard`` in ``source`` returns."""
+    tree = ast.parse(source)
+    guard = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "transfer_guard")
+    return {
+        node.value.value
+        for node in ast.walk(guard)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+    }
+
+
+def refusal_codes() -> set[str]:
+    """Every code a ``Refused`` in ``src/`` can carry; fails if one is neither a literal nor the guard's."""
+    codes = set()
+    for path in MODULES:
+        source = path.read_text()
+        found = refusals(source)
+        others = {code for code in found if code.startswith("?")}
+        if path.name == "token.py":
+            assert others == {"?refusal"}
+            tree = ast.parse(source)
+            assigned = {
+                ast.unparse(node.value)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "refusal" for t in node.targets)
+            }
+            assert assigned == {"self.transfer_guard(token_id, caller)"}
+            codes |= guard_codes(source)
+        else:
+            assert others == set(), (path.name, others)
+        codes |= set(found) - others
+    return codes
+
+
+def test_every_refusal_names_its_code():
+    codes = refusal_codes()
+    assert {"Locked", "Reclaimed", "Frozen", "NotAuthorized", "CaseClosed", "UnknownName"} <= codes
+
+
+def test_the_check_sees_a_code_that_is_not_a_literal():
+    source = (
+        "def transfer_guard(token):\n    if token.locked:\n        return 'Locked'\n    return None\n\n"
+        "def go(code):\n    raise Refused('NotOwner', 'x')\n    raise Refused(code)\n    raise Refused()\n"
+    )
+    assert refusals(source) == ["NotOwner", "?code", "?"]
+    assert guard_codes(source) == {"Locked"}
+
+
+def readme_codes() -> list[str]:
+    """The code of each row of the README's refusal-code table."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### Refusal codes", 1)[1].split("\n#", 1)[0]
+    return [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_the_readme_lists_every_refusal_code_once():
+    listed = readme_codes()
+    assert len(listed) == len(set(listed))
+    assert set(listed) == refusal_codes()

@@ -1,11 +1,10 @@
 import pytest
 
-from guardsim.errors import InvalidRequest, NotLocked, NotOracle
 from guardsim.risk import MAY_LOST, RiskVerdict, TransferIntent, extract_features
 from guardsim.token import TokenState
 from guardsim.units import to_units
 
-from conftest import fund_accounts
+from conftest import fund_accounts, refused
 
 
 def _transfer(sim, a, b, token_id, price):
@@ -48,9 +47,9 @@ def test_fulfill_twice_rejected(sim):
     sim.contract.mint(alice, 1)
     verdict = _transfer(sim, alice, bob, 1, 10)
     (request_id,) = [ev.payload["request_id"] for ev in sim.ledger.events if ev.kind == "RiskFulfilled"]
-    with pytest.raises(InvalidRequest):
+    with refused("InvalidRequest"):
         sim.bridge.fulfill(request_id, verdict)
-    with pytest.raises(InvalidRequest):
+    with refused("InvalidRequest"):
         sim.bridge.fulfill(999, verdict)
 
 
@@ -88,11 +87,11 @@ def test_request_fulfill_bijection_over_run(sim):
 def test_privileged_dispatch_rejects_unknown_origins(sim):
     alice, _ = fund_accounts(sim, 2)
     sim.contract.mint(alice, 1)
-    with pytest.raises(NotOracle):
+    with refused("NotOracle"):
         sim.bridge.privileged_dispatch("lock", origin="user", token_id=1)
-    with pytest.raises(NotOracle):
+    with refused("NotOracle"):
         sim.bridge.privileged_dispatch("reclaim", origin="dac", token_id=1)
-    with pytest.raises(NotOracle):
+    with refused("NotOracle"):
         sim.bridge.privileged_dispatch("unlock", origin="drm", token_id=1)
 
 
@@ -125,7 +124,7 @@ def test_an_unlock_dispatch_of_an_ok_token_is_refused_before_it_is_logged(sim):
     (alice,) = fund_accounts(sim, 1)
     sim.contract.mint(alice, 1)
     events = list(sim.ledger.events)
-    with pytest.raises(NotLocked):
+    with refused("NotLocked"):
         sim.bridge.privileged_dispatch("unlock", origin="dac", token_id=1)
     assert sim.ledger.events == events
     assert sim.contract.token(1).state is TokenState.OK

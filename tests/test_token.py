@@ -2,22 +2,12 @@ import copy
 
 import pytest
 
-from guardsim.errors import (
-    AlreadyMinted,
-    AlreadyReclaimed,
-    GuardRejected,
-    NotInArbitration,
-    NotOracle,
-    NotOwner,
-    PhishingOperatorBlocked,
-    ReclaimedImmutable,
-)
 from guardsim.ledger import serialize_events
 from guardsim.oracle import _ALLOWED_DISPATCH
 from guardsim.token import EFFECT_KINDS, TokenState
 from guardsim.units import to_units
 
-from conftest import fund_accounts
+from conftest import fund_accounts, refused
 
 
 def test_mint_initial_state_is_ok(sim, parties):
@@ -32,7 +22,7 @@ def test_mint_initial_state_is_ok(sim, parties):
 def test_mint_duplicate_rejected(sim, parties):
     alice, _, _ = parties
     sim.contract.mint(alice, 1)
-    with pytest.raises(AlreadyMinted):
+    with refused("AlreadyMinted"):
         sim.contract.mint(alice, 1)
 
 
@@ -97,9 +87,8 @@ def test_approve_on_locked_token_rejected(sim, parties):
     alice, bob, _ = parties
     sim.contract.mint(alice, 1)
     sim.access.lock(alice, 1)
-    with pytest.raises(GuardRejected) as err:
+    with refused("Locked"):
         sim.contract.approve(alice, bob, 1)
-    assert err.value.code == "Locked"
 
 
 def test_operator_approval_flow(sim, parties):
@@ -114,7 +103,7 @@ def test_operator_approval_flow(sim, parties):
 def test_flagged_operator_blocked_but_revocation_allowed(sim, parties):
     alice, bob, _ = parties
     sim.ledger.set_explorer_flag(bob, True)
-    with pytest.raises(PhishingOperatorBlocked):
+    with refused("PhishingOperatorBlocked"):
         sim.contract.set_approval_for_all(alice, bob, True)
     assert any(ev.kind == "SupervisionBlocked" for ev in sim.ledger.events)
     sim.contract.set_approval_for_all(alice, bob, False)  # revoking is always fine
@@ -123,7 +112,7 @@ def test_flagged_operator_blocked_but_revocation_allowed(sim, parties):
 def test_blacklisted_operator_blocked(sim, parties):
     alice, bob, _ = parties
     sim.blacklist_operator(bob)
-    with pytest.raises(PhishingOperatorBlocked):
+    with refused("PhishingOperatorBlocked"):
         sim.contract.set_approval_for_all(alice, bob, True)
 
 
@@ -142,7 +131,7 @@ def test_transfer_from_wrong_owner(sim, parties):
     alice, bob, carol = parties
     sim.contract.mint(alice, 1)
     sim.contract.set_approval_for_all(alice, carol, True)
-    with pytest.raises(NotOwner):
+    with refused("NotOwner"):
         sim.contract.transfer_from(carol, bob, carol, 1, to_units(1))
 
 
@@ -186,7 +175,7 @@ def test_oracle_ops_reject_non_bridge_callers(sim, parties, action):
     alice, _, _ = parties
     sim.contract.mint(alice, 1)
     for caller in (None, object(), sim):
-        with pytest.raises(NotOracle):
+        with refused("NotOracle"):
             sim.contract.apply_dispatch(action, 1, by=caller, until=sim.ledger.time + 1, to=alice)
 
 
@@ -195,7 +184,7 @@ def test_unknown_action_has_no_effect(sim, parties):
     sim.contract.mint(alice, 1)
     log = serialize_events(sim.ledger.events)
     before = copy.deepcopy(sim.contract.token(1))
-    with pytest.raises(NotOracle):
+    with refused("NotOracle"):
         sim.contract.apply_dispatch("burn", 1, by=sim.bridge, to=alice)
     assert serialize_events(sim.ledger.events) == log
     assert sim.contract.token(1) == before
@@ -222,7 +211,7 @@ def test_unlock_of_reclaimed_token_is_immutable(sim, parties):
     alice, _, _ = parties
     sim.contract.mint(alice, 1)
     sim.bridge.privileged_dispatch("reclaim", origin="drm", token_id=1)
-    with pytest.raises(ReclaimedImmutable):
+    with refused("ReclaimedImmutable"):
         sim.contract.apply_dispatch("unlock", 1, by=sim.bridge)
 
 
@@ -233,14 +222,14 @@ def test_reclaim_twice_rejected_and_preserves_provenance(sim, parties):
     provenance = list(sim.contract.token(1).provenance)
     sim.bridge.privileged_dispatch("reclaim", origin="drm", token_id=1)
     assert sim.contract.token(1).provenance == provenance
-    with pytest.raises(AlreadyReclaimed):
+    with refused("AlreadyReclaimed"):
         sim.contract.apply_dispatch("reclaim", 1, by=sim.bridge)
 
 
 def test_verdict_return_requires_reclaimed_state(sim, parties):
     alice, bob, _ = parties
     sim.contract.mint(alice, 1)
-    with pytest.raises(NotInArbitration):
+    with refused("NotInArbitration"):
         sim.contract.apply_dispatch("return", 1, by=sim.bridge, to=bob)
     sim.bridge.privileged_dispatch("reclaim", origin="drm", token_id=1)
     sim.bridge.privileged_dispatch("return", origin="das", token_id=1, to=bob)
