@@ -99,7 +99,6 @@ class ArbitrationSystem:
         self.fee_sink = fee_sink
         self.cases: dict[int, ArbitrationCase] = {}
         self._open_case_by_token: dict[int, int] = {}
-        self._next_case_id = 1
 
     # -- deposits ---------------------------------------------------------------
 
@@ -140,8 +139,7 @@ class ArbitrationSystem:
         return self._open_case(token_id, reporter, holder, deposit=0, auto=True)
 
     def _open_case(self, token_id: int, reporter: Address, respondent: Address, deposit: int, auto: bool) -> int:
-        case_id = self._next_case_id
-        self._next_case_id += 1
+        case_id = len(self.cases) + 1  # no case is ever dropped
         case = ArbitrationCase(case_id, token_id, reporter, respondent, deposit, auto)
         self.cases[case_id] = case
         self._open_case_by_token[token_id] = case_id

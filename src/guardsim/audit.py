@@ -3,12 +3,15 @@
 These checks work purely on the serialized event stream, independently of the
 live objects that produced it, so they double as tamper detection: every
 value-moving event records its post balances, and the audit refolds the whole
-history and cross-checks each recorded balance and the final conservation
-identity. ``Audit`` is the fold, one event at a time, so report audits a log
-as it streams; ``audit_events`` runs it over a list. It trusts the keys and
-types of the event table, which checks every event at append and at parse; an
-amount spelling that ``to_units`` refuses is a ``ReplayError`` naming the
-event's seq and kind.
+history and cross-checks each recorded balance. Each address must be created
+once, by an ``AccountCreated`` event earlier than every value event that names
+it, and a rejected step leaves nothing behind: its ``StepRejected`` follows the
+``Step`` of its index with nothing between them but a ``SupervisionBlocked``.
+``Audit`` is the fold, one event at a time, so report audits a log as it
+streams; ``audit_events`` runs it over a list. It trusts the keys and types of
+the event table, which checks every event at append and at parse; an amount
+spelling that ``to_units`` refuses is a ``ReplayError`` naming the event's seq
+and kind.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class Audit:
     def __init__(self, events: Iterable[EventRecord] = ()):
         self.violations: list[str] = []
         self.balances: dict[str, int] = {}
+        self.created: set[str] = set()  # the addresses AccountCreated events created
         # the number of risk requests so far, whether the n-th had id n, and the last one's id
         self.requests, self.gap_free, self.last_request = 0, True, None
         self.unpaired: dict[int, str] | None = {}  # request id -> the kind of its one event so far; None once broken
@@ -47,12 +51,15 @@ class Audit:
         self.juror_reward_each: int | None = None
         self.gas_fee = SimConfig().gas_fee  # replaced by the genesis config
         self.previous: EventRecord | None = None
-        self.minted = self.honor_count = self.reward_minted_total = self.steps = self.rejected = 0
+        self.open_step: int | None = None  # the index of the last Step, while only SupervisionBlocked follows it
+        self.honor_count = self.reward_minted_total = self.steps = self.rejected = 0
         self.verdicts: dict[str, int] = {}
         for ev in events:
             self.add(ev)
 
     def _check_balance(self, seq: int, addr: str, recorded: str) -> None:
+        if addr not in self.created:
+            self.violations.append(f"seq {seq}: value event names {addr}, which no earlier AccountCreated created")
         if self.balances.get(addr, 0) != to_units(recorded):
             self.violations.append(f"seq {seq}: recorded balance for {addr} diverges from refolded history")
 
@@ -74,14 +81,18 @@ class Audit:
         try:
             if kind == "Step":
                 self.steps += 1
+                self.open_step = p["index"]
             elif kind == "StepRejected":
                 self.rejected += 1
+                if self.open_step != p["index"]:
+                    violations.append(f"seq {seq}: rejected step {p['index']} left events behind")
             elif kind == "Genesis":
                 self.gas_fee = to_units(p["config"]["gas_fee"])
             elif kind == "AccountCreated":
-                amount = to_units(p["balance"])
-                balances[p["address"]] = amount
-                self.minted += amount
+                if p["address"] in self.created:
+                    violations.append(f"seq {seq}: address {p['address']} created twice")
+                self.created.add(p["address"])
+                balances[p["address"]] = to_units(p["balance"])
             elif kind == "ValueTransferred":
                 amount = to_units(p["amount"])
                 balances[p["from"]] = balances.get(p["from"], 0) - amount
@@ -93,7 +104,6 @@ class Audit:
             elif kind == "ValueMinted":
                 amount = to_units(p["amount"])
                 balances[p["to"]] = balances.get(p["to"], 0) + amount
-                self.minted += amount
                 self._check_balance(seq, p["to"], p["to_balance"])
                 if p["reason"] == "juror_reward":
                     self.reward_minted_total += amount
@@ -143,6 +153,9 @@ class Audit:
             else:
                 reclaimed.discard(token_id)
 
+        if kind not in ("Step", "SupervisionBlocked"):  # a rejected step logs nothing else
+            self.open_step = None
+
         # a dispatch and its effect event are adjacent, in both directions
         previous = self.previous
         action = _DISPATCHED_KINDS.get(kind)
@@ -159,8 +172,6 @@ class Audit:
         violations = list(self.violations)
         if self.previous is not None and self.previous.kind == "OracleDispatch":
             violations.append(f"seq {self.previous.seq}: OracleDispatch without its effect event immediately after")
-        if sum(self.balances.values()) != self.minted:
-            violations.append("conservation: account balances do not equal total minted value")
         if self.unpaired is None or self.unpaired:
             violations.append("request/fulfill pairing broken")
         if not self.gap_free:

@@ -178,7 +178,3 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, SimError) as exc:
         print(f"{args.command} error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -278,7 +278,6 @@ class Ledger:
         self.events: list[EventRecord] = []
         self.minted_total = 0
         self._next_seq = 1
-        self._creation_counter = 0
         self._chunks: list[bytes] | None = []  # canonical bytes of events[:_hashed]; None once written
         self._hash = hashlib.sha256()  # of the canonical bytes of events[:_hashed]
         self._hashed: int | None = 0  # None once checked events are dropped
@@ -337,8 +336,7 @@ class Ledger:
     def create_account(self, initial_balance: int) -> Address:
         if initial_balance < 0:
             raise RejectedInput("initial balance must be >= 0")
-        address = derive_address(self.seed, self._creation_counter)
-        self._creation_counter += 1
+        address = derive_address(self.seed, len(self.accounts))  # no account is ever dropped
         self.accounts[address] = Account(address, initial_balance, created_at=self.time)
         self.minted_total += initial_balance
         self.append_event("AccountCreated", {"address": address, "balance": fmt_units(initial_balance)})

@@ -1,12 +1,15 @@
 """Rule-based risk engine for proposed token transfers.
 
-Every proposed transfer is reduced to a deterministic feature payload drawn
-from the chain snapshot, run through five rule filters plus a table-driven
-model score, and mapped to one of three verdicts: safe, may_lost, hacked.
-The payload is the exact dict that ``RiskFulfilled`` logs: amounts in the
-canonical decimal form, R1's price ratio as a reduced ``p/q``, and the two
-credits and the model score as ``repr`` of their floats, which parse back
-to the same floats.
+Every proposed transfer arrives as the ``RiskRequested`` payload the oracle
+bridge logs for it, with its price in sub-units. It is reduced to a
+deterministic feature payload read from that request and the chain snapshot,
+run through five rule filters plus a table-driven model score, and mapped to
+one of three verdicts: safe, may_lost, hacked. The feature payload takes the
+sender, the recipient and the rendered price from the request, so the price
+is rendered once, by the bridge. It is the exact dict that ``RiskFulfilled``
+logs: amounts in the canonical decimal form, R1's price ratio as a reduced
+``p/q``, and the two credits and the model score as ``repr`` of their floats,
+which parse back to the same floats.
 
 The rules read that payload and nothing else, so the live verdict and the
 offline recompute of any logged verdict (`classify_payload`) run the same
@@ -48,17 +51,6 @@ R5_PRIOR_ABNORMAL = "R5_PRIOR_ABNORMAL"
 WEAK = "weak"
 STRONG = "strong"
 
-class TransferIntent(NamedTuple):
-    """Immutable snapshot of one proposed transfer awaiting evaluation."""
-
-    caller: Address
-    from_addr: Address
-    to_addr: Address
-    token_id: int
-    price: int  # sub-units; 0 means gift
-    time: int
-
-
 class RiskVerdict(NamedTuple):
     status: str
     hits: list[dict]  # the hits RiskFulfilled logs
@@ -95,12 +87,13 @@ def credit_score(address: Address, chain: TokenContract, config: SimConfig) -> f
     return score
 
 
-def extract_features(intent: TransferIntent, chain: TokenContract, config: SimConfig, model_score: float) -> dict:
-    """The transfer's feature payload, as ``RiskFulfilled`` logs it."""
+def extract_features(request: dict, price: int, chain: TokenContract, config: SimConfig, model_score: float) -> dict:
+    """The transfer's feature payload, as ``RiskFulfilled`` logs it. ``request`` is the transfer's
+    ``RiskRequested`` payload and ``price`` its price in sub-units (0 for a gift)."""
     horizon = chain.now - config.window_ticks  # a sale or an abnormal mark counts while its tick is after it
-    token = chain.token(intent.token_id)
+    sender, recipient = request["from"], request["to"]
+    token = chain.token(request["token_id"])
     floor = collection_floor(chain)
-    price = intent.price
     g = math.gcd(price, floor or 0)  # R1's ratio is undefined for a gift or before the first sale
     turnover = 0
     for tick in reversed(token.provenance):
@@ -109,16 +102,16 @@ def extract_features(intent: TransferIntent, chain: TokenContract, config: SimCo
         turnover += 1
     abnormal = token.abnormal_times
     return {
-        "sender": intent.from_addr,
-        "recipient": intent.to_addr,
-        "price": fmt_units(price),
+        "sender": sender,
+        "recipient": recipient,
+        "price": request["price"],
         "floor": None if floor is None else fmt_units(floor),
         "price_ratio": f"{price // g}/{floor // g}" if price > 0 and floor else None,
         "turnover_count": turnover,
-        "sender_credit": repr(credit_score(intent.from_addr, chain, config)),
-        "recipient_credit": repr(credit_score(intent.to_addr, chain, config)),
-        "sender_flagged": chain.account(intent.from_addr).explorer_flagged,
-        "recipient_flagged": chain.account(intent.to_addr).explorer_flagged,
+        "sender_credit": repr(credit_score(sender, chain, config)),
+        "recipient_credit": repr(credit_score(recipient, chain, config)),
+        "sender_flagged": chain.account(sender).explorer_flagged,
+        "recipient_flagged": chain.account(recipient).explorer_flagged,
         "token_state": token.state,
         "prior_abnormal": bool(abnormal) and any(t > horizon for t in abnormal),
         "model_score": repr(model_score),
@@ -197,8 +190,9 @@ class RiskEngine:
                 return model[key]
         return 0.0
 
-    def evaluate(self, intent: TransferIntent, chain: TokenContract) -> RiskVerdict:
-        model_score = self.model_score(intent.from_addr, intent.to_addr)
-        features = extract_features(intent, chain, self.config, model_score)
+    def evaluate(self, request: dict, price: int, chain: TokenContract) -> RiskVerdict:
+        """The verdict on the transfer ``request`` (its ``RiskRequested`` payload) at ``price`` sub-units."""
+        model_score = self.model_score(request["from"], request["to"])
+        features = extract_features(request, price, chain, self.config, model_score)
         hits = rule_hits(features, self.config)
         return RiskVerdict(classify(hits, model_score, self.config), hits, features)

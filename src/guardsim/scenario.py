@@ -81,6 +81,7 @@ def _account(ctx, name, balance):
 
 
 def _juror(ctx, address):
+    ctx.sim.ledger.account(address)  # UnknownAccount: only an account can serve on a jury
     if address not in ctx.pool:
         ctx.pool.append(address)
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import Refused, RejectedInput
 from .ledger import Account, Address, Ledger
-from .risk import RiskVerdict, SAFE, TransferIntent
-from .units import fmt_units
+from .risk import RiskVerdict, SAFE
 
 
 # dispatched action -> the effect event ``apply_dispatch`` logs for it
@@ -190,8 +189,7 @@ class TokenContract:
         if token.owner != from_addr:
             raise Refused("NotOwner", from_addr)
         self.ledger.account(to_addr)
-        intent = TransferIntent(caller, from_addr, to_addr, token_id, price, self.ledger.time)
-        request_id, verdict = self._oracle().request_risk_check(intent)
+        request, verdict = self._oracle().request_risk_check(caller, from_addr, to_addr, token_id, price)
         if verdict.status == SAFE:
             self._move(token, to_addr, price)
             token.state = TokenState.LOCKED
@@ -204,9 +202,9 @@ class TokenContract:
                     "token_id": token_id,
                     "from": from_addr,
                     "to": to_addr,
-                    "price": fmt_units(price),
+                    "price": request["price"],
                     "caller": caller,
-                    "request_id": request_id,
+                    "request_id": request["request_id"],
                     "guard_state": guard_state,
                     "guard_frozen": guard_frozen,
                     "new_state": token.state,

@@ -4,7 +4,7 @@ import pytest
 
 from guardsim.errors import Refused
 from guardsim.sim import Simulation
-from guardsim.units import to_units
+from guardsim.units import fmt_units, to_units
 
 
 @pytest.fixture
@@ -18,6 +18,21 @@ def fund_accounts(sim, count, balance=10, age_ticks=86400):
     if age_ticks:
         sim.ledger.advance_time(age_ticks)
     return addresses
+
+
+def risk_request(sender, recipient, price, time):
+    """The ``RiskRequested`` payload of a transfer of token 1, as the bridge logs it, and its ``price`` in
+    sub-units: the pair the bridge hands ``RiskEngine.evaluate``."""
+    request = {
+        "request_id": 1,
+        "caller": sender,
+        "from": sender,
+        "to": recipient,
+        "token_id": 1,
+        "price": fmt_units(price),
+        "time": time,
+    }
+    return request, price
 
 
 @contextmanager

@@ -11,6 +11,8 @@ from guardsim.ledger import Account
 from guardsim.token import TokenRecord, TokenState
 from guardsim.units import to_units
 
+from conftest import risk_request
+
 
 @dataclass
 class StubView:
@@ -44,7 +46,7 @@ _AGED_TICKS = 1023  # credit 2 * log2(1024) = 20.0, exactly at the threshold
 
 
 def grid_points():
-    """All 2,080 intent configurations of the equivalence grid."""
+    """All 2,080 transfer configurations of the equivalence grid."""
     for price in range(13):
         for floor in (None, 10):
             for turnover in range(5):
@@ -64,9 +66,7 @@ def grid_points():
 
 
 def build_grid_view(price, floor, turnover, sender_flagged, recipient_flagged, aged_recipient, prior_abnormal=False):
-    """Realize one grid point as a stub snapshot plus an intent."""
-    from guardsim.risk import TransferIntent
-
+    """Realize one grid point as a transfer's risk request, its price and a stub snapshot."""
     sender, recipient, bystander = "0xS", "0xR", "0xF"
     created_recipient = GRID_NOW - (_AGED_TICKS if aged_recipient else 0)
     accounts = {
@@ -80,8 +80,7 @@ def build_grid_view(price, floor, turnover, sender_flagged, recipient_flagged, a
     if floor is not None:
         tokens[2] = TokenRecord(2, owner=bystander, last_sale_price=to_units(floor))
     view = StubView(GRID_NOW, tokens, accounts)
-    intent = TransferIntent(sender, sender, recipient, 1, to_units(price), GRID_NOW)
-    return intent, view
+    return (*risk_request(sender, recipient, to_units(price), GRID_NOW), view)
 
 
 def oracle_status(price, floor, turnover, sender_flagged, recipient_flagged, aged_recipient, prior_abnormal=False):

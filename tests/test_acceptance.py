@@ -85,8 +85,8 @@ def test_acceptance_3_rule_engine_oracle_equivalence():
     points = disagreements = 0
     for point in grid_points():
         points += 1
-        intent, view = build_grid_view(*point)
-        verdict = sim.engine.evaluate(intent, view)
+        request, price, view = build_grid_view(*point)
+        verdict = sim.engine.evaluate(request, price, view)
         expected_status, expected_rules = oracle_status(*point)
         if verdict.status != expected_status or [h["rule"] for h in verdict.hits] != expected_rules:
             disagreements += 1

@@ -29,6 +29,7 @@ GOLDEN = {
     "tests/regressions/bad_amounts.tps": "b3e780d87ddc5e932a20645df2a635a15d4a5d042007a21d69acf334ab24350a",
     "tests/regressions/dangling_dispatch.tps": "7998fdf06cc0bd4b5edfc92466d59c39875dddf7d137112b1712b7c2a06580df",
     "tests/regressions/huge_ticks.tps": "90cec27be1d7ab9fd1e26a3c6eb30b012ff83993f93aa981bda5d482edeaf219",
+    "tests/regressions/unfunded_juror.tps": "665ccda6599138bf19b7f9ff14dcea986e09fd74c578c10d9e1efc62d01b0a5b",
     "tests/regressions/unreached_refusals.tps": "d0a7c93fb8eacbaa1ffc7cccdf217e3df38408dd585662733800c7fa843dbc85",
     "tests/regressions/zero_economics.tps": "a4c11395b65a69176dd3cae268233ab69668b22180e7e9dbdda48c0e61956b4c",
 }

@@ -22,7 +22,10 @@ one would be an uncaught ``KeyError``.
 
 Every ``runner.<name>`` that ``bench/run.py`` or ``bench/fresh_setup.py``
 names must exist: the benchmark runs on the committed sources, so deleting
-one of its entry points would fail the benchmark, not a test.
+one of its entry points would fail the benchmark, not a test. Every function
+``bench/run.py`` traces (its ``SPANS`` and the keys of its ``COUNTERS``) must
+resolve under ``guardsim``, save the one listed in ``UNRESOLVED_TRACE_TARGETS``:
+a renamed one is not an error there, its layer just reads 0.
 
 ``errors.py`` defines exactly the error classes of ``ERROR_CLASSES`` and no
 other module subclasses one: a refusal is ``Refused(code, ...)``, never a class
@@ -35,6 +38,7 @@ rows of the README's refusal-code table.
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -214,6 +218,7 @@ PAYLOAD_READERS = [
     ("audit.py", None),
     ("cli.py", "cmd_explain"),
     ("cli.py", "_explanation"),
+    ("risk.py", "extract_features"),
     ("risk.py", "rule_hits"),
     ("risk.py", "classify"),
     ("risk.py", "classify_payload"),
@@ -283,6 +288,47 @@ def test_the_check_sees_a_missing_runner_function():
         "def go(self, runner):\n    return runner.replay_log, self.runner.gone_call, other.report\n"
     )
     assert runner_names(source) == {"gone_span", "replay_log", "gone_call"}
+
+
+# deleted from the ledger before the benchmark could drop its span (ROADMAP item 1)
+UNRESOLVED_TRACE_TARGETS = ["ledger.digest_events"]
+
+
+def trace_targets(source: str) -> list[str]:
+    """Each entry of the module-level ``SPANS`` list and each key of the ``COUNTERS`` dict of ``source``."""
+    targets = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in ("SPANS", "COUNTERS"):
+            items = node.value.keys if isinstance(node.value, ast.Dict) else node.value.elts
+            targets += [item.value for item in items]
+    return targets
+
+
+def resolves(target: str) -> bool:
+    """Whether ``<module>.<qualname>`` names an attribute of a ``guardsim`` module."""
+    module, _, qualname = target.partition(".")
+    owner = importlib.import_module(f"guardsim.{module}")
+    for part in qualname.split("."):
+        owner = getattr(owner, part, None)
+    return owner is not None
+
+
+def test_every_function_the_benchmark_traces_exists():
+    targets = trace_targets((ROOT / "bench" / "run.py").read_text())
+    assert len(targets) == 37 and {"risk.extract_features", "token.TokenContract.__init__"} <= set(targets)
+    assert [target for target in targets if not resolves(target)] == UNRESOLVED_TRACE_TARGETS
+
+
+def test_the_check_sees_a_renamed_trace_target():
+    source = (
+        'SPANS = ["risk.classify", "risk.TransferIntent"]\n'
+        'COUNTERS = {"oracle.OracleBridge.fulfill": count, "oracle.OracleBridge.gone": count}\n'
+        'OTHER = ["risk.planted"]\n'
+    )
+    targets = trace_targets(source)
+    assert targets[:2] == ["risk.classify", "risk.TransferIntent"]
+    assert targets[2:] == ["oracle.OracleBridge.fulfill", "oracle.OracleBridge.gone"]
+    assert [target for target in targets if not resolves(target)] == ["risk.TransferIntent", "oracle.OracleBridge.gone"]
 
 
 ERROR_CLASSES = ["SimError", "RejectedInput", "Refused", "ParseError", "ReplayError"]

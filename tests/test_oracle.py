@@ -1,10 +1,10 @@
 import pytest
 
-from guardsim.risk import MAY_LOST, RiskVerdict, TransferIntent, extract_features
+from guardsim.risk import MAY_LOST, RiskVerdict
 from guardsim.token import TokenState
 from guardsim.units import to_units
 
-from conftest import fund_accounts, refused
+from conftest import fund_accounts, refused, risk_request
 
 
 def _transfer(sim, a, b, token_id, price):
@@ -35,8 +35,8 @@ def test_verdict_equals_offline_evaluate_on_snapshot(sim):
     _transfer(sim, alice, bob, 2, 10)
     # recompute on the same snapshot the bridge consumed (state before effects
     # differs from after only through this token, which may_lost leaves put)
-    intent = TransferIntent(alice, alice, bob, 1, to_units(4), sim.ledger.time)
-    expected = sim.engine.evaluate(intent, sim.contract)
+    request, price = risk_request(alice, bob, to_units(4), sim.ledger.time)
+    expected = sim.engine.evaluate(request, price, sim.contract)
     verdict = _transfer(sim, alice, bob, 1, 4)
     assert verdict.status == expected.status == MAY_LOST
     assert verdict.features == expected.features

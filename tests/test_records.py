@@ -10,7 +10,7 @@ import pytest
 
 from guardsim.access_control import UnlockAttestation
 from guardsim.ledger import EventRecord, Ledger, serialize_events
-from guardsim.risk import SAFE, RiskVerdict, TransferIntent
+from guardsim.risk import SAFE, RiskVerdict
 from guardsim.runner import ReplayOutcome
 from guardsim.scenario import parse_step
 from test_fast_paths import VERDICT as FULFILLED
@@ -22,7 +22,6 @@ VERDICT = RiskVerdict(SAFE, [], None)
 RECORDS = [
     (EventRecord(1, 0, "Unfrozen", {"token_id": 1}), "seq"),
     (parse_step("ADVANCE 1"), "verb"),
-    (TransferIntent(A, A, B, 1, 0, 0), "caller"),
     (VERDICT, "status"),
     (UnlockAttestation(A, B, 1, 0, 0, b"\x00" * 32), "main"),
     (ReplayOutcome(False, 3), "passed"),

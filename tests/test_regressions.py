@@ -108,6 +108,21 @@ def test_an_approved_address_cannot_approve():
     assert report.ok, report.violations
 
 
+def test_an_address_without_an_account_cannot_serve_as_a_juror():
+    """Once such a juror voted with the winning side, the case never closed and every later winning
+    vote returned the token and charged the reporter again."""
+    sim, report = _run(REGRESSIONS / "unfunded_juror.tps")
+    events = sim.ledger.events
+    rejected = [(ev.payload["index"], ev.payload["error"]) for ev in events if ev.kind == "StepRejected"]
+    assert rejected == [(8, "UnknownAccount"), (12, "InsufficientJurors"), (13, "NotJuror"), (20, "CaseClosed")]
+    case = sim.arbitration.case(1)
+    assert "0x" + "0" * 38 + "aa" not in case.jury
+    assert (case.status, case.verdict) == ("closed", "FOR_REPORTER")
+    assert [ev.kind for ev in events].count("Returned") == 1
+    assert [ev.kind for ev in events].count("CaseClosed") == 1
+    assert report.ok, report.violations
+
+
 def _tamper_closure(events, **changes):
     return [
         ev._replace(payload={**ev.payload, **changes}) if ev.kind == "CaseClosed" else ev for ev in events

@@ -14,7 +14,6 @@ from guardsim.risk import (
     STRONG,
     WEAK,
     RiskEngine,
-    TransferIntent,
     classify,
     classify_payload,
     collection_floor,
@@ -26,7 +25,7 @@ from guardsim.sim import Simulation
 from guardsim.token import TokenRecord, TokenState
 from guardsim.units import UNIT, fmt_fraction, fmt_units, to_units
 
-from conftest import fund_accounts
+from conftest import fund_accounts, risk_request
 from riskgrid import StubView, build_grid_view, grid_points, oracle_status
 
 CFG = SimConfig()
@@ -102,8 +101,8 @@ def test_credit_on_live_chain_matches_raw_state_recompute(sim):
 
 
 def test_gift_has_undefined_ratio_and_no_r1():
-    intent, view = build_grid_view(0, 10, 0, False, False, True)
-    features = extract_features(intent, view, CFG, 0.0)
+    request, price, view = build_grid_view(0, 10, 0, False, False, True)
+    features = extract_features(request, price, view, CFG, 0.0)
     assert features["price_ratio"] is None
     assert all(h["rule"] != "R1_UNDERPRICED" for h in rule_hits(features, CFG))
 
@@ -118,8 +117,8 @@ def test_turnover_counts_window_entries_brute_force(sim):
         sim.contract.transfer_from(holders[i], holders[i], holders[i + 1], 1, 0)
         sim.bridge.privileged_dispatch("unlock", origin="dac", token_id=1)  # undo lock-on-receipt
         sim.ledger.advance_time(10)
-    intent = TransferIntent(bob, bob, carol, 1, to_units(9), sim.ledger.time)
-    features = extract_features(intent, sim.contract, CFG, 0.0)
+    request, price = risk_request(bob, carol, to_units(9), sim.ledger.time)
+    features = extract_features(request, price, sim.contract, CFG, 0.0)
     brute = sum(1 for tick in sim.contract.token(1).provenance if sim.ledger.time - tick < CFG.window_ticks)
     assert features["turnover_count"] == brute == 4
     assert any(h["rule"] == "R2_HIGH_TURNOVER" for h in rule_hits(features, CFG))
@@ -131,11 +130,11 @@ def test_prior_abnormal_set_by_may_lost_and_ages_out(sim):
     sim.contract.mint(alice, 2)
     sim.contract.transfer_from(alice, alice, bob, 2, to_units(10))
     sim.contract.transfer_from(alice, alice, carol, 1, to_units(4))  # may_lost
-    intent = TransferIntent(alice, alice, carol, 1, to_units(10), sim.ledger.time)
-    assert extract_features(intent, sim.contract, CFG, 0.0)["prior_abnormal"] is True
+    request, price = risk_request(alice, carol, to_units(10), sim.ledger.time)
+    assert extract_features(request, price, sim.contract, CFG, 0.0)["prior_abnormal"] is True
     sim.ledger.advance_time(CFG.window_ticks + 1)
-    intent = TransferIntent(alice, alice, carol, 1, to_units(10), sim.ledger.time)
-    assert extract_features(intent, sim.contract, CFG, 0.0)["prior_abnormal"] is False
+    request, price = risk_request(alice, carol, to_units(10), sim.ledger.time)
+    assert extract_features(request, price, sim.contract, CFG, 0.0)["prior_abnormal"] is False
 
 
 # -- verdict mapping -------------------------------------------------------------
@@ -160,15 +159,15 @@ def test_model_thresholds_are_inclusive():
 
 
 def test_rule_boundaries():
-    intent, view = build_grid_view(5, 10, 0, False, False, True)
-    features = extract_features(intent, view, CFG, 0.0)
+    request, price, view = build_grid_view(5, 10, 0, False, False, True)
+    features = extract_features(request, price, view, CFG, 0.0)
     assert features["price_ratio"] == "1/2"
     assert rule_hits(features, CFG) == []  # exactly beta * floor is not "below"
-    intent, view = build_grid_view(4, 10, 0, False, False, True)
-    hits = rule_hits(extract_features(intent, view, CFG, 0.0), CFG)
+    request, price, view = build_grid_view(4, 10, 0, False, False, True)
+    hits = rule_hits(extract_features(request, price, view, CFG, 0.0), CFG)
     assert [h["rule"] for h in hits] == ["R1_UNDERPRICED"]
-    intent, view = build_grid_view(10, 10, 3, False, False, True)
-    hits = rule_hits(extract_features(intent, view, CFG, 0.0), CFG)
+    request, price, view = build_grid_view(10, 10, 3, False, False, True)
+    hits = rule_hits(extract_features(request, price, view, CFG, 0.0), CFG)
     assert [h["rule"] for h in hits] == ["R2_HIGH_TURNOVER"]  # threshold is inclusive
 
 
@@ -248,8 +247,8 @@ def test_logged_payload_recomputes_to_same_verdict(sim):
 
 @pytest.mark.parametrize("point", list(grid_points())[::37])
 def test_evaluate_matches_rule_text_oracle_sample(point, sim):
-    intent, view = build_grid_view(*point)
-    verdict = sim.engine.evaluate(intent, view)
+    request, price, view = build_grid_view(*point)
+    verdict = sim.engine.evaluate(request, price, view)
     expected_status, expected_rules = oracle_status(*point)
     assert verdict.status == expected_status
     assert [h["rule"] for h in verdict.hits] == expected_rules
@@ -258,12 +257,12 @@ def test_evaluate_matches_rule_text_oracle_sample(point, sim):
 # -- differential check against the exact-Fraction transcription -------------------
 
 
-def _reference_features(intent, chain, config, model_score):
+def _reference_features(request, price, chain, config, model_score):
     """The logged feature payload, built with every window test as ``now - time`` against the window
     and the ratio as a ``Fraction``."""
-    token = chain.token(intent.token_id)
+    token = chain.token(request["token_id"])
     floor = chain.collection_floor()
-    ratio = Fraction(intent.price, floor) if intent.price > 0 and floor else None
+    ratio = Fraction(price, floor) if price > 0 and floor else None
     window = config.window_ticks
     turnover = 0
     for tick in reversed(token.provenance):
@@ -272,16 +271,16 @@ def _reference_features(intent, chain, config, model_score):
         turnover += 1
     prior_abnormal = any(chain.now - t < window for t in reversed(token.abnormal_times))
     return {
-        "sender": intent.from_addr,
-        "recipient": intent.to_addr,
-        "price": fmt_units(intent.price),
+        "sender": request["from"],
+        "recipient": request["to"],
+        "price": fmt_units(price),
         "floor": None if floor is None else fmt_units(floor),
         "price_ratio": None if ratio is None else fmt_fraction(ratio),
         "turnover_count": turnover,
-        "sender_credit": repr(credit_score(intent.from_addr, chain, config)),
-        "recipient_credit": repr(credit_score(intent.to_addr, chain, config)),
-        "sender_flagged": chain.account(intent.from_addr).explorer_flagged,
-        "recipient_flagged": chain.account(intent.to_addr).explorer_flagged,
+        "sender_credit": repr(credit_score(request["from"], chain, config)),
+        "recipient_credit": repr(credit_score(request["to"], chain, config)),
+        "sender_flagged": chain.account(request["from"]).explorer_flagged,
+        "recipient_flagged": chain.account(request["to"]).explorer_flagged,
         "token_state": str(token.state),
         "prior_abnormal": prior_abnormal,
         "model_score": repr(model_score),
@@ -318,7 +317,7 @@ def _reference_classify(hits, model_score, config):
 
 @st.composite
 def _risk_cases(draw):
-    """A stub chain, an intent and a config; tick lists in any order, with times on,
+    """A stub chain, a risk request, its price and a config; tick lists in any order, with times on,
     just inside and just outside the window's edge, and prices on R1's boundary."""
     now = draw(st.integers(min_value=0, max_value=10**6))
     window = draw(st.integers(min_value=0, max_value=500))
@@ -352,15 +351,15 @@ def _risk_cases(draw):
         p_suspect=p_suspect,
     )
     model_score = draw(st.sampled_from((0.0, p_suspect, config.p_hacked)) | st.floats(min_value=0.0, max_value=1.0))
-    intent = TransferIntent(sender, sender, recipient, 1, price, now)
-    return intent, StubView(now, tokens, accounts), config, model_score
+    request, price = risk_request(sender, recipient, price, now)
+    return request, price, StubView(now, tokens, accounts), config, model_score
 
 
 @given(_risk_cases())
 def test_features_rules_and_verdict_equal_the_fraction_reference(case):
-    intent, view, config, model_score = case
-    features = extract_features(intent, view, config, model_score)
-    expected = _reference_features(intent, view, config, model_score)
+    request, price, view, config, model_score = case
+    features = extract_features(request, price, view, config, model_score)
+    expected = _reference_features(request, price, view, config, model_score)
     assert features == expected
     hits = rule_hits(features, config)
     assert hits == _reference_rule_hits(expected, config)

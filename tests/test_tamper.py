@@ -3,9 +3,10 @@
 ``report`` re-executes a log. Where the recorded bytes diverge from the re-run,
 it audits the recorded events on their own, lists each violation the re-run
 lacks, then names the divergence. Each test below rewrites one event of the
-log of ``scenarios/replevin.tps`` (or ``clean_sale.tps``), or cuts the log
-short, so that one audit check fires alone, or the two sides of one check: the
-report's violations are that check and the divergence line, and it exits 1.
+log of ``scenarios/replevin.tps`` (or ``clean_sale.tps`` or ``hot_sale.tps``),
+or cuts the log short, so that one audit check fires alone, or the two sides of
+one check: the report's violations are that check and the divergence line, and
+it exits 1.
 """
 
 import json
@@ -85,16 +86,34 @@ def test_a_reporter_verdict_short_of_the_quorum(replevin_log, capsys):
 
 
 def test_an_address_created_twice_breaks_conservation(replevin_log, capsys):
-    """The identity ``sum(balances) == minted`` is built from the same events on both sides, so it
-    fires only when one address has two AccountCreated events: here mallory's names alice instead.
-    Both hold 10 and mallory moves no value, so every recorded balance still matches its refold."""
+    """Mallory's AccountCreated names alice instead. Both hold 10 and mallory moves no value, so every
+    recorded balance still matches its refold; only the check for an address created twice fires."""
     created = [ev for ev in _events(replevin_log) if ev["kind"] == "AccountCreated"]
     alice, mallory = created[3:5]  # after the treasury, the fee sink and the escrow
     assert alice["payload"]["balance"] == mallory["payload"]["balance"] == fmt_units(10 * UNIT)
-    _rewrite(replevin_log, mallory["seq"], lambda p: p.update(address=alice["payload"]["address"]))
+    address = alice["payload"]["address"]
+    _rewrite(replevin_log, mallory["seq"], lambda p: p.update(address=address))
     assert _report_violations(replevin_log, capsys) == [
-        "conservation: account balances do not equal total minted value",
+        f"seq {mallory['seq']}: address {address} created twice",
         f"recorded log diverges from deterministic re-execution at seq {mallory['seq']}",
+    ]
+
+
+def test_a_value_event_that_names_an_address_never_created(replevin_log, capsys):
+    """The fee sink's AccountCreated names a stranger instead. The fee sink opens at 0, so the
+    refold of each gas fee paid to it still matches the recorded balance; only the check for an
+    address that no AccountCreated created fires, once for each value event that pays it."""
+    created = [ev for ev in _events(replevin_log) if ev["kind"] == "AccountCreated"]
+    sink = created[1]  # after the treasury
+    address = sink["payload"]["address"]
+    assert sink["payload"]["balance"] == fmt_units(0)
+    transfers = [ev for ev in _events(replevin_log) if ev["kind"] == "ValueTransferred"]
+    paid = [ev["seq"] for ev in transfers if ev["payload"]["to"] == address]
+    assert len(paid) == 1  # the victim's gas fee
+    _rewrite(replevin_log, sink["seq"], lambda p: p.update(address="0x" + "0" * 38 + "aa"))
+    assert _report_violations(replevin_log, capsys) == [
+        *(f"seq {seq}: value event names {address}, which no earlier AccountCreated created" for seq in paid),
+        f"recorded log diverges from deterministic re-execution at seq {sink['seq']}",
     ]
 
 
@@ -105,6 +124,19 @@ def test_a_transfer_of_a_frozen_token(tmp_path, capsys):
     _rewrite(log, seq, lambda p: p.update(guard_frozen=True))
     assert _report_violations(log, capsys) == [
         f"seq {seq}: transfer completed on frozen token {token_id}",
+        f"recorded log diverges from deterministic re-execution at seq {seq}",
+    ]
+
+
+def test_a_rejected_step_that_left_events_behind(tmp_path, capsys):
+    """The rejection of hot_sale's frozen-token transfer names the step before it instead: the
+    underpriced sale, whose risk check and freeze are in the log, so a rejected step left events."""
+    log = _run(tmp_path, "hot_sale")
+    (rejected,) = [ev for ev in _events(log) if ev["kind"] == "StepRejected"]
+    seq, index = rejected["seq"], rejected["payload"]["index"] - 1
+    _rewrite(log, seq, lambda p: p.update(index=index))
+    assert _report_violations(log, capsys) == [
+        f"seq {seq}: rejected step {index} left events behind",
         f"recorded log diverges from deterministic re-execution at seq {seq}",
     ]
 
